@@ -15,14 +15,7 @@
 // runs differ only in machine speed — the numbers are comparable on one
 // machine across commits.
 //
-// With -shards the largest size is additionally measured as a mini-cluster:
-// N engines submitted round-robin, re-partitioning one machine's P each
-// round by feeding per-engine aggregate desires through the same DEQ policy
-// (the internal/cluster allocation loop on bare engines, no HTTP or journal
-// in the way) — the perf trajectory's shard-count dimension.
-//
 //	abgbench                      # 1k/10k/100k jobs, writes BENCH_<n>.json
-//	abgbench -shards 1,4,8        # plus 4- and 8-shard runs at the top size
 //	abgbench -quick               # small sizes, for CI schema smoke
 //	abgbench -out /tmp/b.json     # explicit output path
 //	abgbench -validate BENCH_1.json  # schema-check an existing file
@@ -46,8 +39,6 @@ import (
 	"abg/internal/cli"
 	"abg/internal/core"
 	"abg/internal/job"
-	"abg/internal/parallel"
-	"abg/internal/server"
 	"abg/internal/sim"
 	"abg/internal/workload"
 )
@@ -74,9 +65,8 @@ type Size struct {
 	Jobs int `json:"jobs"`
 	P    int `json:"p"`
 	L    int `json:"l"`
-	// Shards is the mini-cluster width for this entry: absent/1 is the plain
-	// single-engine measurement; N>1 partitions the same machine across N
-	// engines through the cluster allocation loop.
+	// Shards is the mini-cluster width of an entry written by the removed
+	// -shards dimension (BENCH_3.json); absent in single-engine entries.
 	Shards int `json:"shards,omitempty"`
 	// Quanta is the number of engine boundaries executed; JobQuanta the
 	// total per-job quantum executions summed over jobs.
@@ -99,7 +89,6 @@ func main() {
 		l         = flag.Int("L", 100, "quantum length (steps)")
 		r         = flag.Float64("r", 0.2, "ABG convergence rate")
 		stepWork  = flag.Int("step-workers", 0, "sim.MultiConfig.StepWorkers for the measured engine (0/1 serial, -1 = one per CPU)")
-		shardsArg = flag.String("shards", "1", "comma-separated shard counts; counts >1 are measured at the largest size only")
 		version   = cli.VersionFlag()
 	)
 	flag.Parse()
@@ -128,46 +117,20 @@ func main() {
 		sizes = append(sizes, n)
 	}
 
-	var shardCounts []int
-	for _, f := range strings.Split(*shardsArg, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "abgbench: bad shard count %q\n", f)
-			os.Exit(2)
-		}
-		shardCounts = append(shardCounts, n)
-	}
-	maxSize := sizes[0]
-	for _, n := range sizes {
-		if n > maxSize {
-			maxSize = n
-		}
-	}
-
 	doc := Doc{
 		Schema: Schema, Go: runtime.Version(), Version: cli.Version,
 		Scheduler: core.NewABG(*r).Name(), Quick: *quick,
 		StepWorkers: *stepWork,
 	}
-	measure := func(n, shards int) {
-		sz, err := benchOne(n, *l, *r, *stepWork, shards)
+	for _, n := range sizes {
+		sz, err := benchOne(n, *l, *r, *stepWork)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "abgbench: %d jobs × %d shards: %v\n", n, shards, err)
+			fmt.Fprintf(os.Stderr, "abgbench: %d jobs: %v\n", n, err)
 			os.Exit(1)
 		}
 		doc.Sizes = append(doc.Sizes, sz)
-		fmt.Fprintf(os.Stderr, "[%7d jobs × %d shards] %8.0f quanta/s  %7.0f ns/job-step  %6.1f allocs/quantum\n",
-			sz.Jobs, shards, sz.QuantaPerSec, sz.NsPerJobStep, sz.AllocsPerQuantum)
-	}
-	for _, n := range sizes {
-		measure(n, 1)
-	}
-	// The shard dimension: re-measure the largest size as a mini-cluster at
-	// every requested width past 1.
-	for _, shards := range shardCounts {
-		if shards > 1 {
-			measure(maxSize, shards)
-		}
+		fmt.Fprintf(os.Stderr, "[%7d jobs] %8.0f quanta/s  %7.0f ns/job-step  %6.1f allocs/quantum\n",
+			sz.Jobs, sz.QuantaPerSec, sz.NsPerJobStep, sz.AllocsPerQuantum)
 	}
 
 	path, err := writeDoc(doc, *out)
@@ -229,33 +192,16 @@ func writeDoc(doc Doc, out string) (string, error) {
 // count: equi-partitioning then guarantees every job ≥2 processors (no
 // stalled boundaries), while the width-4/8 jobs still start deprived — the
 // allocator and the ABG feedback loop both do real work at every scale.
-//
-// With shards > 1 the same machine and workload run as a mini-cluster: jobs
-// are submitted round-robin across N engines, and each round the engines'
-// aggregate desires are fed through DEQ to re-partition P into per-engine
-// capacity shares (via server.ShareTable) before the engines step
-// concurrently — the internal/cluster allocation loop on bare engines,
-// measuring the hierarchy's cost without HTTP, journals, or event taps.
-func benchOne(jobs, l int, r float64, stepWorkers, shards int) (Size, error) {
+func benchOne(jobs, l int, r float64, stepWorkers int) (Size, error) {
 	p := 2 * jobs
 	scheduler := core.NewABG(r)
-	engs := make([]*sim.Engine, shards)
-	tables := make([]*server.ShareTable, shards)
-	for k := range engs {
-		cfg := sim.MultiConfig{
-			P: p, L: l, Allocator: alloc.DynamicEquiPartition{},
-			MaxQuanta:   1 << 30,
-			StepWorkers: stepWorkers,
-		}
-		if shards > 1 {
-			tables[k] = server.NewShareTable(p, nil)
-			cfg.Capacity = tables[k]
-		}
-		eng, err := sim.NewEngine(cfg)
-		if err != nil {
-			return Size{}, err
-		}
-		engs[k] = eng
+	eng, err := sim.NewEngine(sim.MultiConfig{
+		P: p, L: l, Allocator: alloc.DynamicEquiPartition{},
+		MaxQuanta:   1 << 30,
+		StepWorkers: stepWorkers,
+	})
+	if err != nil {
+		return Size{}, err
 	}
 	// Profiles are immutable run descriptions; per-job cursor state lives in
 	// the job.NewRun instance. Sharing the four distinct profiles instead of
@@ -266,125 +212,50 @@ func benchOne(jobs, l int, r float64, stepWorkers, shards int) (Size, error) {
 	for i, w := range widths {
 		profiles[i] = workload.ConstantJob(w, 3, l)
 	}
-	submitted := make([]int, shards)
 	for i := 0; i < jobs; i++ {
-		profile := profiles[i%4]
-		k := i % shards
-		_, err := engs[k].Submit(sim.JobSpec{
+		_, err := eng.Submit(sim.JobSpec{
 			Name:   fmt.Sprintf("bench%d", i),
-			Inst:   job.NewRun(profile),
+			Inst:   job.NewRun(profiles[i%4]),
 			Policy: scheduler.NewPolicy(),
 			Sched:  scheduler.TaskScheduler(),
 		})
 		if err != nil {
 			return Size{}, err
 		}
-		submitted[k]++
 	}
 
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	rounds, err := stepToCompletion(engs, tables, submitted, p)
-	if err != nil {
-		return Size{}, err
+	quanta := 0
+	for !eng.Done() {
+		if _, err := eng.Step(); err != nil {
+			return Size{}, err
+		}
+		quanta++
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 
+	res := eng.Result()
 	jobQuanta := 0
-	var makespan int64
-	for _, eng := range engs {
-		res := eng.Result()
-		for _, j := range res.Jobs {
-			jobQuanta += j.NumQuanta
-		}
-		if res.Makespan > makespan {
-			makespan = res.Makespan
-		}
+	for _, j := range res.Jobs {
+		jobQuanta += j.NumQuanta
 	}
-	if rounds == 0 || jobQuanta == 0 {
-		return Size{}, fmt.Errorf("engine executed nothing (quanta=%d jobQuanta=%d)", rounds, jobQuanta)
+	if quanta == 0 || jobQuanta == 0 {
+		return Size{}, fmt.Errorf("engine executed nothing (quanta=%d jobQuanta=%d)", quanta, jobQuanta)
 	}
-	sz := Size{
+	return Size{
 		Jobs: jobs, P: p, L: l,
-		Quanta: rounds, JobQuanta: jobQuanta,
-		Makespan:  makespan,
+		Quanta: quanta, JobQuanta: jobQuanta,
+		Makespan:  res.Makespan,
 		ElapsedNs: elapsed.Nanoseconds(),
 
-		QuantaPerSec:     float64(rounds) / elapsed.Seconds(),
+		QuantaPerSec:     float64(quanta) / elapsed.Seconds(),
 		NsPerJobStep:     float64(elapsed.Nanoseconds()) / float64(jobQuanta),
-		AllocsPerQuantum: float64(after.Mallocs-before.Mallocs) / float64(rounds),
-	}
-	if shards > 1 {
-		sz.Shards = shards
-	}
-	return sz, nil
-}
-
-// stepToCompletion drives the engines to Done and returns the number of
-// cluster rounds (engine boundaries for the single-engine case). For a
-// mini-cluster each round re-partitions P by aggregate desire before the
-// engines step concurrently, mirroring internal/cluster's driver.
-func stepToCompletion(engs []*sim.Engine, tables []*server.ShareTable, submitted []int, p int) (int, error) {
-	if len(engs) == 1 {
-		eng := engs[0]
-		rounds := 0
-		for !eng.Done() {
-			if _, err := eng.Step(); err != nil {
-				return 0, err
-			}
-			rounds++
-		}
-		return rounds, nil
-	}
-	policy := alloc.DynamicEquiPartition{}
-	desires := make([]int, len(engs))
-	errs := make([]error, len(engs))
-	rounds := 0
-	for {
-		active := false
-		for k, eng := range engs {
-			if !eng.Done() {
-				active = true
-				desires[k] = eng.AggregateRequest()
-				if desires[k] == 0 {
-					// Admission bootstrap: jobs submitted but not yet started
-					// report no desire, exactly like a daemon's queued jobs —
-					// count them so the first round doesn't starve the shard.
-					desires[k] = submitted[k]
-				}
-			} else {
-				desires[k] = 0
-			}
-		}
-		if !active {
-			return rounds, nil
-		}
-		shares := policy.Allot(desires, p)
-		for k, eng := range engs {
-			if !eng.Done() {
-				tables[k].Set(eng.Boundary()+1, shares[k])
-			}
-		}
-		parallel.ForEachN(len(engs), 0, func(k int) {
-			if engs[k].Done() || errs[k] != nil {
-				return
-			}
-			if _, err := engs[k].Step(); err != nil {
-				errs[k] = err
-				return
-			}
-			tables[k].PruneBelow(engs[k].Boundary())
-		})
-		for k, err := range errs {
-			if err != nil {
-				return 0, fmt.Errorf("shard %d: %w", k, err)
-			}
-		}
-		rounds++
-	}
+		AllocsPerQuantum: float64(after.Mallocs-before.Mallocs) / float64(quanta),
+	}, nil
 }
 
 // nextBenchIndex returns the smallest index past every existing BENCH file

@@ -22,7 +22,8 @@ import (
 )
 
 // Config assembles a cluster: N engine shards built from one shard template
-// plus the cluster-level routing and allocation policies.
+// plus the cluster-level routing policy. The cluster allocator is dynamic
+// equi-partitioning, the policy jobs are allotted with.
 type Config struct {
 	// Addr is the front door's listen address.
 	Addr string
@@ -31,20 +32,15 @@ type Config struct {
 	// Shard is the template every shard is built from. Addr, Bus, Metrics,
 	// Capacity and FollowURL are owned by the cluster and must be zero; P is
 	// the *total* machine the cluster partitions; JournalDir, if set, gains
-	// a shard-<k> subdirectory per shard.
+	// a shard-<k> subdirectory per shard; EventRing and EventRingBytes also
+	// size the front door's merged replay ring.
 	Shard server.Config
-	// Policy re-partitions the machine across shards each round by feeding
-	// the shards' aggregate desires through an alloc.Multi — the same
-	// policies jobs are allotted with. Default dynamic equi-partitioning.
-	Policy alloc.Multi
 	// Router picks the shard for each submission. Default NewHashRing(Shards).
 	Router Router
 	// Workers bounds the goroutines stepping shards within one round
 	// (0 = one per CPU). Purely an execution knob: results, journals and
 	// the merged event stream are identical at every setting.
 	Workers int
-	// EventRing bounds the merged SSE replay ring (default 4096).
-	EventRing int
 	// Metrics receives the cluster-level abgd_cluster_* families and the
 	// front door's HTTP metrics; a private registry is created when nil.
 	// Shard registries stay private per shard and are rendered at /metrics
@@ -76,25 +72,21 @@ func (sh *shard) roundStats() (desire, share int) {
 type Cluster struct {
 	cfg    Config
 	shards []*shard
-	policy alloc.Multi
 	router Router
-	hub    *mergedHub
+	hub    *server.EventHub
 	log    *slog.Logger
 
 	routeMu sync.Mutex
 	keys    map[string]int // idempotency key → shard (routing affinity)
 
-	driveMu    sync.Mutex // serialises rounds (driver) with the final drain
-	lastShares []int
+	lastShares []int // driver-owned
 	rebalances atomic.Int64
 
-	draining atomic.Bool
-	finalErr error // first shard failure, set before drained closes
-	wake     chan struct{}
-	drained  chan struct{}
-	stopped  chan struct{}
-	drainOne sync.Once
-	stopOne  sync.Once
+	draining  atomic.Bool
+	drainOnce sync.Once
+	finalErr  error // first shard failure, set before drained closes
+	wake      chan struct{}
+	drained   chan struct{}
 
 	metrics *clusterMetrics
 	started time.Time
@@ -112,12 +104,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Shard.Addr != "" || cfg.Shard.Bus != nil || cfg.Shard.Metrics != nil ||
 		cfg.Shard.Capacity != nil || cfg.Shard.FollowURL != "" {
 		return nil, fmt.Errorf("cluster: shard template must leave Addr, Bus, Metrics, Capacity and FollowURL unset")
-	}
-	if cfg.EventRing == 0 {
-		cfg.EventRing = 4096
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = alloc.DynamicEquiPartition{}
 	}
 	if cfg.Router == nil {
 		cfg.Router = NewHashRing(cfg.Shards)
@@ -137,14 +123,12 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:     cfg,
-		policy:  cfg.Policy,
 		router:  cfg.Router,
-		hub:     newMergedHub(cfg.Shards, cfg.EventRing),
+		hub:     server.NewEventHub(cfg.Shards, cfg.Shard.EventRing, cfg.Shard.EventRingBytes),
 		log:     obs.Component("cluster"),
 		keys:    make(map[string]int),
 		wake:    make(chan struct{}, 1),
 		drained: make(chan struct{}),
-		stopped: make(chan struct{}),
 		started: time.Now(),
 	}
 	c.metrics = newClusterMetrics(cfg.Metrics, cfg.Shards)
@@ -170,8 +154,8 @@ func New(cfg Config) (*Cluster, error) {
 		// The tap attaches after New, so recovery's replayed events — already
 		// renumbered exactly by the shard's own hub — are not re-merged; the
 		// merged stream resumes from the shard's recovered position.
-		sh.tap = newShardTap(k, cfg.Shards, srv.SSESeq())
-		c.hub.setSeq(k, srv.SSESeq())
+		sh.tap = newShardTap(k, cfg.Shards)
+		c.hub.SetSeq(k, srv.SSESeq())
 		scfg.Bus.Subscribe(sh.tap)
 		c.shards = append(c.shards, sh)
 	}
@@ -191,8 +175,12 @@ func New(cfg Config) (*Cluster, error) {
 
 func shardDirName(k int) string { return "shard-" + strconv.Itoa(k) }
 
-// Start binds the front door and launches the cluster's quantum-clock
-// driver. Cancelling ctx initiates a graceful drain.
+// Start binds the front door and launches the driver goroutine: the
+// daemon's quantum clock (server.Clock) runs one round per boundary until
+// the cluster drains or a shard wedges — a wedged shard cannot make
+// progress, so the healthy ones drain and the cluster shuts down instead of
+// serving a partially dead cluster. Cancelling ctx initiates a graceful
+// drain.
 func (c *Cluster) Start(ctx context.Context) error {
 	ln, err := net.Listen("tcp", c.cfg.Addr)
 	if err != nil {
@@ -201,7 +189,15 @@ func (c *Cluster) Start(ctx context.Context) error {
 	c.ln = ln
 	c.started = time.Now()
 	c.hsrv = &http.Server{Handler: c.mux(), ReadHeaderTimeout: 5 * time.Second}
-	go c.drive(ctx)
+	go func() {
+		server.Clock{
+			Mode: c.cfg.Shard.Clock, Tick: c.cfg.Shard.Tick, Wake: c.wake,
+			Stop:    func() bool { return c.draining.Load() || c.anyFatal() != nil },
+			HasWork: c.anyNeedsSteps, Step: c.round, Drain: c.Drain,
+		}.Run(ctx)
+		c.drain()
+		c.log.Info("cluster drain complete", "shards", c.cfg.Shards)
+	}()
 	go func() {
 		if err := c.hsrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			c.log.Error("cluster http server failed", "err", err)
@@ -209,7 +205,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 	}()
 	c.log.Info("abgd cluster listening",
 		"addr", ln.Addr().String(), "shards", c.cfg.Shards,
-		"P", c.cfg.Shard.P, "policy", c.policy.Name(), "router", c.router.Name(),
+		"P", c.cfg.Shard.P, "router", c.router.Name(),
 		"clock", string(c.cfg.Shard.Clock))
 	return nil
 }
@@ -222,52 +218,24 @@ func (c *Cluster) Addr() string {
 	return c.ln.Addr().String()
 }
 
-// drive is the cluster's quantum clock: the single goroutine that advances
-// every shard, mirroring a single daemon's driver — wall mode runs one round
-// per tick, virtual mode fast-forwards while any shard has work and parks
-// while the cluster is empty.
-func (c *Cluster) drive(ctx context.Context) {
-	defer c.closeStopped()
-	var tick *time.Ticker
-	if c.cfg.Shard.Clock == server.ClockWall {
-		tick = time.NewTicker(c.cfg.Shard.Tick)
-		defer tick.Stop()
+// drain runs the daemon's drain sequence on every shard — DrainEngine,
+// rounds until no shard needs steps, FinishExternal — then closes the
+// merged stream and releases Wait. Runs on the driver goroutine.
+func (c *Cluster) drain() {
+	c.Drain() // a wedged shard ends the clock's loop without one
+	for _, sh := range c.shards {
+		sh.srv.DrainEngine()
 	}
-	for {
-		if c.draining.Load() {
-			break
-		}
-		if c.anyFatal() != nil {
-			// A wedged shard cannot make progress; drain the healthy ones
-			// and shut down instead of serving a partially dead cluster.
-			c.Drain()
-			continue
-		}
-		switch c.cfg.Shard.Clock {
-		case server.ClockWall:
-			select {
-			case <-ctx.Done():
-				c.Drain()
-			case <-tick.C:
-				c.round(true)
-			case <-c.wake:
-			}
-		default: // virtual
-			if c.anyNeedsSteps() {
-				c.round(false)
-				continue
-			}
-			select {
-			case <-ctx.Done():
-				c.Drain()
-			case <-c.wake:
-			}
+	for c.anyNeedsSteps() {
+		c.round(false)
+	}
+	for k, sh := range c.shards {
+		if err := sh.srv.FinishExternal(); err != nil && c.finalErr == nil {
+			c.finalErr = fmt.Errorf("shard %d: %w", k, err)
 		}
 	}
-	c.drain()
-	c.hub.closeAll()
-	c.closeDrained()
-	c.log.Info("cluster drain complete", "shards", c.cfg.Shards)
+	c.hub.Close()
+	close(c.drained)
 }
 
 // round runs one cluster quantum: collect each shard's aggregate desire,
@@ -276,15 +244,13 @@ func (c *Cluster) drive(ctx context.Context) {
 // merged stream serially in shard order (the barrier between stepping and
 // flushing is what makes the merge order deterministic at any worker count).
 func (c *Cluster) round(idleOK bool) {
-	c.driveMu.Lock()
-	defer c.driveMu.Unlock()
 	n := len(c.shards)
 	if n > 1 {
 		desires := make([]int, n)
 		for k, sh := range c.shards {
 			desires[k] = sh.srv.AggregateDesire()
 		}
-		shares := c.policy.Allot(desires, c.cfg.Shard.P)
+		shares := alloc.DynamicEquiPartition{}.Allot(desires, c.cfg.Shard.P)
 		for k, sh := range c.shards {
 			sh.srv.SetShare(shares[k])
 			sh.mu.Lock()
@@ -337,36 +303,20 @@ func (c *Cluster) anyFatal() error {
 	return nil
 }
 
-// Drain initiates a graceful cluster drain: admission closes on the front
-// door and on every shard (each journals the drain command, so restarted
-// shards finish draining instead of reopening admission). Idempotent.
+// Drain initiates a graceful cluster drain. Admission closes on every shard
+// first (each journals the drain command, so restarted shards finish
+// draining instead of reopening admission), and only then on the front
+// door, whose flag lets the clock leave its loop: no shard can accept a job
+// after the drain sequence has closed its engine's admission. Idempotent.
 func (c *Cluster) Drain() {
-	if c.draining.CompareAndSwap(false, true) {
+	c.drainOnce.Do(func() {
 		c.log.Info("cluster drain initiated")
 		for _, sh := range c.shards {
 			sh.srv.Drain()
 		}
-	}
+		c.draining.Store(true)
+	})
 	c.notify()
-}
-
-// drain runs rounds until no shard has steppable work, then finishes every
-// shard: final admissions, engine drain, journal sync and close, SSE hub
-// close. Runs on the driver goroutine after the main loop exits.
-func (c *Cluster) drain() {
-	for _, sh := range c.shards {
-		sh.srv.DrainEngine()
-	}
-	for c.anyNeedsSteps() {
-		c.round(false)
-	}
-	for k, sh := range c.shards {
-		if err := sh.srv.FinishExternal(); err != nil && c.finalErr == nil {
-			c.finalErr = fmt.Errorf("shard %d: %w", k, err)
-		}
-		// FinishExternal may execute straggler quanta; merge their events.
-		sh.tap.flush(c.hub)
-	}
 }
 
 // Wait blocks until the cluster has fully drained, then shuts the front
@@ -391,13 +341,11 @@ func (c *Cluster) notify() {
 	}
 }
 
-func (c *Cluster) closeDrained() { c.drainOne.Do(func() { close(c.drained) }) }
-func (c *Cluster) closeStopped() { c.stopOne.Do(func() { close(c.stopped) }) }
-
 // clusterMetrics is the cluster-level registry content: topology, routing,
 // and allocation families, labelled per shard where that makes sense.
 type clusterMetrics struct {
 	reg        *obs.Registry
+	http       *server.HTTPMetrics // the front door's own traffic
 	shards     *obs.Gauge
 	rebalances *obs.Counter
 	routed     []*obs.Counter // abgd_cluster_routed_jobs_total{shard}
@@ -413,6 +361,7 @@ func newClusterMetrics(reg *obs.Registry, shards int) *clusterMetrics {
 	}
 	m := &clusterMetrics{
 		reg:        reg,
+		http:       server.NewHTTPMetrics(reg),
 		shards:     reg.Gauge("abgd_cluster_shards"),
 		rebalances: reg.Counter("abgd_cluster_rebalances_total"),
 	}

@@ -178,6 +178,10 @@ func TestShardedStateAggregation(t *testing.T) {
 	if routed != 14 {
 		t.Errorf("routed jobs sum to %d, want 14", routed)
 	}
+	// The front door's own traffic feeds the daemon's HTTP figures.
+	if run.state.HTTPRequests == 0 {
+		t.Error("state.httpRequests = 0 after the run's requests")
+	}
 	// Vector event ids: one component per shard, comma-separated.
 	for _, f := range run.frames {
 		var s0, s1, s2 uint64

@@ -1,0 +1,201 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"sync"
+	"testing"
+	"time"
+
+	"abg/internal/persist"
+	"abg/internal/server"
+)
+
+// Drain races: keyed submitters keep posting while POST /api/v1/drain?wait=1
+// lands mid-run. Whatever the interleaving, Wait reports a clean drain,
+// every 202-acked job runs to completion, and each journal holds exactly one
+// drain record with no submit record after it — on a plain daemon and on a
+// 2-shard cluster alike.
+
+// frontDoor is a started daemon or cluster under test.
+type frontDoor struct {
+	base     string
+	wait     func() error
+	journals func() []string
+}
+
+func drainRaceConfig(dir string) server.Config {
+	return server.Config{
+		P: 16, L: 20, Clock: server.ClockVirtual,
+		JournalDir: dir, Fsync: "never",
+	}
+}
+
+func startDaemon(t *testing.T, dir string) frontDoor {
+	t.Helper()
+	cfg := drainRaceConfig(dir)
+	cfg.Addr = "127.0.0.1:0"
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if err := srv.Start(ctx); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	return frontDoor{
+		base:     "http://" + srv.Addr(),
+		wait:     srv.Wait,
+		journals: func() []string { return []string{srv.Recovery().JournalPath} },
+	}
+}
+
+func startCluster(t *testing.T, dir string) frontDoor {
+	t.Helper()
+	c, err := New(Config{Addr: "127.0.0.1:0", Shards: 2, Shard: drainRaceConfig(dir)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if err := c.Start(ctx); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	return frontDoor{
+		base: "http://" + c.Addr(),
+		wait: c.Wait,
+		journals: func() []string {
+			var paths []string
+			for _, sh := range c.shards {
+				paths = append(paths, sh.srv.Recovery().JournalPath)
+			}
+			return paths
+		},
+	}
+}
+
+func TestDrainRacesSubmissions(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(*testing.T, string) frontDoor
+	}{
+		{"daemon", startDaemon},
+		{"cluster", startCluster},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 6; round++ {
+				fd := tc.start(t, t.TempDir())
+				acked := submitThroughDrain(t, fd.base)
+				var jobs []server.JobStatusDTO
+				getJSON(t, fd.base+"/api/v1/jobs", &jobs)
+				if err := fd.wait(); err != nil {
+					t.Fatalf("round %d: Wait: %v", round, err)
+				}
+				state := make(map[int]string, len(jobs))
+				for _, j := range jobs {
+					state[j.ID] = j.State
+				}
+				for _, id := range acked {
+					if state[id] != "done" {
+						t.Fatalf("round %d: acked job %d is %q after the drain, want done", round, id, state[id])
+					}
+				}
+				for _, path := range fd.journals() {
+					checkDrainTail(t, path)
+				}
+			}
+		})
+	}
+}
+
+// submitThroughDrain runs four keyed submitters against base until admission
+// closes, posts the drain once the first acks are in, and returns every id
+// acked 202.
+func submitThroughDrain(t *testing.T, base string) []int {
+	t.Helper()
+	var (
+		mu      sync.Mutex
+		acked   []int
+		wg      sync.WaitGroup
+		started = make(chan struct{})
+		once    sync.Once
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				ids, ok := submitOnce(base, server.JobRequest{
+					Kind: "serial", Quanta: 2, Key: fmt.Sprintf("w%d-%d", w, i),
+				})
+				if !ok { // 503 once admission closes
+					return
+				}
+				mu.Lock()
+				acked = append(acked, ids...)
+				n := len(acked)
+				mu.Unlock()
+				if n >= 16 {
+					once.Do(func() { close(started) })
+				}
+			}
+		}(w)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("submitters never got going")
+	}
+	if code := postJSON(t, base+"/api/v1/drain?wait=1", nil, nil); code != http.StatusOK {
+		t.Fatalf("drain: status %d", code)
+	}
+	wg.Wait()
+	return acked
+}
+
+// submitOnce posts one request, reporting the acked ids and whether the
+// answer was 202. Safe off the test goroutine.
+func submitOnce(base string, req server.JobRequest) ([]int, bool) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, false
+	}
+	resp, err := http.Post(base+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, false
+	}
+	defer resp.Body.Close()
+	var ack server.SubmitResponse
+	if resp.StatusCode != http.StatusAccepted || json.NewDecoder(resp.Body).Decode(&ack) != nil {
+		return nil, false
+	}
+	return ack.IDs, true
+}
+
+// checkDrainTail asserts the journal holds exactly one drain record and no
+// submit record after it.
+func checkDrainTail(t *testing.T, path string) {
+	t.Helper()
+	scan, err := persist.ScanFile(path)
+	if err != nil {
+		t.Fatalf("scan %s: %v", path, err)
+	}
+	drains := 0
+	for i, rec := range scan.Records {
+		switch rec.Kind {
+		case persist.KindDrain:
+			drains++
+		case persist.KindSubmit:
+			if drains > 0 {
+				t.Fatalf("%s: submit record %d follows the drain record", path, i)
+			}
+		}
+	}
+	if drains != 1 {
+		t.Fatalf("%s: %d drain records, want 1", path, drains)
+	}
+}

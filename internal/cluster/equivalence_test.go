@@ -46,29 +46,35 @@ func collectSSE(t *testing.T, base string) <-chan []sseFrame {
 	out := make(chan []sseFrame, 1)
 	go func() {
 		defer resp.Body.Close()
-		var frames []sseFrame
-		var cur sseFrame
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case line == "":
-				if cur.Data != "" {
-					frames = append(frames, cur)
-				}
-				cur = sseFrame{}
-			case strings.HasPrefix(line, "id: "):
-				cur.ID = line[4:]
-			case strings.HasPrefix(line, "event: "):
-				cur.Event = line[7:]
-			case strings.HasPrefix(line, "data: "):
-				cur.Data = line[6:]
-			}
-		}
-		out <- frames
+		out <- scanFrames(resp.Body, -1)
 	}()
 	return out
+}
+
+// scanFrames parses server-sent events from r until it has n frames, or to
+// EOF when n < 0.
+func scanFrames(r io.Reader, n int) []sseFrame {
+	var frames []sseFrame
+	var cur sseFrame
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for (n < 0 || len(frames) < n) && sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "":
+			if cur.Data != "" {
+				frames = append(frames, cur)
+			}
+			cur = sseFrame{}
+		case strings.HasPrefix(line, "id: "):
+			cur.ID = line[4:]
+		case strings.HasPrefix(line, "event: "):
+			cur.Event = line[7:]
+		case strings.HasPrefix(line, "data: "):
+			cur.Data = line[6:]
+		}
+	}
+	return frames
 }
 
 // postJSON posts a body and decodes the JSON response into out.

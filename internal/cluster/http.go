@@ -8,8 +8,8 @@ import (
 	"strconv"
 	"time"
 
+	"abg/internal/alloc"
 	"abg/internal/cli"
-	"abg/internal/obs"
 	"abg/internal/obs/promexport"
 	"abg/internal/server"
 )
@@ -38,72 +38,21 @@ func (c *Cluster) splitID(global int) (local, shard int, ok bool) {
 
 func (c *Cluster) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/v1/jobs", c.instrument("/api/v1/jobs", c.handleSubmit))
-	mux.HandleFunc("GET /api/v1/jobs", c.instrument("/api/v1/jobs", c.handleJobs))
-	mux.HandleFunc("GET /api/v1/jobs/{id}", c.instrument("/api/v1/jobs/{id}", c.handleJob))
-	mux.HandleFunc("GET /api/v1/jobs/{id}/timeline", c.instrument("/api/v1/jobs/{id}/timeline", c.handleTimeline))
-	mux.HandleFunc("GET /api/v1/traces/{id}", c.instrument("/api/v1/traces/{id}", c.handleTrace))
-	mux.HandleFunc("GET /api/v1/state", c.instrument("/api/v1/state", c.handleState))
-	mux.HandleFunc("GET /api/v1/shards", c.instrument("/api/v1/shards", c.handleShards))
-	mux.HandleFunc("GET /api/v1/events", c.instrument("/api/v1/events", c.handleEvents))
-	mux.HandleFunc("POST /api/v1/drain", c.instrument("/api/v1/drain", c.handleDrain))
-	mux.HandleFunc("GET /api/v1/recovery", c.instrument("/api/v1/recovery", c.handleRecovery))
-	mux.HandleFunc("GET /api/v1/version", c.instrument("/api/v1/version", c.handleVersion))
-	mux.HandleFunc("GET /healthz", c.instrument("/healthz", c.handleHealth))
-	mux.HandleFunc("GET /metrics", c.instrument("/metrics", c.handleMetrics))
+	in := c.metrics.http.Instrument
+	mux.HandleFunc("POST /api/v1/jobs", in("/api/v1/jobs", c.handleSubmit))
+	mux.HandleFunc("GET /api/v1/jobs", in("/api/v1/jobs", c.handleJobs))
+	mux.HandleFunc("GET /api/v1/jobs/{id}", in("/api/v1/jobs/{id}", c.handleJob))
+	mux.HandleFunc("GET /api/v1/jobs/{id}/timeline", in("/api/v1/jobs/{id}/timeline", c.handleTimeline))
+	mux.HandleFunc("GET /api/v1/traces/{id}", in("/api/v1/traces/{id}", c.handleTrace))
+	mux.HandleFunc("GET /api/v1/state", in("/api/v1/state", c.handleState))
+	mux.HandleFunc("GET /api/v1/shards", in("/api/v1/shards", c.handleShards))
+	mux.HandleFunc("GET /api/v1/events", in("/api/v1/events", c.hub.Handler(c.scheduler())))
+	mux.HandleFunc("POST /api/v1/drain", in("/api/v1/drain", c.handleDrain))
+	mux.HandleFunc("GET /api/v1/recovery", in("/api/v1/recovery", c.handleRecovery))
+	mux.HandleFunc("GET /api/v1/version", in("/api/v1/version", c.handleVersion))
+	mux.HandleFunc("GET /healthz", in("/healthz", c.handleHealth))
+	mux.HandleFunc("GET /metrics", in("/metrics", c.handleMetrics))
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-type errorDTO struct {
-	Error string `json:"error"`
-}
-
-// statusRecorder captures the response code for the HTTP metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// httpBuckets match the daemon's: sub-millisecond reads to multi-second
-// drain waits.
-var httpBuckets = obs.ExponentialBuckets(0.001, 4, 7)
-
-// instrument wraps one front-door route with the same abgd_http_* families a
-// daemon exposes, in the cluster registry (no shard label — this is the
-// front door's own traffic).
-func (c *Cluster) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	reg := c.metrics.reg
-	hist := reg.Histogram(
-		promexport.Name("abgd_http_request_seconds", "route", route), httpBuckets)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		h(rec, r)
-		code := rec.code
-		if code == 0 {
-			code = http.StatusOK
-		}
-		reg.Counter(promexport.Name("abgd_http_requests_total",
-			"route", route, "method", r.Method, "code", strconv.Itoa(code))).Inc()
-		hist.Observe(time.Since(start).Seconds())
-	}
 }
 
 // SubmitResponse is the front door's ack: the daemon's ack with global ids
@@ -115,17 +64,17 @@ type SubmitResponse struct {
 
 func (c *Cluster) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorDTO{"draining: admission closed"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, server.ErrorDTO{Error: "draining: admission closed"})
 		return
 	}
 	var req server.JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad request body: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorDTO{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if err := req.Normalize(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorDTO{Error: err.Error()})
 		return
 	}
 	resp, status, err := c.submit(req, r.Header.Get(server.TraceHeader))
@@ -133,10 +82,10 @@ func (c *Cluster) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeJSON(w, status, errorDTO{err.Error()})
+		server.WriteJSON(w, status, server.ErrorDTO{Error: err.Error()})
 		return
 	}
-	writeJSON(w, status, resp)
+	server.WriteJSON(w, status, resp)
 }
 
 // submit routes one normalized request and runs the owning shard's admission
@@ -210,18 +159,18 @@ func (c *Cluster) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	if out == nil {
 		out = []JobDTO{}
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Cluster) jobFromPath(w http.ResponseWriter, r *http.Request) (local, shard int, ok bool) {
 	g, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad job id: " + r.PathValue("id")})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorDTO{Error: "bad job id: " + r.PathValue("id")})
 		return 0, 0, false
 	}
 	local, shard, ok = c.splitID(g)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDTO{fmt.Sprintf("no job %d", g)})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: fmt.Sprintf("no job %d", g)})
 	}
 	return local, shard, ok
 }
@@ -233,12 +182,12 @@ func (c *Cluster) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	dto, ok := c.shards[k].srv.LookupJob(local)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDTO{fmt.Sprintf("no job %d", c.globalID(local, k))})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: fmt.Sprintf("no job %d", c.globalID(local, k))})
 		return
 	}
 	dto.History = c.shards[k].srv.JobHistory(local)
 	dto.ID = c.globalID(local, k)
-	writeJSON(w, http.StatusOK, JobDTO{JobStatusDTO: dto, Shard: k})
+	server.WriteJSON(w, http.StatusOK, JobDTO{JobStatusDTO: dto, Shard: k})
 }
 
 func (c *Cluster) handleTimeline(w http.ResponseWriter, r *http.Request) {
@@ -248,22 +197,22 @@ func (c *Cluster) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 	tl, ok := c.shards[k].srv.JobTimeline(local)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDTO{fmt.Sprintf("no job %d", c.globalID(local, k))})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: fmt.Sprintf("no job %d", c.globalID(local, k))})
 		return
 	}
 	tl.ID = c.globalID(local, k)
-	writeJSON(w, http.StatusOK, tl)
+	server.WriteJSON(w, http.StatusOK, tl)
 }
 
 func (c *Cluster) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	for _, sh := range c.shards {
 		if dto, ok := sh.srv.TraceByID(id); ok {
-			writeJSON(w, http.StatusOK, dto)
+			server.WriteJSON(w, http.StatusOK, dto)
 			return
 		}
 	}
-	writeJSON(w, http.StatusNotFound, errorDTO{"no trace " + id})
+	server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: "no trace " + id})
 }
 
 // InfoDTO is the cluster sub-object of the aggregated state.
@@ -284,17 +233,17 @@ type StateDTO struct {
 }
 
 func (c *Cluster) handleState(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.state())
+	server.WriteJSON(w, http.StatusOK, c.state())
 }
 
 func (c *Cluster) state() StateDTO {
 	st := StateDTO{
 		Cluster: InfoDTO{
 			Shards:     len(c.shards),
-			Policy:     c.policy.Name(),
+			Policy:     alloc.DynamicEquiPartition{}.Name(),
 			Router:     c.router.Name(),
 			Workers:    c.cfg.Workers,
-			EventID:    renderVector(c.hub.vector()),
+			EventID:    c.hub.ID(),
 			Rebalances: c.rebalances.Load(),
 		},
 	}
@@ -335,9 +284,8 @@ func (c *Cluster) state() StateDTO {
 	st.P = c.cfg.Shard.P
 	st.L = c.cfg.Shard.L
 	st.Draining = c.draining.Load()
-	st.SSEClients = c.hub.n.Load()
-	st.SSEDropped = c.hub.dropped.Load()
-	st.LastEventID = c.hub.total()
+	c.hub.FillState(&st.StateDTO)
+	c.metrics.http.FillState(&st.StateDTO)
 	st.UptimeSec = time.Since(c.started).Seconds()
 	return st
 }
@@ -383,7 +331,7 @@ func (c *Cluster) handleShards(w http.ResponseWriter, _ *http.Request) {
 			Epoch: sh.srv.Epoch(),
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Cluster) handleDrain(w http.ResponseWriter, r *http.Request) {
@@ -397,7 +345,7 @@ func (c *Cluster) handleDrain(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"draining": true, "done": done})
+	server.WriteJSON(w, http.StatusOK, map[string]bool{"draining": true, "done": done})
 }
 
 // RecoveryDTO lists every shard's boot-time recovery report.
@@ -410,11 +358,11 @@ func (c *Cluster) handleRecovery(w http.ResponseWriter, _ *http.Request) {
 	for k, sh := range c.shards {
 		dto.Shards[k] = sh.srv.Recovery()
 	}
-	writeJSON(w, http.StatusOK, dto)
+	server.WriteJSON(w, http.StatusOK, dto)
 }
 
 func (c *Cluster) handleVersion(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{
+	server.WriteJSON(w, http.StatusOK, map[string]string{
 		"version": cli.Version,
 		"go":      runtime.Version(),
 		"cluster": strconv.Itoa(len(c.shards)),
@@ -459,7 +407,7 @@ func (c *Cluster) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if worst > 0 {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, dto)
+	server.WriteJSON(w, code, dto)
 }
 
 // handleMetrics renders the cluster registry plus every shard's registry
@@ -479,64 +427,6 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = promexport.WriteSets(w, sets...)
-}
-
-// handleEvents streams the merged event feed: every shard's SSE events in
-// the deterministic round-merge order, with vector ids (see sse.go). The
-// Last-Event-ID contract is the single-daemon one applied per component.
-func (c *Cluster) handleEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorDTO{"streaming unsupported"})
-		return
-	}
-	after := make([]uint64, len(c.shards))
-	lastID := r.Header.Get("Last-Event-ID")
-	if lastID == "" {
-		lastID = r.URL.Query().Get("lastEventID")
-	}
-	if lastID != "" {
-		vec, ok := parseVector(lastID, len(c.shards))
-		if !ok {
-			writeJSON(w, http.StatusBadRequest, errorDTO{"bad Last-Event-ID: " + lastID})
-			return
-		}
-		after = vec
-	}
-	replay, ch, resync, unsubscribe := c.hub.subscribe(1024, after)
-	defer unsubscribe()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "retry: %d\n: abgd event stream (%s)\n\n", 1000, c.scheduler())
-	flusher.Flush()
-	if ch == nil { // hub already closed (drained)
-		return
-	}
-	if resync {
-		fmt.Fprintf(w, "id: %s\nevent: resync\ndata: {\"reason\":\"replay ring evicted, refetch /api/v1/state\"}\n\n",
-			renderVector(c.hub.vector()))
-	}
-	for _, m := range replay {
-		if _, err := fmt.Fprintf(w, "id: %s\ndata: %s\n\n", m.id, m.data); err != nil {
-			return
-		}
-	}
-	flusher.Flush()
-	for {
-		select {
-		case m, open := <-ch:
-			if !open {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %s\ndata: %s\n\n", m.id, m.data); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 // scheduler names the shards' scheduler (all shards share the template).

@@ -2,54 +2,34 @@ package cluster
 
 import (
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 
 	"abg/internal/obs"
 	"abg/internal/server"
 )
 
-// Merged SSE. Each shard's event stream already has exact, crash-stable
-// sequence numbers; the cluster must merge N such streams without inventing
-// a new global counter that a restart could not reconstruct (the shards
-// recover independently, so no total order of past events survives a crash —
-// only the per-shard orders do). Event ids on the merged stream are therefore
-// *vector* ids: "s0,s1,…,sN-1", the per-shard sequence numbers as of the
-// frame. A client resumes by sending the vector back; the hub replays, per
-// shard, everything newer than the client's component — exactly the
-// single-daemon contract applied component-wise. With one shard the vector
-// is a single number, so a one-shard cluster's stream is indistinguishable
-// from a plain daemon's.
-//
-// Merge order within a round is deterministic: shards step concurrently, but
-// their taps buffer events and the driver flushes them serially in shard
-// order after the round's barrier, so the merged stream is a pure function
-// of the submission sequence regardless of worker count.
-
-// frame is one merged-stream item.
-type frame struct {
-	shard int
-	seq   uint64 // per-shard sequence number of this event
-	id    string // rendered vector id as of this frame
-	data  []byte // marshalled event, shard-tagged when the cluster has >1 shard
-}
+// Merged SSE. The front door serves one server.EventHub with a sequence
+// component per shard, so merged event ids are vectors of the shards' own
+// crash-stable sequence numbers (see server.EventHub). Merge order within a
+// round is deterministic: shards step concurrently, but their taps buffer
+// events and the driver flushes them serially in shard order after the
+// round's barrier, so the merged stream is a pure function of the
+// submission sequence regardless of worker count.
 
 // shardTap subscribes to one shard's bus, buffering marshalled events until
-// the driver flushes them into the merged hub. The payload splice happens at
-// capture: `{"shard":K,` replaces the opening brace, tagging every merged
-// event with its origin without re-marshalling.
+// the driver flushes them into the front door's hub. The payload splice
+// happens at capture: `{"shard":K,` replaces the opening brace, tagging
+// every merged event with its origin without re-marshalling.
 type shardTap struct {
 	shard  int
 	prefix []byte // nil for a one-shard cluster (payloads stay byte-identical)
-	seq    uint64 // per-shard sequence of the last flushed event (driver-owned)
 
 	mu  sync.Mutex
 	buf [][]byte
 }
 
-func newShardTap(shard, clusterSize int, startSeq uint64) *shardTap {
-	t := &shardTap{shard: shard, seq: startSeq}
+func newShardTap(shard, clusterSize int) *shardTap {
+	t := &shardTap{shard: shard}
 	if clusterSize > 1 {
 		t.prefix = []byte(`{"shard":` + strconv.Itoa(shard) + `,`)
 	}
@@ -74,174 +54,12 @@ func (t *shardTap) OnEvent(e obs.Event) {
 
 // flush publishes the buffered events in capture order. Only the cluster
 // driver calls flush, serially across taps, after the stepping barrier.
-func (t *shardTap) flush(h *mergedHub) {
+func (t *shardTap) flush(h *server.EventHub) {
 	t.mu.Lock()
 	buf := t.buf
 	t.buf = nil
 	t.mu.Unlock()
 	for _, data := range buf {
-		t.seq++
-		h.publish(t.shard, t.seq, data)
+		h.Publish(t.shard, data)
 	}
-}
-
-// mergedHub is the cluster-level sseHub: vector-id bookkeeping plus the same
-// bounded replay ring and non-blocking fan-out semantics as a shard's hub.
-type mergedHub struct {
-	mu      sync.Mutex
-	seqs    []uint64 // latest published per-shard sequence numbers
-	clients map[chan frame]struct{}
-	ring    []frame
-	ringCap int
-	closed  bool
-	n       atomic.Int64
-	dropped atomic.Int64
-	evicted atomic.Int64
-}
-
-func newMergedHub(shards, ringCap int) *mergedHub {
-	return &mergedHub{
-		seqs:    make([]uint64, shards),
-		clients: make(map[chan frame]struct{}),
-		ringCap: ringCap,
-	}
-}
-
-// setSeq seeds one shard's sequence component at boot (recovery restored the
-// shard to this position; its pre-crash events are not re-merged).
-func (h *mergedHub) setSeq(shard int, seq uint64) {
-	h.mu.Lock()
-	h.seqs[shard] = seq
-	h.mu.Unlock()
-}
-
-func (h *mergedHub) publish(shard int, seq uint64, data []byte) {
-	h.mu.Lock()
-	h.seqs[shard] = seq
-	m := frame{shard: shard, seq: seq, id: renderVector(h.seqs), data: data}
-	if len(h.ring) == h.ringCap {
-		copy(h.ring, h.ring[1:])
-		h.ring = h.ring[:len(h.ring)-1]
-		h.evicted.Add(1)
-	}
-	h.ring = append(h.ring, m)
-	for ch := range h.clients {
-		select {
-		case ch <- m:
-		default:
-			h.dropped.Add(1)
-		}
-	}
-	h.mu.Unlock()
-}
-
-// subscribe registers a client that has seen events up to the per-shard
-// positions in after (all-zero for a fresh client). Replay and registration
-// happen under one lock acquisition, so no frame can fall in between. resync
-// reports that some shard's component has already been evicted from the
-// ring; the client must refetch absolute state.
-func (h *mergedHub) subscribe(buffer int, after []uint64) (replay []frame, ch <-chan frame, resync bool, unsub func()) {
-	c := make(chan frame, buffer)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil, nil, false, func() {}
-	}
-	// Oldest retained sequence per shard; a shard absent from the ring has
-	// published nothing retrievable, so any gap on it forces a resync.
-	oldest := make([]uint64, len(h.seqs))
-	for i := len(h.ring) - 1; i >= 0; i-- {
-		oldest[h.ring[i].shard] = h.ring[i].seq
-	}
-	for k, a := range after {
-		switch {
-		case a > h.seqs[k]:
-			// Ahead of us: the client saw a shard tail that did not survive.
-			resync = true
-		case a < h.seqs[k]:
-			if oldest[k] == 0 || a+1 < oldest[k] {
-				resync = true
-			}
-		}
-	}
-	for _, m := range h.ring {
-		if m.seq > after[m.shard] {
-			replay = append(replay, m)
-		}
-	}
-	h.clients[c] = struct{}{}
-	h.n.Store(int64(len(h.clients)))
-	var once sync.Once
-	return replay, c, resync, func() {
-		once.Do(func() {
-			h.mu.Lock()
-			if _, ok := h.clients[c]; ok {
-				delete(h.clients, c)
-				close(c)
-			}
-			h.n.Store(int64(len(h.clients)))
-			h.mu.Unlock()
-		})
-	}
-}
-
-// vector returns a copy of the current per-shard positions.
-func (h *mergedHub) vector() []uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]uint64(nil), h.seqs...)
-}
-
-// total returns the total number of events published across all shards.
-func (h *mergedHub) total() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var sum uint64
-	for _, s := range h.seqs {
-		sum += s
-	}
-	return sum
-}
-
-// closeAll disconnects every client (end of drain).
-func (h *mergedHub) closeAll() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.closed = true
-	for ch := range h.clients {
-		delete(h.clients, ch)
-		close(ch)
-	}
-	h.n.Store(0)
-}
-
-// renderVector renders per-shard positions as the wire id: "s0,s1,…".
-func renderVector(seqs []uint64) string {
-	var sb strings.Builder
-	for i, s := range seqs {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatUint(s, 10))
-	}
-	return sb.String()
-}
-
-// parseVector parses a Last-Event-ID into per-shard positions. A scalar id
-// against a one-shard cluster is the degenerate one-component vector, so
-// plain-daemon clients interoperate unchanged.
-func parseVector(s string, shards int) ([]uint64, bool) {
-	parts := strings.Split(s, ",")
-	if len(parts) != shards {
-		return nil, false
-	}
-	out := make([]uint64, shards)
-	for i, p := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, false
-		}
-		out[i] = v
-	}
-	return out, true
 }

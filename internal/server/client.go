@@ -460,7 +460,7 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, body []
 	}
 	c.noteEpoch(respEpoch)
 	msg := strings.TrimSpace(string(raw))
-	var e errorDTO
+	var e ErrorDTO
 	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
 		msg = e.Error
 	}

@@ -10,71 +10,81 @@ import (
 	"abg/internal/sim"
 )
 
-// drive is the quantum clock: the single goroutine that advances the engine.
-// All engine mutation happens here (and in the admission step it performs),
-// serialised with the HTTP handlers by s.mu.
+// Clock is the quantum clock: the loop one driver goroutine runs to pace
+// quantum boundaries. A daemon drives its own engine with it; a cluster
+// front door drives lockstep rounds across its shards with it.
 //
-// Wall mode executes one quantum boundary per cfg.Tick of real time — idle
-// boundaries advance simulated time just like busy ones, so sim time tracks
-// wall time. Virtual mode fast-forwards: it steps back-to-back while jobs
-// are in flight and parks (no time passes) while the system is empty, which
-// is what load tests and CI smokes want.
-//
-// Cancelling ctx — the SIGTERM path — switches to draining: admission stops,
-// every queued job is admitted, and the engine fast-forwards to completion
-// regardless of clock mode. The drained channel closes last, releasing
-// Server.Wait and any /api/v1/drain?wait=1 callers.
-func (s *Server) drive(ctx context.Context) {
-	defer s.closeStopped()
-	var tick *time.Ticker
-	if s.cfg.Clock == ClockWall {
-		tick = time.NewTicker(s.cfg.Tick)
-		defer tick.Stop()
-	}
-	for {
-		if s.killed.Load() {
-			// Crash simulation (tests only): stop dead, no drain, no final
-			// journal flush — exactly what SIGKILL leaves behind.
-			return
-		}
-		if s.draining.Load() {
-			break
-		}
-		switch s.cfg.Clock {
-		case ClockWall:
-			select {
-			case <-ctx.Done():
-				s.Drain()
-			case <-tick.C:
-				s.stepOnce(true)
-			case <-s.wake:
-				// Admission still waits for the boundary; the wake only
-				// re-checks the draining flag.
-			}
-		default: // virtual
-			if s.hasWork() {
-				s.stepOnce(false)
-				continue
-			}
-			select {
-			case <-ctx.Done():
-				s.Drain()
-			case <-s.wake:
-			}
-		}
-	}
-	s.drain()
-	s.hub.closeAll()
-	s.closeDrained()
-	s.log.Info("drain complete", "jobs", s.snapshotJobs())
+// Wall mode executes one boundary per Tick of real time — idle boundaries
+// advance simulated time just like busy ones, so sim time tracks wall time.
+// Virtual mode fast-forwards: it steps back-to-back while HasWork holds and
+// parks (no time passes) otherwise, which is what load tests and CI smokes
+// want. Cancelling ctx — the SIGTERM path — calls Drain. Run returns once
+// Stop reports true; the caller then runs its drain sequence.
+type Clock struct {
+	Mode ClockMode
+	Tick time.Duration
+	// Wake interrupts a wait so Stop (and, in virtual mode, HasWork) is
+	// re-checked; admission still waits for the next boundary.
+	Wake    <-chan struct{}
+	Stop    func() bool
+	HasWork func() bool
+	// Step executes one boundary; idleOK is set for wall ticks, where an
+	// empty system still consumes the boundary.
+	Step  func(idleOK bool)
+	Drain func()
 }
 
-// hasWork reports whether the engine has unfinished jobs or the admission
-// queue is non-empty.
-func (s *Server) hasWork() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.eng.Done() || len(s.queue) > 0
+// Run paces boundaries until Stop reports true.
+func (c Clock) Run(ctx context.Context) {
+	var tick <-chan time.Time // nil in virtual mode: never fires
+	if c.Mode == ClockWall {
+		t := time.NewTicker(c.Tick)
+		defer t.Stop()
+		tick = t.C
+	}
+	for !c.Stop() {
+		if c.Mode != ClockWall && c.HasWork() {
+			c.Step(false)
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			c.Drain()
+		case <-tick:
+			c.Step(true)
+		case <-c.Wake:
+		}
+	}
+}
+
+// drive is the daemon's driver goroutine: the only goroutine that advances
+// the engine. All engine mutation happens here (and in the admission step it
+// performs), serialised with the HTTP handlers by s.mu.
+//
+// Once draining — admission closed — it runs the drain sequence a cluster
+// runs per shard: DrainEngine admits every queued job and closes engine
+// admission, the engine fast-forwards to completion regardless of clock
+// mode, and FinishExternal syncs and closes the journal, then closes the
+// drained channel, releasing Server.Wait and any /api/v1/drain?wait=1
+// callers.
+func (s *Server) drive(ctx context.Context) {
+	defer s.closeStopped()
+	Clock{
+		Mode: s.cfg.Clock, Tick: s.cfg.Tick, Wake: s.wake,
+		Stop:    func() bool { return s.killed.Load() || s.draining.Load() },
+		HasWork: s.NeedsSteps, Step: s.stepOnce, Drain: s.Drain,
+	}.Run(ctx)
+	if s.killed.Load() {
+		// Crash simulation (tests only): stop dead, no drain, no final
+		// journal flush — exactly what SIGKILL leaves behind.
+		return
+	}
+	s.DrainEngine()
+	for s.NeedsSteps() {
+		s.stepOnce(false)
+	}
+	_ = s.FinishExternal() // Wait reports the verdict
+	s.log.Info("drain complete", "jobs", s.snapshotJobs())
 }
 
 // snapshotJobs returns the number of jobs the engine has completed.
@@ -243,38 +253,4 @@ func (s *Server) failLocked(err error) {
 	}
 	s.draining.Store(true)
 	s.notify()
-}
-
-// drain admits the remaining queue and fast-forwards the engine until every
-// accepted job has completed. Runs on the driver goroutine after the main
-// loop exits; admission is already closed, so the queue cannot grow.
-func (s *Server) drain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fatal != nil {
-		return
-	}
-	s.admitLocked() // flush the queue before the engine closes admission
-	if s.fatal != nil {
-		return
-	}
-	s.eng.Drain()
-	for !s.eng.Done() {
-		if s.journalStepLocked() != nil {
-			return
-		}
-		if _, err := s.eng.Step(); err != nil {
-			s.failLocked(err)
-			return
-		}
-		s.maybeSnapshotLocked()
-	}
-	if s.journal != nil {
-		if err := s.journal.Sync(); err != nil {
-			// A torn final flush must not masquerade as a clean shutdown:
-			// record it as the fatal error so /healthz reports failing and
-			// Wait — hence the process exit code — surfaces it.
-			s.failLocked(fmt.Errorf("journal sync at drain: %w", err))
-		}
-	}
 }

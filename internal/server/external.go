@@ -63,11 +63,12 @@ func (s *Server) SetShare(share int) {
 	s.mu.Unlock()
 }
 
-// DrainEngine flushes any straggler admissions and closes engine admission,
-// exactly as the internal drain path does before its final fast-forward.
-// The cluster calls it once per shard before the closing rounds so that
-// snapshots written during those rounds record the engine as draining —
-// keeping a one-shard cluster's journal byte-identical to a single daemon's.
+// DrainEngine flushes the admission queue and closes engine admission: the
+// first step of the drain sequence, run once admission is closed (Drain).
+// The daemon's own driver and the cluster (once per shard) both run it
+// before the closing fast-forward, so snapshots written during those quanta
+// record the engine as draining — keeping a one-shard cluster's journal
+// byte-identical to a single daemon's.
 func (s *Server) DrainEngine() {
 	s.mu.Lock()
 	if s.fatal == nil {
@@ -79,34 +80,17 @@ func (s *Server) DrainEngine() {
 	s.mu.Unlock()
 }
 
-// FinishExternal completes an externally-driven drain: flush any straggler
-// admissions, close engine admission, run any remaining quanta (normally
-// none — the driver steps until NeedsSteps is false first), sync and close
-// the journal, and release the shard's SSE clients and lifecycle channels.
-// Returns the shard's verdict the way Wait does: the first fatal error, or
-// the invariant checker's, or nil.
+// FinishExternal completes the drain sequence once the driver has stepped
+// until NeedsSteps is false: sync and close the journal, and release the
+// SSE clients and lifecycle channels. Returns the verdict the way Wait
+// does: the first fatal error, or the invariant checker's, or nil.
 func (s *Server) FinishExternal() error {
 	s.mu.Lock()
-	if s.fatal == nil {
-		s.admitLocked()
-	}
-	if s.fatal == nil {
-		s.eng.Drain()
-		for !s.eng.Done() {
-			if s.journalStepLocked() != nil {
-				break
-			}
-			if _, err := s.eng.Step(); err != nil {
-				s.failLocked(err)
-				break
-			}
-			s.maybeSnapshotLocked()
-		}
-	}
 	if s.fatal == nil && s.journal != nil {
 		if err := s.journal.Sync(); err != nil {
-			// Same contract as the internal drain: a torn final flush is a
-			// failing shard, not a clean shutdown.
+			// A torn final flush must not masquerade as a clean shutdown:
+			// record it as the fatal error so /healthz reports failing and
+			// Wait — hence the process exit code — surfaces it.
 			s.failLocked(fmt.Errorf("journal sync at drain: %w", err))
 		}
 	}
@@ -115,7 +99,7 @@ func (s *Server) FinishExternal() error {
 		_ = s.journal.Close()
 	}
 	s.mu.Unlock()
-	s.hub.closeAll()
+	s.hub.Close()
 	s.closeDrained()
 	s.closeStopped()
 	if err != nil {

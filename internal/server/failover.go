@@ -164,11 +164,11 @@ func (s *Server) Promise(epoch uint32, candidate string, candidateBytes int64) f
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 	var req failover.FenceRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad request body: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad request body: " + err.Error()})
 		return
 	}
 	if req.Epoch == 0 || req.Candidate == "" {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"epoch and candidate are required"})
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"epoch and candidate are required"})
 		return
 	}
 	resp := s.Promise(req.Epoch, failover.NormalizeURL(req.Candidate), req.JournalBytes)
@@ -176,7 +176,7 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("denied fencing claim",
 			"epoch", req.Epoch, "candidate", req.Candidate, "reason", resp.Reason)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- write gates and read-your-writes -------------------------------------
@@ -197,12 +197,12 @@ func (s *Server) rejectWrite(w http.ResponseWriter, r *http.Request) bool {
 			w.Header().Set(WinnerHeader, winner)
 			msg += "; current leader at " + winner
 		}
-		writeJSON(w, http.StatusConflict, errorDTO{msg})
+		WriteJSON(w, http.StatusConflict, ErrorDTO{msg})
 		return true
 	}
 	if c := r.Header.Get(EpochHeader); c != "" {
 		if ce, err := strconv.ParseUint(c, 10, 32); err == nil && uint32(ce) > s.epoch.Load() {
-			writeJSON(w, http.StatusConflict, errorDTO{fmt.Sprintf(
+			WriteJSON(w, http.StatusConflict, ErrorDTO{fmt.Sprintf(
 				"stale leader: client has observed epoch %d, this daemon serves epoch %d",
 				ce, s.epoch.Load())})
 			return true
@@ -210,8 +210,8 @@ func (s *Server) rejectWrite(w http.ResponseWriter, r *http.Request) bool {
 	}
 	if !s.confirmed.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorDTO{"leader unconfirmed: awaiting first group probe round"})
+		WriteJSON(w, http.StatusServiceUnavailable,
+			ErrorDTO{"leader unconfirmed: awaiting first group probe round"})
 		return true
 	}
 	return false
@@ -231,7 +231,7 @@ func (s *Server) waitMinOffset(w http.ResponseWriter, r *http.Request) bool {
 	}
 	min, err := strconv.ParseInt(v, 10, 64)
 	if err != nil || min < 0 {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad " + MinOffsetHeader + ": " + v})
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad " + MinOffsetHeader + ": " + v})
 		return true
 	}
 	if min == 0 {
@@ -239,8 +239,8 @@ func (s *Server) waitMinOffset(w http.ResponseWriter, r *http.Request) bool {
 	}
 	if s.journal == nil {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorDTO{"journal disabled: cannot prove journal offset " + v + " applied"})
+		WriteJSON(w, http.StatusServiceUnavailable,
+			ErrorDTO{"journal disabled: cannot prove journal offset " + v + " applied"})
 		return true
 	}
 	deadline := time.NewTimer(s.cfg.ReadWaitMax)
@@ -258,7 +258,7 @@ func (s *Server) waitMinOffset(w http.ResponseWriter, r *http.Request) bool {
 		case <-ch:
 		case <-deadline.C:
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorDTO{fmt.Sprintf(
+			WriteJSON(w, http.StatusServiceUnavailable, ErrorDTO{fmt.Sprintf(
 				"replica behind: applied %d of required %d journal bytes within %s",
 				size, min, s.cfg.ReadWaitMax)})
 			return true

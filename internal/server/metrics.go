@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
@@ -49,9 +50,9 @@ var journalBuckets = obs.ExponentialBuckets(1e-5, 4, 9)
 // sees the same numbers); handles are resolved once so hot paths never
 // rebuild label strings.
 type serverMetrics struct {
-	reg *obs.Registry
+	reg  *obs.Registry
+	http *HTTPMetrics
 
-	inflight   *obs.Gauge
 	queueDepth *obs.Gauge
 	rejected   *obs.Counter
 	sseSubs    *obs.Gauge
@@ -61,11 +62,6 @@ type serverMetrics struct {
 	snapAge    *obs.Gauge
 	snapshots  *obs.Counter
 	epochG     *obs.Gauge
-
-	// agg is the cross-route latency aggregate behind StateDTO's
-	// httpLatencyP* fields. It lives in a private registry: /metrics
-	// consumers aggregate the per-route histograms themselves.
-	agg *obs.Histogram
 
 	mu          sync.Mutex // guards the sampled deltas below
 	droppedSeen int64
@@ -78,7 +74,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 	return &serverMetrics{
 		reg:        reg,
-		inflight:   reg.Gauge("abgd_http_inflight_requests"),
+		http:       NewHTTPMetrics(reg),
 		queueDepth: reg.Gauge("abgd_admission_queue_depth"),
 		rejected:   reg.Counter("abgd_admission_rejected_total"),
 		sseSubs:    reg.Gauge("abgd_sse_subscribers"),
@@ -88,7 +84,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		snapAge:    reg.Gauge("abgd_snapshot_age_quanta"),
 		snapshots:  reg.Counter("abgd_snapshots_total"),
 		epochG:     reg.Gauge("abgd_leader_epoch"),
-		agg:        obs.NewRegistry().Histogram("http_all_seconds", httpBuckets),
 	}
 }
 
@@ -104,6 +99,18 @@ func (m *serverMetrics) recordRecovery(rec RecoveryDTO) {
 	set("abgd_recovery_replayed_boundaries", rec.ReplayedBoundaries)
 	set("abgd_recovery_resumed_jobs", rec.ResumedJobs)
 	set("abgd_recovery_requeued_jobs", rec.RequeuedJobs)
+}
+
+// WriteJSON writes v with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// ErrorDTO is the uniform error body.
+type ErrorDTO struct {
+	Error string `json:"error"`
 }
 
 // statusRecorder captures the response status for the request counter while
@@ -133,20 +140,36 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
-// instrument wraps one route's handler with the HTTP metric families. The
+// HTTPMetrics instruments one HTTP front door — a daemon's, or a cluster's
+// — with the abgd_http_* families in its registry.
+type HTTPMetrics struct {
+	reg      *obs.Registry
+	inflight *obs.Gauge
+	// agg is the cross-route latency aggregate behind StateDTO's
+	// httpLatencyP* fields. It lives in a private registry: /metrics
+	// consumers aggregate the per-route histograms themselves.
+	agg *obs.Histogram
+}
+
+// NewHTTPMetrics registers the front door's families in reg.
+func NewHTTPMetrics(reg *obs.Registry) *HTTPMetrics {
+	return &HTTPMetrics{
+		reg:      reg,
+		inflight: reg.Gauge("abgd_http_inflight_requests"),
+		agg:      obs.NewRegistry().Histogram("http_all_seconds", httpBuckets),
+	}
+}
+
+// Instrument wraps one route's handler with the HTTP metric families. The
 // route label is the registration pattern's path — bounded cardinality, not
 // the raw URL.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	m := s.metrics
+func (m *HTTPMetrics) Instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	hist := m.reg.Histogram(
 		promexport.Name("abgd_http_request_seconds", "route", route), httpBuckets)
 	return func(w http.ResponseWriter, r *http.Request) {
 		m.inflight.Add(1)
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
-		// Every response carries the serving epoch: group-aware clients use
-		// it to detect (and refuse) answers from a deposed leader.
-		w.Header().Set(EpochHeader, strconv.FormatUint(uint64(s.epoch.Load()), 10))
 		h(rec, r)
 		sec := time.Since(start).Seconds()
 		m.inflight.Add(-1)
@@ -159,6 +182,28 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		hist.Observe(sec)
 		m.agg.Observe(sec)
 	}
+}
+
+// FillState sets a state snapshot's request count and latency percentiles,
+// estimated from the cross-route histogram; zero until the first request
+// completes.
+func (m *HTTPMetrics) FillState(st *StateDTO) {
+	if n := m.agg.Count(); n > 0 {
+		st.HTTPRequests = n
+		st.HTTPLatencyP50Ms = m.agg.Quantile(0.5) * 1e3
+		st.HTTPLatencyP95Ms = m.agg.Quantile(0.95) * 1e3
+		st.HTTPLatencyP99Ms = m.agg.Quantile(0.99) * 1e3
+	}
+}
+
+// instrument wraps one daemon route: the shared HTTP families, plus the
+// serving epoch on every response — group-aware clients use it to detect
+// (and refuse) answers from a deposed leader.
+func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	return s.metrics.http.Instrument(route, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(EpochHeader, strconv.FormatUint(uint64(s.epoch.Load()), 10))
+		h(w, r)
+	})
 }
 
 // journalMetrics adapts the registry onto persist.Metrics. Per-kind

@@ -59,7 +59,7 @@ func (s *Server) handleRecovery(w http.ResponseWriter, _ *http.Request) {
 	dto.Snapshots = s.snapshotCount
 	dto.LastSnapshotQuantum = s.lastSnapQ
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, dto)
+	WriteJSON(w, http.StatusOK, dto)
 }
 
 // openJournal opens (or creates) the journal, truncates any torn tail, and
@@ -300,7 +300,7 @@ func (s *Server) recoverRecords(records []persist.Record) error {
 			return err
 		}
 		s.eng = eng
-		s.hub.setSeq(lg.snap.sseSeq)
+		s.hub.SetSeq(0, lg.snap.sseSeq)
 		s.lastSnapQ = lg.snap.quanta
 		s.lastSnapSeq = lg.snap.sseSeq
 		s.recovery.SnapshotQuantum = lg.snap.quanta

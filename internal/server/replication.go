@@ -348,7 +348,7 @@ func (s *Server) follow(ctx context.Context) {
 	if s.draining.Load() && fatal == nil {
 		s.log.Info("follower drained with leader", "jobs", s.snapshotJobs())
 	}
-	s.hub.closeAll()
+	s.hub.Close()
 	s.closeDrained()
 	s.closeStopped()
 }
@@ -444,14 +444,14 @@ func (s *Server) redirectToLeader(w http.ResponseWriter, r *http.Request) bool {
 // leader's, so followers can feed further followers (relay tier).
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	if s.journal == nil {
-		writeJSON(w, http.StatusNotFound, errorDTO{"journal disabled (-journal not set)"})
+		WriteJSON(w, http.StatusNotFound, ErrorDTO{"journal disabled (-journal not set)"})
 		return
 	}
 	from := int64(0)
 	if v := r.URL.Query().Get("from"); v != "" {
 		p, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || p < 0 {
-			writeJSON(w, http.StatusBadRequest, errorDTO{"bad from offset: " + v})
+			WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad from offset: " + v})
 			return
 		}
 		from = p
@@ -462,18 +462,18 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		// histories (e.g. a shorter journal was promoted after a failover).
 		// 409 is a hard error on the follower side — reconnecting cannot
 		// heal a wrong history.
-		writeJSON(w, http.StatusConflict, errorDTO{fmt.Sprintf(
+		WriteJSON(w, http.StatusConflict, ErrorDTO{fmt.Sprintf(
 			"offset %d beyond journal size %d: divergent history", from, size)})
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorDTO{"streaming unsupported"})
+		WriteJSON(w, http.StatusInternalServerError, ErrorDTO{"streaming unsupported"})
 		return
 	}
 	f, err := os.Open(s.journal.Path())
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorDTO{"open journal: " + err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorDTO{"open journal: " + err.Error()})
 		return
 	}
 	defer f.Close()
@@ -588,12 +588,12 @@ func (s *Server) replication() ReplicationDTO {
 }
 
 func (s *Server) handleReplication(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.replication())
+	WriteJSON(w, http.StatusOK, s.replication())
 }
 
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if !s.isFollower() {
-		writeJSON(w, http.StatusConflict, errorDTO{"not a follower"})
+		WriteJSON(w, http.StatusConflict, ErrorDTO{"not a follower"})
 		return
 	}
 	if s.super != nil {
@@ -606,17 +606,17 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			if errors.As(err, &lost) && lost.Winner != "" {
 				w.Header().Set(WinnerHeader, lost.Winner)
 			}
-			writeJSON(w, http.StatusConflict, errorDTO{err.Error()})
+			WriteJSON(w, http.StatusConflict, ErrorDTO{err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, s.replication())
+		WriteJSON(w, http.StatusOK, s.replication())
 		return
 	}
 	if err := s.Promote("api"); err != nil {
-		writeJSON(w, http.StatusConflict, errorDTO{err.Error()})
+		WriteJSON(w, http.StatusConflict, ErrorDTO{err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.replication())
+	WriteJSON(w, http.StatusOK, s.replication())
 }
 
 // retargetRequest is the POST /api/v1/retarget body.
@@ -632,19 +632,19 @@ type retargetRequest struct {
 // of silent divergence.
 func (s *Server) handleRetarget(w http.ResponseWriter, r *http.Request) {
 	if !s.isFollower() {
-		writeJSON(w, http.StatusConflict, errorDTO{"not a follower"})
+		WriteJSON(w, http.StatusConflict, ErrorDTO{"not a follower"})
 		return
 	}
 	var req retargetRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad request body: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad request body: " + err.Error()})
 		return
 	}
 	if req.Leader == "" {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"leader is required"})
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"leader is required"})
 		return
 	}
 	s.tailer.SetLeader(req.Leader)
 	s.log.Info("retargeted", "leader", s.tailer.Leader())
-	writeJSON(w, http.StatusOK, s.replication())
+	WriteJSON(w, http.StatusOK, s.replication())
 }

@@ -223,9 +223,6 @@ func (c *Config) normalize() error {
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 64
 	}
-	if c.EventRing <= 0 {
-		c.EventRing = 4096
-	}
 	if c.JournalLagMax <= 0 {
 		c.JournalLagMax = 1024
 	}
@@ -250,9 +247,6 @@ func (c *Config) normalize() error {
 	if c.ReadWaitMax <= 0 {
 		c.ReadWaitMax = 2 * time.Second
 	}
-	if c.EventRingBytes <= 0 {
-		c.EventRingBytes = 4 << 20
-	}
 	c.Advertise = failover.NormalizeURL(c.Advertise)
 	if len(c.Group) > 0 {
 		if c.JournalDir == "" {
@@ -268,6 +262,9 @@ func (c *Config) normalize() error {
 			return fmt.Errorf("server: a replication group needs at least 2 members, got %d", len(c.Group))
 		}
 		self := false
+		// Normalized into a copy: members of one group often share the
+		// caller's slice, which a running member's supervisor reads.
+		c.Group = append([]string(nil), c.Group...)
 		for i, m := range c.Group {
 			c.Group[i] = failover.NormalizeURL(m)
 			if c.Group[i] == "" {
@@ -305,7 +302,7 @@ type Server struct {
 	capacity alloc.Capacity
 
 	bus     *obs.Bus
-	hub     *sseHub
+	hub     *EventHub
 	hist    *history
 	traces  *traceStore
 	checker *fault.Checker
@@ -398,7 +395,7 @@ func New(cfg Config) (*Server, error) {
 		plan:     plan,
 		capacity: capacity,
 		bus:      cfg.Bus,
-		hub:      newSSEHub(cfg.EventRing, cfg.EventRingBytes),
+		hub:      NewEventHub(1, cfg.EventRing, cfg.EventRingBytes),
 		hist:     newHistory(256),
 		traces:   newTraceStore(),
 		log:      obs.Component("server"),
@@ -520,13 +517,20 @@ func (s *Server) Addr() string {
 // shuts down. Idempotent; Wait blocks until the drain completes. The
 // command is journaled, so a daemon restarted on this journal finishes the
 // drain instead of reopening admission.
+//
+// The drain record is appended and the flag flipped in one s.mu critical
+// section, which SubmitLocal re-checks under the same lock: every submit
+// record precedes the drain record, every acked job is in the queue the
+// final drain admits, and the driver cannot see the flag (and finish, and
+// let Wait close the journal) before the record is written.
 func (s *Server) Drain() {
-	if s.draining.CompareAndSwap(false, true) {
+	s.mu.Lock()
+	if !s.draining.Load() {
 		s.log.Info("drain initiated")
-		s.mu.Lock()
 		_ = s.appendJournal(persist.KindDrain, nil)
-		s.mu.Unlock()
+		s.draining.Store(true)
 	}
+	s.mu.Unlock()
 	s.notify()
 }
 
@@ -574,7 +578,7 @@ func (s *Server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/timeline", s.instrument("/api/v1/jobs/{id}/timeline", s.handleTimeline))
 	mux.HandleFunc("GET /api/v1/traces/{id}", s.instrument("/api/v1/traces/{id}", s.handleTrace))
 	mux.HandleFunc("GET /api/v1/state", s.instrument("/api/v1/state", s.handleState))
-	mux.HandleFunc("GET /api/v1/events", s.instrument("/api/v1/events", s.handleEvents))
+	mux.HandleFunc("GET /api/v1/events", s.instrument("/api/v1/events", s.hub.Handler(s.sched.Name())))
 	mux.HandleFunc("POST /api/v1/drain", s.instrument("/api/v1/drain", s.handleDrain))
 	mux.HandleFunc("GET /api/v1/recovery", s.instrument("/api/v1/recovery", s.handleRecovery))
 	mux.HandleFunc("GET /api/v1/journal", s.instrument("/api/v1/journal", s.handleJournal))
@@ -586,18 +590,6 @@ func (s *Server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealth))
 	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
 	return mux
-}
-
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// errorDTO is the uniform error body.
-type errorDTO struct {
-	Error string `json:"error"`
 }
 
 // SubmitResponse acknowledges an accepted submission. State is "queued"
@@ -622,7 +614,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorDTO{"draining: admission closed"})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorDTO{"draining: admission closed"})
 		return
 	}
 	if s.redirectToLeader(w, r) {
@@ -631,11 +623,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad request body: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad request body: " + err.Error()})
 		return
 	}
 	if err := req.Normalize(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{err.Error()})
 		return
 	}
 	resp, status, err := s.SubmitLocal(req, r.Header.Get(TraceHeader))
@@ -643,13 +635,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeJSON(w, status, errorDTO{err.Error()})
+		WriteJSON(w, status, ErrorDTO{err.Error()})
 		return
 	}
 	if resp.Offset > 0 {
 		w.Header().Set(OffsetHeader, strconv.FormatInt(resp.Offset, 10))
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // SubmitLocal runs the admission path for an already-normalized request:
@@ -659,10 +651,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // status is the HTTP status the caller should answer with (202 queued, 200
 // duplicate); a non-nil error carries a 4xx/5xx status instead.
 func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, int, error) {
-	if s.draining.Load() {
-		return SubmitResponse{}, http.StatusServiceUnavailable,
-			fmt.Errorf("draining: admission closed")
-	}
 	if req.Seed == 0 {
 		req.Seed = s.cfg.Seed
 	}
@@ -674,6 +662,13 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 	}
 
 	s.mu.Lock()
+	// Checked under s.mu, where Drain journals its record and flips the
+	// flag: an ack can never follow the drain record.
+	if s.draining.Load() {
+		s.mu.Unlock()
+		return SubmitResponse{}, http.StatusServiceUnavailable,
+			fmt.Errorf("draining: admission closed")
+	}
 	if req.Key != "" {
 		if ids, ok := s.keys[req.Key]; ok {
 			// Seen before — possibly acked into a journal whose ack the
@@ -803,39 +798,23 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad job id"})
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad job id"})
 		return
 	}
 	dto, ok := s.lookupJob(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDTO{fmt.Sprintf("unknown job %d", id)})
+		WriteJSON(w, http.StatusNotFound, ErrorDTO{fmt.Sprintf("unknown job %d", id)})
 		return
 	}
 	dto.History = s.hist.get(id)
-	writeJSON(w, http.StatusOK, dto)
+	WriteJSON(w, http.StatusOK, dto)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if s.waitMinOffset(w, r) {
 		return
 	}
-	s.mu.Lock()
-	// The engine owns the Statuses buffer and reuses it across calls, so
-	// the DTO conversion must happen before the lock is released — another
-	// handler's Statuses call would overwrite it.
-	sts := s.eng.Statuses()
-	out := make([]JobStatusDTO, 0, len(sts)+len(s.queue))
-	for _, st := range sts {
-		out = append(out, statusDTO(st))
-	}
-	for _, p := range s.queue {
-		out = append(out, JobStatusDTO{
-			ID: p.id, Name: p.name, State: "queued",
-			Work: p.profile.Work(), CriticalPath: p.profile.CriticalPathLen(),
-		})
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, s.JobStatuses())
 }
 
 // StateDTO is the scheduler-wide snapshot served at /api/v1/state.
@@ -915,15 +894,8 @@ func (s *Server) snapshot() StateDTO {
 	if st.Completed > 0 {
 		st.MeanResponse = float64(respSum) / float64(st.Completed)
 	}
-	st.SSEClients = s.hub.n.Load()
-	st.SSEDropped = s.hub.dropped.Load()
-	st.LastEventID = s.hub.Seq()
-	if agg := s.metrics.agg; agg.Count() > 0 {
-		st.HTTPRequests = agg.Count()
-		st.HTTPLatencyP50Ms = agg.Quantile(0.5) * 1e3
-		st.HTTPLatencyP95Ms = agg.Quantile(0.95) * 1e3
-		st.HTTPLatencyP99Ms = agg.Quantile(0.99) * 1e3
-	}
+	s.hub.FillState(&st)
+	s.metrics.http.FillState(&st)
 	if !s.plan.IsZero() {
 		st.Fault = s.plan.String()
 	}
@@ -940,7 +912,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	if s.waitMinOffset(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.snapshot())
+	WriteJSON(w, http.StatusOK, s.snapshot())
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
@@ -957,11 +929,11 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"draining": true, "done": done})
+	WriteJSON(w, http.StatusOK, map[string]bool{"draining": true, "done": done})
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{
+	WriteJSON(w, http.StatusOK, map[string]string{
 		"version":   cli.Version,
 		"go":        runtime.Version(),
 		"scheduler": s.sched.Name(),
@@ -1069,79 +1041,5 @@ func (s *Server) health() (HealthDTO, int) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	dto, code := s.health()
-	writeJSON(w, code, dto)
+	WriteJSON(w, code, dto)
 }
-
-// handleEvents streams the instrumentation event feed as Server-Sent
-// Events: every obs event of the live run as one `id:` + `data:` JSON
-// frame. Event ids are monotonic and — because the counter rides in engine
-// snapshots and the event stream is replay-deterministic — stable across a
-// crash-restart. A client that reconnects with Last-Event-ID resumes from
-// the bounded replay ring without loss; one whose position has been evicted
-// receives an `event: resync` frame first and must refetch absolute state
-// (GET /api/v1/state). The stream ends when the client disconnects or the
-// server finishes draining.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorDTO{"streaming unsupported"})
-		return
-	}
-	var afterID uint64
-	lastID := r.Header.Get("Last-Event-ID")
-	if lastID == "" {
-		lastID = r.URL.Query().Get("lastEventID")
-	}
-	if lastID != "" {
-		v, err := strconv.ParseUint(lastID, 10, 64)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDTO{"bad Last-Event-ID: " + lastID})
-			return
-		}
-		afterID = v
-	}
-	replay, ch, resync, unsubscribe := s.hub.subscribe(1024, afterID)
-	defer unsubscribe()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "retry: %d\n: abgd event stream (%s)\n\n",
-		sseRetryHintMillis, s.sched.Name())
-	flusher.Flush()
-	if ch == nil { // hub already closed (drained)
-		return
-	}
-	if resync {
-		// The id accompanying the marker is the position just before the
-		// replay (or the current head when nothing is replayable), so the
-		// client's next reconnect carries on from what it actually saw.
-		rid := s.hub.Seq()
-		if len(replay) > 0 {
-			rid = replay[0].id - 1
-		}
-		fmt.Fprintf(w, "id: %d\nevent: resync\ndata: {\"reason\":\"replay ring evicted, refetch /api/v1/state\"}\n\n", rid)
-	}
-	for _, m := range replay {
-		if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", m.id, m.data); err != nil {
-			return
-		}
-	}
-	flusher.Flush()
-	for {
-		select {
-		case m, open := <-ch:
-			if !open {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", m.id, m.data); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// sseRetryHintMillis is the reconnect delay hint sent at stream start.
-const sseRetryHintMillis = 1000

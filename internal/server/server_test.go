@@ -36,7 +36,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 }
 
 // postJobs submits a JobRequest and returns status code and decoded body.
-func postJobs(t *testing.T, base string, req JobRequest) (int, SubmitResponse, errorDTO) {
+func postJobs(t *testing.T, base string, req JobRequest) (int, SubmitResponse, ErrorDTO) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(base+"/api/v1/jobs", "application/json", bytes.NewReader(body))
@@ -45,7 +45,7 @@ func postJobs(t *testing.T, base string, req JobRequest) (int, SubmitResponse, e
 	}
 	defer resp.Body.Close()
 	var ok SubmitResponse
-	var bad errorDTO
+	var bad ErrorDTO
 	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &ok); err != nil {

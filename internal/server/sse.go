@@ -2,6 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -44,63 +48,102 @@ func marshalEvent(e obs.Event) []byte {
 	return b
 }
 
-// sseMsg is one stream item: a marshalled event plus its monotonic id.
+// sseMsg is one stream item: its SSE frame ("id: …\ndata: …\n\n"),
+// rendered once at publish, and its position — the publishing component in
+// the top compShift bits, that component's sequence number below. Two words
+// and a slice, no larger than a scalar id and its payload: each eviction
+// moves every entry of the ring.
 type sseMsg struct {
-	id   uint64
-	data []byte
+	pos   uint64
+	frame []byte
 }
 
-// sseHub fans instrumentation events out to the connected SSE clients. It
-// subscribes to the run's obs bus, so OnEvent is called synchronously from
-// the simulation driver: sends are non-blocking, and a client that cannot
-// keep up loses events (counted in dropped) rather than stalling the
-// scheduler — backpressure never propagates into the quantum clock.
+const compShift = 48
+
+func (m sseMsg) comp() int   { return int(m.pos >> compShift) }
+func (m sseMsg) seq() uint64 { return m.pos & (1<<compShift - 1) }
+
+// EventHub fans instrumentation events out to the connected SSE clients. A
+// daemon subscribes its hub to the run's obs bus, so OnEvent is called
+// synchronously from the simulation driver: sends are non-blocking, and a
+// client that cannot keep up loses events (counted in dropped) rather than
+// stalling the scheduler — backpressure never propagates into the quantum
+// clock.
 //
-// Every event carries a monotonic sequence id, assigned whether or not a
-// client is connected, and the newest events are retained in a bounded
-// replay ring. A client that reconnects with Last-Event-ID resumes from the
-// ring without loss; one that fell behind the ring is told to resync.
-// Because the ids count the deterministic event stream itself (and the
-// counter is persisted in engine snapshots), a recovered daemon re-issues
-// the same events under the same ids — reconnecting subscribers cannot tell
-// a crash-restart from a slow network.
-type sseHub struct {
+// Every event carries a sequence id, assigned whether or not a client is
+// connected, and the newest events are retained in a bounded replay ring. A
+// client that reconnects with Last-Event-ID resumes from the ring without
+// loss; one that fell behind the ring is told to resync. Because the ids
+// count the deterministic event stream itself (and the counter is persisted
+// in engine snapshots), a recovered daemon re-issues the same events under
+// the same ids — reconnecting subscribers cannot tell a crash-restart from a
+// slow network.
+//
+// Sequence numbers are kept per component. A daemon's hub has one; a cluster
+// front door's has one per shard, fed by the shards' event taps. An event's
+// id is the vector of every component's position as of that event,
+// "s0,s1,…,sN-1" — with one component, a plain monotonic number. Shards
+// recover independently, so no total order of past events survives a crash,
+// only the per-shard orders do; the vector never invents a global counter a
+// restart could not reconstruct. The Last-Event-ID contract applies per
+// component.
+type EventHub struct {
 	mu      sync.Mutex
 	clients map[chan sseMsg]struct{}
-	seq     uint64   // id of the most recently published event
+	seqs    []uint64 // per component: sequence of the newest published event
+	// base is, per component, the position just before its oldest event in
+	// the ring: a client behind it has lost events and must resync.
+	base    []uint64
 	ring    []sseMsg // newest ringCap events, oldest first
 	ringCap int
-	// byteCap bounds the summed payload bytes the ring may hold (0 = entry
-	// cap only). Event payloads vary by an order of magnitude across kinds,
-	// so an entry cap alone leaves the ring's memory footprint workload-
-	// dependent; whichever cap is hit first evicts the oldest events. At
-	// least one event is always retained so replay ids stay anchored.
+	// byteCap bounds the summed frame bytes the ring may hold. Event
+	// payloads vary by an order of magnitude across kinds, so an entry cap
+	// alone leaves the ring's memory footprint workload-dependent; whichever
+	// cap is hit first evicts the oldest events. At least one event is
+	// always retained so replay ids stay anchored.
 	byteCap   int
-	ringBytes int          // summed len(data) currently in the ring
+	ringBytes int          // summed len(frame) currently in the ring
 	n         atomic.Int64 // len(clients), readable without the lock
 	dropped   atomic.Int64
 	evicted   atomic.Int64 // events pushed out of the replay ring
 	closed    bool
 }
 
-func newSSEHub(ringCap, byteCap int) *sseHub {
-	return &sseHub{clients: make(map[chan sseMsg]struct{}), ringCap: ringCap, byteCap: byteCap}
+// NewEventHub builds a hub with the given number of sequence components and
+// replay-ring caps (Config.EventRing and Config.EventRingBytes; zero selects
+// 4096 events and 4 MiB).
+func NewEventHub(components, ringCap, byteCap int) *EventHub {
+	if ringCap <= 0 {
+		ringCap = 4096
+	}
+	if byteCap <= 0 {
+		byteCap = 4 << 20
+	}
+	return &EventHub{
+		clients: make(map[chan sseMsg]struct{}),
+		seqs:    make([]uint64, components),
+		base:    make([]uint64, components),
+		ringCap: ringCap, byteCap: byteCap,
+	}
 }
 
-// OnEvent implements obs.Subscriber.
-func (h *sseHub) OnEvent(e obs.Event) {
+// OnEvent implements obs.Subscriber for a daemon's one-component hub.
+func (h *EventHub) OnEvent(e obs.Event) { h.Publish(0, marshalEvent(e)) }
+
+// Publish appends one marshalled event to component comp's stream.
+func (h *EventHub) Publish(comp int, data []byte) {
 	h.mu.Lock()
-	h.seq++
-	m := sseMsg{id: h.seq, data: marshalEvent(e)}
+	h.seqs[comp]++
+	m := sseMsg{pos: uint64(comp)<<compShift | h.seqs[comp], frame: renderFrame(h.seqs, data)}
 	for len(h.ring) > 0 &&
-		(len(h.ring) >= h.ringCap ||
-			(h.byteCap > 0 && h.ringBytes+len(m.data) > h.byteCap)) {
-		h.ringBytes -= len(h.ring[0].data)
+		(len(h.ring) >= h.ringCap || h.ringBytes+len(m.frame) > h.byteCap) {
+		h.base[h.ring[0].comp()] = h.ring[0].seq()
+		h.ringBytes -= len(h.ring[0].frame)
 		copy(h.ring, h.ring[1:])
 		h.ring = h.ring[:len(h.ring)-1]
 		h.evicted.Add(1)
 	}
-	h.ringBytes += len(m.data)
+	h.ringBytes += len(m.frame)
 	h.ring = append(h.ring, m)
 	for ch := range h.clients {
 		select {
@@ -112,49 +155,57 @@ func (h *sseHub) OnEvent(e obs.Event) {
 	h.mu.Unlock()
 }
 
-// setSeq restores the sequence counter from a snapshot (recovery only,
-// before any event flows).
-func (h *sseHub) setSeq(seq uint64) {
+// SetSeq restores one component's sequence counter (recovery only, before
+// any of its events flow).
+func (h *EventHub) SetSeq(comp int, seq uint64) {
 	h.mu.Lock()
-	h.seq = seq
+	h.seqs[comp] = seq
+	h.base[comp] = seq
 	h.mu.Unlock()
 }
 
-// subscribe registers a client that has seen events up to afterID (zero for
-// a fresh client). It returns the events the ring still holds beyond
-// afterID, the live channel, and an unsubscribe func — registered and
-// replayed under one lock acquisition, so no event can fall between the
-// replay slice and the channel. resync reports that afterID has already
-// been evicted from the ring: the replay starts later than the client's
-// position and it must refetch absolute state. A nil channel is returned
-// after the hub closed.
-func (h *sseHub) subscribe(buffer int, afterID uint64) (replay []sseMsg, ch <-chan sseMsg, resync bool, unsub func()) {
+// subscribe registers a client that has seen events up to the per-component
+// positions in after (all zero for a fresh client). It returns the events
+// the ring still holds beyond after, the live channel, and an unsubscribe
+// func — registered and replayed under one lock acquisition, so no event
+// can fall between the replay slice and the channel. A non-empty resyncID
+// reports that the client's position cannot be resumed: some component was
+// evicted from the ring, or is ahead of the hub (the client saw a journal
+// tail that did not survive a crash). The client must refetch absolute
+// state; resyncID is the id to send with the marker. A nil channel is
+// returned after the hub closed.
+func (h *EventHub) subscribe(buffer int, after []uint64) (replay []sseMsg, ch <-chan sseMsg, resyncID string, unsub func()) {
 	c := make(chan sseMsg, buffer)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return nil, nil, false, func() {}
+		return nil, nil, "", func() {}
 	}
-	switch {
-	case afterID > h.seq:
-		// The client is ahead of us: it saw events from a journal tail that
-		// did not survive the crash. Only absolute state can reconcile that.
-		resync = true
-	case afterID < h.seq:
-		oldest := h.seq - uint64(len(h.ring)) + 1
-		if len(h.ring) == 0 || afterID+1 < oldest {
+	resync := false
+	for k, a := range after {
+		if a > h.seqs[k] || a < h.base[k] {
 			resync = true
 		}
-		for _, m := range h.ring {
-			if m.id > afterID {
-				replay = append(replay, m)
-			}
+	}
+	for _, m := range h.ring {
+		if m.seq() > after[m.comp()] {
+			replay = append(replay, m)
 		}
+	}
+	if resync {
+		// The marker's id is, per component, the position just before the
+		// replay (the current head where nothing is replayable), so the
+		// client's next reconnect carries on from what it actually saw.
+		rid := append([]uint64(nil), h.seqs...)
+		for i := len(replay) - 1; i >= 0; i-- {
+			rid[replay[i].comp()] = replay[i].seq() - 1
+		}
+		resyncID = string(appendVector(nil, rid))
 	}
 	h.clients[c] = struct{}{}
 	h.n.Store(int64(len(h.clients)))
 	var once sync.Once
-	return replay, c, resync, func() {
+	return replay, c, resyncID, func() {
 		once.Do(func() {
 			h.mu.Lock()
 			if _, ok := h.clients[c]; ok {
@@ -167,16 +218,36 @@ func (h *sseHub) subscribe(buffer int, afterID uint64) (replay []sseMsg, ch <-ch
 	}
 }
 
-// Seq returns the id of the most recently published event.
-func (h *sseHub) Seq() uint64 {
+// Seq returns the sum of the per-component positions: for a daemon's hub,
+// the id of the most recently published event.
+func (h *EventHub) Seq() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.seq
+	var sum uint64
+	for _, s := range h.seqs {
+		sum += s
+	}
+	return sum
 }
 
-// closeAll disconnects every client (end of drain): their channels close,
+// ID renders the current per-component positions as a wire id.
+func (h *EventHub) ID() string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return string(appendVector(nil, h.seqs))
+}
+
+// FillState copies the hub's subscriber, drop and position figures into a
+// state snapshot.
+func (h *EventHub) FillState(st *StateDTO) {
+	st.SSEClients = h.n.Load()
+	st.SSEDropped = h.dropped.Load()
+	st.LastEventID = h.Seq()
+}
+
+// Close disconnects every client (end of drain): their channels close,
 // which ends the streaming handlers so HTTP shutdown can complete.
-func (h *sseHub) closeAll() {
+func (h *EventHub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.closed = true
@@ -185,6 +256,108 @@ func (h *sseHub) closeAll() {
 		close(ch)
 	}
 	h.n.Store(0)
+}
+
+// Handler serves GET /api/v1/events: every published event as one `id:` +
+// `data:` JSON frame, for a daemon and a cluster front door alike. A client
+// that reconnects with Last-Event-ID (one number per component, 400
+// otherwise) resumes from the bounded replay ring without loss; one whose
+// position has been evicted receives an `event: resync` frame first and
+// must refetch absolute state (GET /api/v1/state). The stream ends when the
+// client disconnects or the hub closes at the end of the drain.
+func (h *EventHub) Handler(scheduler string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		flusher, ok := w.(http.Flusher)
+		if !ok {
+			WriteJSON(w, http.StatusInternalServerError, ErrorDTO{"streaming unsupported"})
+			return
+		}
+		lastID := r.Header.Get("Last-Event-ID")
+		if lastID == "" {
+			lastID = r.URL.Query().Get("lastEventID")
+		}
+		after := make([]uint64, len(h.seqs))
+		if lastID != "" {
+			if after, ok = parseVector(lastID, len(h.seqs)); !ok {
+				WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad Last-Event-ID: " + lastID})
+				return
+			}
+		}
+		replay, ch, resyncID, unsubscribe := h.subscribe(1024, after)
+		defer unsubscribe()
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintf(w, "retry: %d\n: abgd event stream (%s)\n\n", sseRetryHintMillis, scheduler)
+		flusher.Flush()
+		if ch == nil { // hub already closed (drained)
+			return
+		}
+		if resyncID != "" {
+			fmt.Fprintf(w, "id: %s\nevent: resync\ndata: {\"reason\":\"replay ring evicted, refetch /api/v1/state\"}\n\n", resyncID)
+		}
+		for _, m := range replay {
+			if _, err := w.Write(m.frame); err != nil {
+				return
+			}
+		}
+		flusher.Flush()
+		for {
+			select {
+			case m, open := <-ch:
+				if !open {
+					return
+				}
+				if _, err := w.Write(m.frame); err != nil {
+					return
+				}
+				flusher.Flush()
+			case <-r.Context().Done():
+				return
+			}
+		}
+	}
+}
+
+// sseRetryHintMillis is the reconnect delay hint sent at stream start.
+const sseRetryHintMillis = 1000
+
+// renderFrame renders one event's SSE frame under the id seqs.
+func renderFrame(seqs []uint64, data []byte) []byte {
+	b := make([]byte, 0, len("id: \ndata: \n\n")+21*len(seqs)+len(data))
+	b = append(b, "id: "...)
+	b = appendVector(b, seqs)
+	b = append(b, "\ndata: "...)
+	b = append(b, data...)
+	return append(b, "\n\n"...)
+}
+
+// appendVector appends per-component positions as the wire id: "s0,s1,…".
+func appendVector(b []byte, seqs []uint64) []byte {
+	for i, s := range seqs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, s, 10)
+	}
+	return b
+}
+
+// parseVector parses a Last-Event-ID into n per-component positions.
+func parseVector(s string, n int) ([]uint64, bool) {
+	parts := strings.Split(s, ",")
+	if len(parts) != n {
+		return nil, false
+	}
+	out := make([]uint64, n)
+	for i, p := range parts {
+		v, err := strconv.ParseUint(p, 10, 64)
+		if err != nil {
+			return nil, false
+		}
+		out[i] = v
+	}
+	return out, true
 }
 
 // history records each job's lifecycle transitions — admitted,

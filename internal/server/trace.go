@@ -186,19 +186,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	dto, ok := s.traces.get(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDTO{fmt.Sprintf("unknown trace %q", id)})
+		WriteJSON(w, http.StatusNotFound, ErrorDTO{fmt.Sprintf("unknown trace %q", id)})
 		return
 	}
 	if r.URL.Query().Get("format") == "perfetto" {
 		if len(dto.Spans) == 0 {
-			writeJSON(w, http.StatusConflict, errorDTO{"trace has no spans yet"})
+			WriteJSON(w, http.StatusConflict, ErrorDTO{"trace has no spans yet"})
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = obs.WriteSpans(w, "trace "+id, dto.Spans)
 		return
 	}
-	writeJSON(w, http.StatusOK, dto)
+	WriteJSON(w, http.StatusOK, dto)
 }
 
 // TimelineDTO is the JSON wire form of one job's quantum timeline, served at
@@ -218,7 +218,7 @@ type TimelineDTO struct {
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDTO{"bad job id"})
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad job id"})
 		return
 	}
 	s.mu.Lock()
@@ -228,19 +228,19 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if !known {
 		// Not in the engine — maybe still queued.
 		if dto, ok := s.lookupJob(id); ok {
-			writeJSON(w, http.StatusOK, TimelineDTO{
+			WriteJSON(w, http.StatusOK, TimelineDTO{
 				ID: id, Name: dto.Name, State: dto.State,
 				Ring: s.cfg.TimelineRing, Samples: []sim.QuantumSample{},
 			})
 			return
 		}
-		writeJSON(w, http.StatusNotFound, errorDTO{fmt.Sprintf("unknown job %d", id)})
+		WriteJSON(w, http.StatusNotFound, ErrorDTO{fmt.Sprintf("unknown job %d", id)})
 		return
 	}
 	if samples == nil {
 		samples = []sim.QuantumSample{}
 	}
-	writeJSON(w, http.StatusOK, TimelineDTO{
+	WriteJSON(w, http.StatusOK, TimelineDTO{
 		ID: id, Name: st.Name, State: st.State.String(),
 		Ring: s.cfg.TimelineRing, Evicted: evicted, Samples: samples,
 	})

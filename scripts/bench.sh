@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Perf-trajectory runner. Full mode drives Engine.Step at 1k/10k/100k jobs —
-# plus the shard-count dimension (4- and 8-shard mini-clusters at the top
-# size) — and writes the next BENCH_<n>.json in the repo root (commit it
-# with the PR); -quick runs a small throwaway measurement to a temp file and
-# only validates the schema, which is what scripts/check.sh calls.
+# Perf-trajectory runner. Full mode drives Engine.Step at 1k/10k/100k jobs
+# and writes the next BENCH_<n>.json in the repo root (commit it with the
+# change); -quick runs a small throwaway measurement to a temp file and only
+# validates the schema, which is what scripts/check.sh calls.
 #
 #   scripts/bench.sh             # full run → BENCH_<n>.json
 #   scripts/bench.sh -quick      # CI schema smoke, writes nothing durable
@@ -27,7 +26,7 @@ if [ "$quick" = 1 ]; then
     go run ./cmd/abgbench -quick -out "$tmp" "${args[@]+"${args[@]}"}"
     go run ./cmd/abgbench -validate "$tmp"
 else
-    out="$(go run ./cmd/abgbench -shards 1,4,8 "${args[@]+"${args[@]}"}" | awk '/^wrote / {print $2}')"
+    out="$(go run ./cmd/abgbench "${args[@]+"${args[@]}"}" | awk '/^wrote / {print $2}')"
     [ -n "$out" ] || { echo "bench.sh: abgbench reported no output file" >&2; exit 1; }
     go run ./cmd/abgbench -validate "$out"
 fi

@@ -14,6 +14,12 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== benchmark module (bench/: go vet + go test)"
+# bench/ is a module of its own (replace abg => ../), which the root
+# ./... patterns skip: an API change that breaks it must fail here, not
+# first in a benchmark run.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== go test -race (obs, sim, fault, feedback, alloc, server, persist, cli, parallel, replica, cluster, failover)"
 go test -race ./internal/obs/... ./internal/sim/... ./internal/fault/... \
     ./internal/feedback/... ./internal/alloc/... ./internal/server/... \
