@@ -11,7 +11,8 @@
 //
 //   - Profile/Run (this package): jobs described as a sequence of levels with
 //     widths and readiness kinds. This covers the paper's data-parallel
-//     fork-join workloads and executes in O(active levels) per step, fast
+//     fork-join workloads. A step costs O(active levels) and a whole
+//     breadth-first quantum O(levels touched) (Run.StepsBreadthFirst), fast
 //     enough for the Figure 5/6 sweeps.
 //   - dag.Run (package abg/internal/dag): explicit node/edge DAGs for exact
 //     small-scale experiments such as the Figure 2 measurement example.

@@ -25,7 +25,7 @@ const runStateTag byte = 20
 
 // MarshalState implements Stateful: the per-level completion counts plus
 // the derived cursors (frontier, head, done) that make Step O(active
-// window).
+// window) and StepsBreadthFirst O(levels touched).
 func (r *Run) MarshalState() ([]byte, error) {
 	e := persist.Enc{}
 	e.Int(len(r.completed))
@@ -40,7 +40,9 @@ func (r *Run) MarshalState() ([]byte, error) {
 
 // UnmarshalState implements Stateful. The cursor must match this run's
 // profile shape: a level-count mismatch means the blob belongs to a
-// different job and is rejected.
+// different job and is rejected. So is a cursor whose frontier, head or
+// done disagrees with its per-level counts. A rejected cursor leaves the
+// run reset to its start: the fresh instance the contract restores onto.
 func (r *Run) UnmarshalState(data []byte) error {
 	if len(data) < 1 || data[0] != runStateTag {
 		return fmt.Errorf("job: run cursor: bad state tag (%d bytes)", len(data))
@@ -50,32 +52,48 @@ func (r *Run) UnmarshalState(data []byte) error {
 	if d.Err() == nil && n != len(r.completed) {
 		return fmt.Errorf("job: run cursor for %d levels, profile has %d", n, len(r.completed))
 	}
-	completed := make([]int, len(r.completed))
+	if err := r.decodeCursor(d, n); err != nil {
+		r.Reset()
+		return fmt.Errorf("job: run cursor: %w", err)
+	}
+	return nil
+}
+
+// decodeCursor decodes n level counts straight into r.completed, then the
+// derived cursors, which must be what the counts give: Step and
+// StepsBreadthFirst trust them, and an inconsistent cursor would run
+// differently on the two. Deriving them while decoding keeps restore to
+// one pass over the levels, with no temporary copy.
+func (r *Run) decodeCursor(d *persist.Dec, n int) error {
+	levels := r.p.levels
+	front, top := len(levels), -1 // lowest incomplete, highest started level
+	var sum int64
 	for i := 0; i < n && d.Err() == nil; i++ {
-		completed[i] = d.Int()
+		c, w := d.Int(), levels[i].Width
+		if c < 0 || c > w {
+			return fmt.Errorf("level %d completion %d outside [0,%d]", i, c, w)
+		}
+		if c < w && front > i {
+			front = i
+		}
+		if c > 0 {
+			top = i
+		}
+		sum += int64(c)
+		r.completed[i] = c
 	}
 	frontier, head, done := d.Int(), d.Int(), d.Varint()
 	if err := d.Err(); err != nil {
-		return fmt.Errorf("job: run cursor: %w", err)
+		return err
 	}
 	if d.Len() != 0 {
-		return fmt.Errorf("job: run cursor: %d trailing bytes", d.Len())
+		return fmt.Errorf("%d trailing bytes", d.Len())
 	}
-	for i, c := range completed {
-		if c < 0 || c > r.p.levels[i].Width {
-			return fmt.Errorf("job: run cursor: level %d completion %d outside [0,%d]",
-				i, c, r.p.levels[i].Width)
-		}
+	if frontier != front || head != top || done != sum {
+		return fmt.Errorf("frontier=%d head=%d done=%d, but the levels give %d, %d, %d",
+			frontier, head, done, front, top, sum)
 	}
-	if frontier < 0 || frontier > len(completed) || head < -1 || head >= len(completed) ||
-		done < 0 || done > r.p.work {
-		return fmt.Errorf("job: run cursor: implausible frontier=%d head=%d done=%d",
-			frontier, head, done)
-	}
-	copy(r.completed, completed)
-	r.frontier = frontier
-	r.head = head
-	r.done = done
+	r.frontier, r.head, r.done = frontier, head, done
 	return nil
 }
 

@@ -3,6 +3,8 @@ package job
 import (
 	"reflect"
 	"testing"
+
+	"abg/internal/persist"
 )
 
 // stateTestProfile builds a small fork-join profile with both level kinds.
@@ -76,5 +78,53 @@ func TestRunStateRejectsMismatch(t *testing.T) {
 	mut[0] = 99
 	if err := NewRun(p).UnmarshalState(mut); err == nil {
 		t.Error("accepted wrong tag")
+	}
+}
+
+// TestRunStateRejectsInconsistentCursor pins that UnmarshalState refuses a
+// cursor whose derived fields disagree with its per-level counts, which
+// Step and StepsBreadthFirst would otherwise run differently, and that a
+// refused cursor leaves the run reset to its start.
+func TestRunStateRejectsInconsistentCursor(t *testing.T) {
+	p := stateTestProfile(t) // widths 1, 1, 8, 8, 8, 2
+	encode := func(completed []int, frontier, head int, done int64) []byte {
+		e := persist.Enc{}
+		e.Int(len(completed))
+		for _, c := range completed {
+			e.Int(c)
+		}
+		e.Int(frontier)
+		e.Int(head)
+		e.Varint(done)
+		return append([]byte{runStateTag}, e.Bytes()...)
+	}
+	for _, tc := range []struct {
+		name      string
+		completed []int
+		frontier  int
+		head      int
+		done      int64
+		ok        bool
+	}{
+		{"consistent", []int{1, 1, 5, 0, 0, 0}, 2, 2, 7, true},
+		{"consistent fresh", []int{0, 0, 0, 0, 0, 0}, 0, -1, 0, true},
+		{"consistent finished", []int{1, 1, 8, 8, 8, 2}, 6, 5, 28, true},
+		{"consistent depth-first", []int{1, 1, 5, 3, 1, 0}, 2, 4, 11, true},
+		{"done is not the sum", []int{1, 1, 5, 0, 0, 0}, 2, 2, 6, false},
+		{"frontier past an incomplete level", []int{1, 1, 5, 0, 0, 0}, 3, 2, 7, false},
+		{"head below the highest completion", []int{1, 1, 5, 3, 0, 0}, 2, 2, 10, false},
+		{"head above the highest completion", []int{1, 1, 5, 0, 0, 0}, 2, 3, 7, false},
+		{"frontier at a complete level", []int{1, 1, 5, 0, 0, 0}, 1, 2, 7, false},
+		{"head set with no completions", []int{0, 0, 0, 0, 0, 0}, 0, 0, 0, false},
+	} {
+		r := NewRun(p)
+		r.Step(3, DepthFirst, nil)
+		err := r.UnmarshalState(encode(tc.completed, tc.frontier, tc.head, tc.done))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: UnmarshalState error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil && !reflect.DeepEqual(r, NewRun(p)) {
+			t.Errorf("%s: refused cursor left the run at %+v, want it reset", tc.name, r)
+		}
 	}
 }

@@ -114,11 +114,13 @@ func (s QuantumStats) String() string {
 		s.Index, s.Request, s.Allotment, s.Steps, s.Length, s.Work, s.CPL, s.AvgParallelism())
 }
 
-// Scratch holds the reusable buffers RunQuantumScratch needs: the per-step
-// completion buffer and a dense per-level accumulator. A Scratch belongs to
-// exactly one goroutine at a time (the engine keeps one per step worker);
-// the zero value is ready to use and the buffers grow to the largest job
-// seen, so a long-lived Scratch makes the quantum loop allocation-free.
+// Scratch holds the reusable buffers RunQuantumScratch's step loop needs:
+// the per-step completion buffer and a dense per-level accumulator. The
+// closed-form breadth-first quantum of a *job.Run uses neither. A Scratch
+// belongs to exactly one goroutine at a time (the engine keeps one per step
+// worker); the zero value is ready to use and the buffers grow to the
+// largest job seen, so a long-lived Scratch makes the quantum loop
+// allocation-free.
 type Scratch struct {
 	buf []job.LevelCount
 	// levelDone[l] accumulates tasks completed at level l this quantum.
@@ -144,10 +146,24 @@ func RunQuantum(inst job.Instance, sc Scheduler, allotment, length int) QuantumS
 // ascending level order (float addition is not associative, and replay
 // determinism must not hinge on accumulation order), which the dense
 // accumulator gives for free where the old map needed a sort.
+//
+// A *job.Run under a breadth-first or FIFO order with a positive allotment
+// runs the quantum in closed form (job.Run.StepsBreadthFirst) when its
+// cursor allows; that walk adds the same fractions in the same order, so
+// the stats are bit-identical to the step loop below, which serves every
+// other case and is the reference the closed form is tested against.
 func RunQuantumScratch(inst job.Instance, sc Scheduler, allotment, length int, scr *Scratch) QuantumStats {
 	st := QuantumStats{Allotment: allotment, Length: length}
 	if length <= 0 {
 		return st
+	}
+	if r, ok := inst.(*job.Run); ok && (sc.order == job.BreadthFirst || sc.order == job.FIFO) {
+		if s, ok := r.StepsBreadthFirst(allotment, length); ok {
+			st.Steps, st.PartialSteps, st.Work = s.Steps, s.Partial, s.Work
+			st.LevelsTouched, st.CPL = s.Levels, s.CPL
+			st.Completed = s.Steps > 0 && r.Done()
+			return st
+		}
 	}
 	lo, hi := int(^uint(0)>>1), -1 // touched level window [lo, hi]
 	for s := 0; s < length; s++ {

@@ -10,7 +10,9 @@ import (
 // TestRunQuantumScratchMatchesFresh: a single Scratch reused across
 // heterogeneous jobs, orders, and allotments yields measurements
 // bit-identical to fresh-scratch calls — the contract that lets the engine
-// share one Scratch per step worker.
+// share one Scratch per step worker. Every case also runs with the
+// *job.Run hidden behind stepwise, so breadth-first quanta exercise the
+// scratch in the step loop and not only the closed form.
 func TestRunQuantumScratchMatchesFresh(t *testing.T) {
 	profiles := []*job.Profile{
 		job.Constant(8, 40),
@@ -21,23 +23,28 @@ func TestRunQuantumScratchMatchesFresh(t *testing.T) {
 	scheds := []Scheduler{BGreedy(), Greedy(), DepthGreedy()}
 	allots := []int{1, 3, 7}
 	var reused Scratch
-	for pi, p := range profiles {
-		for si, sc := range scheds {
-			for _, a := range allots {
-				instA, instB := job.NewRun(p), job.NewRun(p)
-				for q := 0; !instA.Done(); q++ {
-					want := RunQuantum(instA, sc, a, 9)
-					got := RunQuantumScratch(instB, sc, a, 9, &reused)
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("profile %d sched %d a=%d quantum %d:\nfresh:  %+v\nreused: %+v",
-							pi, si, a, q, want, got)
+	for _, hide := range []bool{false, true} {
+		for pi, p := range profiles {
+			for si, sc := range scheds {
+				for _, a := range allots {
+					var instA, instB job.Instance = job.NewRun(p), job.NewRun(p)
+					if hide {
+						instA, instB = stepwise{instA}, stepwise{instB}
 					}
-					if q > 10000 {
-						t.Fatal("job did not finish")
+					for q := 0; !instA.Done(); q++ {
+						want := RunQuantum(instA, sc, a, 9)
+						got := RunQuantumScratch(instB, sc, a, 9, &reused)
+						if !reflect.DeepEqual(want, got) {
+							t.Fatalf("hidden %v profile %d sched %d a=%d quantum %d:\nfresh:  %+v\nreused: %+v",
+								hide, pi, si, a, q, want, got)
+						}
+						if q > 10000 {
+							t.Fatal("job did not finish")
+						}
 					}
-				}
-				if !instB.Done() {
-					t.Fatal("reused-scratch instance lags the fresh one")
+					if !instB.Done() {
+						t.Fatal("reused-scratch instance lags the fresh one")
+					}
 				}
 			}
 		}

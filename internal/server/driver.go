@@ -83,8 +83,11 @@ func (s *Server) drive(ctx context.Context) {
 	for s.NeedsSteps() {
 		s.stepOnce(false)
 	}
+	// Count before FinishExternal releases Wait: after that the caller may
+	// read the engine, so this goroutine must not touch it again.
+	jobs := s.snapshotJobs()
 	_ = s.FinishExternal() // Wait reports the verdict
-	s.log.Info("drain complete", "jobs", s.snapshotJobs())
+	s.log.Info("drain complete", "jobs", jobs)
 }
 
 // snapshotJobs returns the number of jobs the engine has completed.

@@ -46,6 +46,9 @@ fi
 echo "== journal decoder fuzz (5s)"
 go test -run '^$' -fuzz FuzzScanBytes -fuzztime 5s ./internal/persist/
 
+echo "== closed-form breadth-first quantum fuzz (5s, vs the step loop)"
+go test -run '^$' -fuzz FuzzQuantumBreadthFirst -fuzztime 5s ./internal/sched/
+
 echo "== deterministic replay guard (same seed+spec => identical chaos report)"
 a="$(go run ./cmd/abgexp -exp chaos -scale small)"
 b="$(go run ./cmd/abgexp -exp chaos -scale small)"
