@@ -45,7 +45,7 @@ func launchDaemon(cfg crashConfig, dir, addr string, extra ...string) (*daemonPr
 		"-addr", addr,
 		"-P", fmt.Sprint(cfg.p), "-L", fmt.Sprint(cfg.l),
 		"-clock", "wall", "-tick", "2ms",
-		"-queue", fmt.Sprint(cfg.run.jobs+64),
+		"-queue", fmt.Sprint(cfg.run.jobs + 64),
 		"-journal", dir, "-snapshot-every", "8", "-fsync", "always",
 		"-seed", fmt.Sprint(cfg.run.seed),
 		"-log", "error",

@@ -64,8 +64,8 @@ func DefaultChaosPlan(p int, seed uint64) fault.Plan {
 		Capacity: fault.ChurnCapacity{P: p, MaxLoss: p / 2, Window: 16, Seed: seed},
 		Drop:     0.25,
 		Delay:    2, DelayProb: 0.15,
-		Dup:      0.1,
-		NoiseMul: 0.3,
+		Dup:         0.1,
+		NoiseMul:    0.3,
 		RestartProb: 0.01, MaxRestarts: 2,
 	}
 }

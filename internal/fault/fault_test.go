@@ -179,24 +179,24 @@ func TestParseSpecVariants(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	bad := []string{
-		"drop",               // not key=value
-		"bogus=1",            // unknown clause
-		"drop=1.5",           // probability out of range
-		"drop=-0.1",          // negative probability
-		"delay=0:0.5",        // zero delay
-		"delay=2",            // missing probability
-		"noise=-1",           // negative amplitude
-		"restartat=0",        // quantum < 1
-		"restartat=3+x",      // junk quantum
-		"maxrestarts=-1",     // negative cap
-		"cap=step:0.5",       // missing @Q
-		"cap=step:2@5",       // fraction > 1
-		"cap=step:0.5@0",     // quantum < 1
-		"cap=step:0.5@10-5",  // recovery before drop
-		"cap=sine:0.5:1",     // period < 2
-		"cap=churn:0.5:0",    // window < 1
-		"cap=warp:0.5:3",     // unknown model
-		"seed=abc",           // junk seed
+		"drop",              // not key=value
+		"bogus=1",           // unknown clause
+		"drop=1.5",          // probability out of range
+		"drop=-0.1",         // negative probability
+		"delay=0:0.5",       // zero delay
+		"delay=2",           // missing probability
+		"noise=-1",          // negative amplitude
+		"restartat=0",       // quantum < 1
+		"restartat=3+x",     // junk quantum
+		"maxrestarts=-1",    // negative cap
+		"cap=step:0.5",      // missing @Q
+		"cap=step:2@5",      // fraction > 1
+		"cap=step:0.5@0",    // quantum < 1
+		"cap=step:0.5@10-5", // recovery before drop
+		"cap=sine:0.5:1",    // period < 2
+		"cap=churn:0.5:0",   // window < 1
+		"cap=warp:0.5:3",    // unknown model
+		"seed=abc",          // junk seed
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec, 64); err == nil {

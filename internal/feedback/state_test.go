@@ -12,8 +12,8 @@ import (
 // with a representative configuration; the matching fresh constructor builds
 // a second instance with the same configuration for restore.
 func statefulPolicies() []struct {
-	name  string
-	make  func() Policy
+	name string
+	make func() Policy
 } {
 	return []struct {
 		name string
@@ -128,7 +128,7 @@ func TestStateUnsupportedPolicy(t *testing.T) {
 
 type opaquePolicy struct{}
 
-func (opaquePolicy) InitialRequest() float64                  { return 1 }
-func (opaquePolicy) NextRequest(sched.QuantumStats) float64   { return 1 }
-func (opaquePolicy) Name() string                             { return "opaque" }
-func (opaquePolicy) Reset()                                   {}
+func (opaquePolicy) InitialRequest() float64                { return 1 }
+func (opaquePolicy) NextRequest(sched.QuantumStats) float64 { return 1 }
+func (opaquePolicy) Name() string                           { return "opaque" }
+func (opaquePolicy) Reset()                                 {}

@@ -61,7 +61,11 @@ const (
 	KindAdmit byte = 3
 	// KindDrain records that admission closed.
 	KindDrain byte = 4
-	// KindSnapshot is a full engine + server state snapshot.
+	// KindSnapshot is an engine + server state snapshot. Its engine blob is
+	// a delta holding only the jobs from the lowest one unfinished at the
+	// previous snapshot record on (a full snapshot in journals written
+	// before deltas); recovery folds the chain of them into the full engine
+	// state.
 	KindSnapshot byte = 5
 	// KindStep records that the engine executed one quantum boundary. With
 	// step records the journal is the daemon's complete op log — every state

@@ -194,7 +194,11 @@ func (s *Server) admitLocked() {
 // maybeSnapshotLocked writes an engine snapshot once enough quanta have
 // executed since the last one. The record carries the SSE sequence counter
 // captured at the same instant, so a recovered daemon numbers the replayed
-// event stream identically. Caller holds s.mu, on the driver goroutine.
+// event stream identically. The engine blob is a delta holding only the
+// jobs from snapFrom up: every job below it was done at the previous
+// snapshot record, which (or an earlier one) holds its final entry, and
+// recovery folds the chain back into the full snapshot
+// (sim.FoldSnapshots). Caller holds s.mu, on the driver goroutine.
 func (s *Server) maybeSnapshotLocked() {
 	if s.journal == nil || s.fatal != nil {
 		return
@@ -208,7 +212,7 @@ func (s *Server) maybeSnapshotLocked() {
 		// snapshotting them would grow the journal without bound.
 		return
 	}
-	blob, err := s.eng.MarshalBinary()
+	blob, err := s.eng.MarshalDelta(s.snapFrom)
 	if err != nil {
 		s.failLocked(fmt.Errorf("snapshot: %w", err))
 		return
@@ -220,6 +224,7 @@ func (s *Server) maybeSnapshotLocked() {
 	if s.appendJournal(persist.KindSnapshot, encodeSnapshot(rec)) == nil {
 		s.lastSnapQ = q
 		s.lastSnapSeq = rec.sseSeq
+		s.snapFrom = s.eng.FirstUnfinished(s.snapFrom)
 		s.snapshotCount++
 		s.metrics.snapshots.Inc()
 	}

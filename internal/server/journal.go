@@ -20,8 +20,9 @@ import (
 //	admit     the quantum boundary at which a batch of queued jobs entered
 //	          the engine — the one scheduling decision the clock makes
 //	drain     admission closed (operator intent survives a crash)
-//	snapshot  a sim.Engine snapshot plus the SSE sequence counter, letting
-//	          recovery replay only the journal tail
+//	snapshot  a sim.Engine delta snapshot plus the SSE sequence counter;
+//	          recovery folds the chain of them into the full snapshot and
+//	          replays only the journal tail
 //	step      the engine executed one working quantum boundary — the record
 //	          that turns the journal into a complete op log, so a follower's
 //	          state is a pure function of how many journal bytes it applied
@@ -241,7 +242,9 @@ func decodeEpoch(body []byte) (epochRecord, error) {
 }
 
 // snapshotRecord carries one engine snapshot plus the server-side counters
-// that must survive with it.
+// that must survive with it. The engine blob is opaque here: a delta
+// (sim.Engine.MarshalDelta), or a full snapshot in journals written before
+// deltas; sim.FoldSnapshots reads both.
 type snapshotRecord struct {
 	boundary int
 	quanta   int
@@ -258,12 +261,13 @@ func encodeSnapshot(rec snapshotRecord) []byte {
 	return e.Bytes()
 }
 
+// decodeSnapshot decodes a snapshot record; its engine blob aliases body.
 func decodeSnapshot(body []byte) (snapshotRecord, error) {
 	d := persist.NewDec(body)
 	rec := snapshotRecord{
 		boundary: d.Int(), quanta: d.Int(), sseSeq: d.Uvarint(),
 	}
-	rec.engine = append([]byte(nil), d.BytesField()...)
+	rec.engine = d.BytesField()
 	if err := d.Err(); err != nil {
 		return snapshotRecord{}, fmt.Errorf("journal snapshot record: %w", err)
 	}

@@ -17,12 +17,13 @@ import (
 
 // Crash recovery. The journal records every externally-sourced decision
 // (see journal.go); the engine is bit-identically replay-deterministic; so
-// recovery is: restore the last snapshot, re-submit the jobs admitted after
-// it with their journaled admission boundaries pinned as releases, replay
-// the engine across those boundaries (which re-emits the same events under
-// the same SSE ids), and re-queue acked-but-unadmitted submissions. The
-// daemon then resumes as if the crash were a pause: same job ids, same
-// completion times, same event stream.
+// recovery is: fold the snapshot records into the last full snapshot and
+// restore it, re-submit the jobs admitted after it with their journaled
+// admission boundaries pinned as releases, replay the engine across those
+// boundaries (which re-emits the same events under the same SSE ids), and
+// re-queue acked-but-unadmitted submissions. The daemon then resumes as if
+// the crash were a pause: same job ids, same completion times, same event
+// stream.
 
 // RecoveryDTO is served at /api/v1/recovery: what the boot-time recovery
 // found and did, plus the live snapshot counters.
@@ -113,8 +114,11 @@ type journalLog struct {
 	admits   []admitRecord // in journal order; ids ascend across records
 	admitted map[int]int   // job id → admission boundary
 	// snap is the last snapshot, with snapAdmits the number of jobs
-	// admitted before it (== the job count inside the engine blob).
+	// admitted before it (== the job count inside the engine blob), and
+	// chain every snapshot record's engine blob in journal order: the fold
+	// of chain is the full engine snapshot as of snap.
 	snap        *snapshotRecord
+	chain       [][]byte
 	snapAdmits  int
 	snapRecords int // records up to and including the snapshot
 	// maxStep is the highest journaled step boundary (-1 when the journal
@@ -197,6 +201,7 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 				return nil, fmt.Errorf("record %d: %w", i+1, err)
 			}
 			lg.snap = &snap
+			lg.chain = append(lg.chain, snap.engine)
 			lg.snapAdmits = len(lg.admitted)
 			lg.snapRecords = i + 2 // header + records[0..i]
 		case persist.KindEpoch:
@@ -272,10 +277,15 @@ func (s *Server) recoverRecords(records []persist.Record) error {
 	}
 	l64 := int64(s.cfg.L)
 
-	// 1. Restore the snapshot, if any: rebuild a fresh spec for every job
-	// the snapshotted engine held (ids 0..snapAdmits-1) and load the
-	// cursors onto them.
+	// 1. Restore the snapshot, if any: fold the chain of snapshot records
+	// into the full snapshot, rebuild a fresh spec for every job the
+	// snapshotted engine held (ids 0..snapAdmits-1) and load the cursors
+	// onto them.
 	if lg.snap != nil {
+		full, err := sim.FoldSnapshots(lg.chain)
+		if err != nil {
+			return err
+		}
 		specs := make([]sim.JobSpec, lg.snapAdmits)
 		for id := 0; id < lg.snapAdmits; id++ {
 			sub, idx, err := lg.submitFor(id)
@@ -295,11 +305,15 @@ func (s *Server) recoverRecords(records []persist.Record) error {
 			// recovered engine records samples for the quanta it replays.
 			TimelineRing: s.cfg.TimelineRing,
 			StepWorkers:  s.cfg.StepWorkers,
-		}, lg.snap.engine, specs)
+		}, full, specs)
 		if err != nil {
 			return err
 		}
 		s.eng = eng
+		// The next delta continues the chain from the jobs unfinished at
+		// the last record. It must be read now, before the tail replays:
+		// a job that finishes during the replay is in no record as done.
+		s.snapFrom = eng.FirstUnfinished(0)
 		s.hub.SetSeq(0, lg.snap.sseSeq)
 		s.lastSnapQ = lg.snap.quanta
 		s.lastSnapSeq = lg.snap.sseSeq

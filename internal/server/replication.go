@@ -279,8 +279,8 @@ func (s *Server) applyStepLocked(body []byte) error {
 // applySnapshotLocked treats the leader's snapshot as a cross-check, not a
 // restore: the follower already holds the state by construction, so the
 // snapshot's coordinates must match exactly — a cheap, continuous proof
-// that the replica has not diverged. (The full engine blob is already in
-// the follower's journal for its own boot recovery.)
+// that the replica has not diverged. (The engine blob is already in the
+// follower's journal, a link in the chain its own boot recovery folds.)
 func (s *Server) applySnapshotLocked(body []byte) error {
 	snap, err := decodeSnapshot(body)
 	if err != nil {
@@ -295,6 +295,9 @@ func (s *Server) applySnapshotLocked(body []byte) error {
 	}
 	s.lastSnapQ = snap.quanta
 	s.lastSnapSeq = snap.sseSeq
+	// Track the leader's delta watermark, so a promoted follower continues
+	// the same chain.
+	s.snapFrom = s.eng.FirstUnfinished(s.snapFrom)
 	s.snapshotCount++
 	s.metrics.snapshots.Inc()
 	return nil

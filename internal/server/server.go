@@ -319,6 +319,9 @@ type Server struct {
 	lastSnapQ     int    // QuantaElapsed at the last written snapshot
 	lastSnapSeq   uint64 // SSE sequence captured by the last snapshot
 	snapshotCount int
+	// snapFrom is the lowest job id that was not done at the last snapshot
+	// record: the from of the next delta snapshot (see maybeSnapshotLocked).
+	snapFrom int
 
 	journal *persist.Journal
 

@@ -50,9 +50,7 @@ func marshalEvent(e obs.Event) []byte {
 
 // sseMsg is one stream item: its SSE frame ("id: …\ndata: …\n\n"),
 // rendered once at publish, and its position — the publishing component in
-// the top compShift bits, that component's sequence number below. Two words
-// and a slice, no larger than a scalar id and its payload: each eviction
-// moves every entry of the ring.
+// the top compShift bits, that component's sequence number below.
 type sseMsg struct {
 	pos   uint64
 	frame []byte
@@ -93,9 +91,14 @@ type EventHub struct {
 	seqs    []uint64 // per component: sequence of the newest published event
 	// base is, per component, the position just before its oldest event in
 	// the ring: a client behind it has lost events and must resync.
-	base    []uint64
-	ring    []sseMsg // newest ringCap events, oldest first
-	ringCap int
+	base []uint64
+	// ring is a circular buffer of the newest events: ringLen entries,
+	// oldest at ringHead, so evicting the oldest costs O(1). Its backing
+	// array grows on demand up to ringCap entries.
+	ring     []sseMsg
+	ringHead int
+	ringLen  int
+	ringCap  int
 	// byteCap bounds the summed frame bytes the ring may hold. Event
 	// payloads vary by an order of magnitude across kinds, so an entry cap
 	// alone leaves the ring's memory footprint workload-dependent; whichever
@@ -135,16 +138,17 @@ func (h *EventHub) Publish(comp int, data []byte) {
 	h.mu.Lock()
 	h.seqs[comp]++
 	m := sseMsg{pos: uint64(comp)<<compShift | h.seqs[comp], frame: renderFrame(h.seqs, data)}
-	for len(h.ring) > 0 &&
-		(len(h.ring) >= h.ringCap || h.ringBytes+len(m.frame) > h.byteCap) {
-		h.base[h.ring[0].comp()] = h.ring[0].seq()
-		h.ringBytes -= len(h.ring[0].frame)
-		copy(h.ring, h.ring[1:])
-		h.ring = h.ring[:len(h.ring)-1]
+	for h.ringLen > 0 &&
+		(h.ringLen >= h.ringCap || h.ringBytes+len(m.frame) > h.byteCap) {
+		old := &h.ring[h.ringHead]
+		h.base[old.comp()] = old.seq()
+		h.ringBytes -= len(old.frame)
+		*old = sseMsg{} // release the frame
+		h.ringHead = (h.ringHead + 1) % len(h.ring)
+		h.ringLen--
 		h.evicted.Add(1)
 	}
-	h.ringBytes += len(m.frame)
-	h.ring = append(h.ring, m)
+	h.pushLocked(m)
 	for ch := range h.clients {
 		select {
 		case ch <- m:
@@ -154,6 +158,25 @@ func (h *EventHub) Publish(comp int, data []byte) {
 	}
 	h.mu.Unlock()
 }
+
+// pushLocked appends m as the ring's newest entry. When the backing array
+// is full — which eviction allows only below ringCap — it is re-laid
+// oldest-first into one twice as large. Caller holds h.mu.
+func (h *EventHub) pushLocked(m sseMsg) {
+	if h.ringLen == len(h.ring) {
+		grown := make([]sseMsg, min(max(2*len(h.ring), 16), h.ringCap))
+		for i := range h.ringLen {
+			grown[i] = h.at(i)
+		}
+		h.ring, h.ringHead = grown, 0
+	}
+	h.ring[(h.ringHead+h.ringLen)%len(h.ring)] = m
+	h.ringLen++
+	h.ringBytes += len(m.frame)
+}
+
+// at returns the ring's i-th oldest entry. Caller holds h.mu.
+func (h *EventHub) at(i int) sseMsg { return h.ring[(h.ringHead+i)%len(h.ring)] }
 
 // SetSeq restores one component's sequence counter (recovery only, before
 // any of its events flow).
@@ -187,8 +210,8 @@ func (h *EventHub) subscribe(buffer int, after []uint64) (replay []sseMsg, ch <-
 			resync = true
 		}
 	}
-	for _, m := range h.ring {
-		if m.seq() > after[m.comp()] {
+	for i := range h.ringLen {
+		if m := h.at(i); m.seq() > after[m.comp()] {
 			replay = append(replay, m)
 		}
 	}

@@ -221,6 +221,17 @@ func (e *Engine) QuantaElapsed() int { return e.res.QuantaElapsed }
 // Remaining returns the number of admitted-but-unfinished jobs.
 func (e *Engine) Remaining() int { return e.remaining }
 
+// FirstUnfinished returns the lowest job id at or above hint that is not
+// done, or NumJobs() when there is none. Jobs below hint are taken as done:
+// a caller advancing a watermark passes its previous value, so the scans
+// cost O(1) per job over the engine's life.
+func (e *Engine) FirstUnfinished(hint int) int {
+	for hint < len(e.states) && e.states[hint].done {
+		hint++
+	}
+	return hint
+}
+
 // AggregateRequest sums the integer processor requests of every admitted,
 // unfinished job — the engine's aggregate desire for the next quantum. This
 // is the second level of the paper's feedback protocol: just as each job

@@ -23,16 +23,50 @@ import (
 // as the original would have — the recovery tests assert DeepEqual against
 // an uninterrupted run.
 
-// snapshot format: magic, version byte, then the field stream below.
+// Snapshot format: magic, version byte, then the field stream below — the
+// header (boundary, capacity, drain flag, remaining, makespan, waste,
+// quanta, job count n) and one entry per job.
+//
+// Version 1 is a full snapshot: entries for jobs [0, n). It is what
+// MarshalBinary writes and the only version RestoreEngine reads.
+//
+// Version 2 is a delta (MarshalDelta): the same header, then from, then
+// entries for jobs [from, n) only. A writer keeps a chain of deltas, each
+// from the lowest job id that was not done when it wrote the previous one.
+// A done job's entry never changes again — Step and the reduce phase skip
+// done jobs — so the last delta that carried a job below from holds its
+// final entry, and FoldSnapshots rebuilds the full version-1 bytes from the
+// chain. A writer's per-snapshot cost is then its unfinished jobs plus
+// those finished since the previous delta, not every job ever served.
 var snapMagic = []byte("ABGSNAP")
 
-const snapVersion byte = 1
+const (
+	snapVersion      byte = 1
+	snapDeltaVersion byte = 2
+)
 
-// MarshalBinary encodes the engine's mutable state. It fails when the
-// engine records per-quantum traces (KeepTrace) — snapshots do not carry
-// traces — or when a job's instance or policy does not support state
-// capture.
+// MarshalBinary encodes the engine's mutable state as a full (version 1)
+// snapshot. It fails when the engine records per-quantum traces
+// (KeepTrace) — snapshots do not carry traces — or when a job's instance or
+// policy does not support state capture.
 func (e *Engine) MarshalBinary() ([]byte, error) {
+	return e.marshal(snapVersion, 0)
+}
+
+// MarshalDelta encodes a delta (version 2) snapshot holding the header and
+// the entries of jobs [from, NumJobs()) only. from must be the lowest job id
+// that was not done when the chain's previous snapshot was written (0 for
+// the first); FoldSnapshots turns the chain back into MarshalBinary's bytes.
+func (e *Engine) MarshalDelta(from int) ([]byte, error) {
+	if from < 0 || from > len(e.states) {
+		return nil, fmt.Errorf("sim: delta snapshot from %d outside [0, %d]", from, len(e.states))
+	}
+	return e.marshal(snapDeltaVersion, from)
+}
+
+// marshal writes the header and the entries of jobs [from, n); version 2
+// also records from.
+func (e *Engine) marshal(version byte, from int) ([]byte, error) {
 	if e.cfg.keepTrace() {
 		return nil, fmt.Errorf("sim: snapshot does not support KeepTrace engines")
 	}
@@ -45,7 +79,10 @@ func (e *Engine) MarshalBinary() ([]byte, error) {
 	enc.Varint(e.res.TotalWaste)
 	enc.Int(e.res.QuantaElapsed)
 	enc.Int(len(e.states))
-	for i := range e.states {
+	if version == snapDeltaVersion {
+		enc.Int(from)
+	}
+	for i := from; i < len(e.states); i++ {
 		s := &e.states[i]
 		j := &e.res.Jobs[i]
 		enc.String(j.Name)
@@ -83,8 +120,95 @@ func (e *Engine) MarshalBinary() ([]byte, error) {
 		enc.BytesField(pol)
 	}
 	out := append([]byte{}, snapMagic...)
-	out = append(out, snapVersion)
+	out = append(out, version)
 	return append(out, enc.Bytes()...), nil
+}
+
+// FoldSnapshots folds an ordered chain of snapshot blobs into the full
+// (version 1) snapshot bytes MarshalBinary returned when the last blob was
+// written, in one pass over the chain. A version-1 blob resets the chain;
+// each delta replaces the entries of jobs [from, n). The fold rejects an
+// unknown version, a from that moves backwards or past the jobs folded so
+// far, a job count that shrinks, a job dropped below from whose last entry
+// is not done, and a malformed or trailing byte stream.
+func FoldSnapshots(chain [][]byte) ([]byte, error) {
+	if len(chain) == 0 {
+		return nil, fmt.Errorf("sim: empty snapshot chain")
+	}
+	var (
+		header  []byte   // the last blob's header fields, job count included
+		entries [][]byte // per job: its entry in the last blob that carried it
+		done    []bool   // per job: that entry's done flag
+		from    int      // the previous blob's from
+	)
+	for b, blob := range chain {
+		if len(blob) < len(snapMagic)+1 || !bytes.Equal(blob[:len(snapMagic)], snapMagic) {
+			return nil, fmt.Errorf("sim: chain blob %d is not an engine snapshot (%d bytes)", b, len(blob))
+		}
+		body := blob[len(snapMagic)+1:]
+		d := persist.NewDec(body)
+		d.Int()    // k
+		d.Int()    // capNow
+		d.Bool()   // draining
+		d.Int()    // remaining
+		d.Varint() // makespan
+		d.Varint() // total waste
+		d.Int()    // quanta elapsed
+		n := d.Int()
+		hdr := body[:len(body)-d.Len()]
+		f := 0
+		switch v := blob[len(snapMagic)]; v {
+		case snapVersion:
+			entries, done, from = entries[:0], done[:0], 0
+		case snapDeltaVersion:
+			f = d.Int()
+		default:
+			return nil, fmt.Errorf("sim: chain blob %d: snapshot version %d, this build reads %d and %d",
+				b, v, snapVersion, snapDeltaVersion)
+		}
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("sim: chain blob %d header: %w", b, err)
+		}
+		switch {
+		case f < from:
+			return nil, fmt.Errorf("sim: chain blob %d: from %d moves back from %d", b, f, from)
+		case f > len(entries):
+			return nil, fmt.Errorf("sim: chain blob %d: from %d skips past the %d jobs folded so far", b, f, len(entries))
+		case n < len(entries):
+			return nil, fmt.Errorf("sim: chain blob %d: job count shrinks from %d to %d", b, len(entries), n)
+		}
+		for i := from; i < f; i++ {
+			if !done[i] {
+				return nil, fmt.Errorf("sim: chain blob %d: drops job %d below from %d before it is done", b, i, f)
+			}
+		}
+		entries, done = entries[:f], done[:f]
+		for i := f; i < n; i++ {
+			start := len(body) - d.Len()
+			_, s, _, _ := decodeJobEntry(d)
+			if err := d.Err(); err != nil {
+				return nil, fmt.Errorf("sim: chain blob %d job %d: %w", b, i, err)
+			}
+			entries = append(entries, body[start:len(body)-d.Len()])
+			done = append(done, s.done)
+		}
+		if d.Len() != 0 {
+			return nil, fmt.Errorf("sim: chain blob %d has %d trailing bytes", b, d.Len())
+		}
+		header, from = hdr, f
+	}
+	size := len(snapMagic) + 1 + len(header)
+	for _, en := range entries {
+		size += len(en)
+	}
+	out := make([]byte, 0, size)
+	out = append(out, snapMagic...)
+	out = append(out, snapVersion)
+	out = append(out, header...)
+	for _, en := range entries {
+		out = append(out, en...)
+	}
+	return out, nil
 }
 
 // RestoreEngine rebuilds an engine from a snapshot. specs must contain one
@@ -125,28 +249,7 @@ func RestoreEngine(cfg MultiConfig, data []byte, specs []JobSpec) (*Engine, erro
 			return nil, fmt.Errorf("sim: rebuilt spec %d missing instance or policy", i)
 		}
 		sp := specs[i]
-		var j JobOutcome
-		j.Name = d.String()
-		j.Release = d.Varint()
-		j.Completion = d.Varint()
-		j.Response = d.Varint()
-		j.Work = d.Varint()
-		j.CriticalPath = d.Int()
-		j.Waste = d.Varint()
-		j.NumQuanta = d.Int()
-		j.DeprivedQ = d.Int()
-		j.Restarts = d.Int()
-		j.LostWork = d.Varint()
-
-		var s jobState
-		s.request = d.Float()
-		s.started = d.Bool()
-		s.done = d.Bool()
-		s.deprived = d.Bool()
-		s.attemptWork = d.Varint()
-		s.last = decodeQuantumStats(d)
-		instState := d.BytesField()
-		polState := d.BytesField()
+		j, s, instState, polState := decodeJobEntry(d)
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("sim: snapshot job %d: %w", i, err)
 		}
@@ -185,6 +288,32 @@ func RestoreEngine(cfg MultiConfig, data []byte, specs []JobSpec) (*Engine, erro
 	}
 	e.remaining = remaining
 	return e, nil
+}
+
+// decodeJobEntry reads one job's snapshot entry: its outcome, its
+// bookkeeping, and its instance and policy state (aliasing d's buffer).
+func decodeJobEntry(d *persist.Dec) (j JobOutcome, s jobState, inst, pol []byte) {
+	j.Name = d.String()
+	j.Release = d.Varint()
+	j.Completion = d.Varint()
+	j.Response = d.Varint()
+	j.Work = d.Varint()
+	j.CriticalPath = d.Int()
+	j.Waste = d.Varint()
+	j.NumQuanta = d.Int()
+	j.DeprivedQ = d.Int()
+	j.Restarts = d.Int()
+	j.LostWork = d.Varint()
+
+	s.request = d.Float()
+	s.started = d.Bool()
+	s.done = d.Bool()
+	s.deprived = d.Bool()
+	s.attemptWork = d.Varint()
+	s.last = decodeQuantumStats(d)
+	inst = d.BytesField()
+	pol = d.BytesField()
+	return j, s, inst, pol
 }
 
 // encodeQuantumStats appends every QuantumStats field.

@@ -36,23 +36,25 @@ type QuantumSample struct {
 // timelineRing is a bounded per-job ring of QuantumSamples. It is purely
 // observational state: snapshots exclude it (a recovered engine rebuilds
 // samples only for the quanta it replays), and recording never emits events
-// or touches scheduling state.
+// or touches scheduling state. buf grows by append up to max, so a short
+// job holds only the samples it recorded, not max of them.
 type timelineRing struct {
 	buf   []QuantumSample
-	next  int // next write position
+	max   int // retained samples at most
+	next  int // next write position once buf is full
 	total int // samples ever recorded
 }
 
 func newTimelineRing(capacity int) *timelineRing {
-	return &timelineRing{buf: make([]QuantumSample, 0, capacity)}
+	return &timelineRing{max: capacity}
 }
 
 // record appends a sample, evicting the oldest once the ring is full.
 func (r *timelineRing) record(s QuantumSample) {
-	if cap(r.buf) == 0 {
+	if r.max <= 0 {
 		return
 	}
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.max {
 		r.buf = append(r.buf, s)
 	} else {
 		r.buf[r.next] = s

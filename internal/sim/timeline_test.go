@@ -121,6 +121,30 @@ func TestTimelineRingBounded(t *testing.T) {
 	if !samples[3].Completed {
 		t.Fatal("final quantum not marked completed")
 	}
+
+	// A ring grows on demand, then wraps: cap 5, three samples, then twelve.
+	r := newTimelineRing(5)
+	for q := 1; q <= 3; q++ {
+		r.record(QuantumSample{Quantum: q})
+	}
+	if got := r.samples(); len(got) != 3 || got[0].Quantum != 1 || got[2].Quantum != 3 || r.total-len(r.buf) != 0 {
+		t.Fatalf("after 3 samples: %+v (evicted %d), want quanta 1..3", got, r.total-len(r.buf))
+	}
+	for q := 4; q <= 15; q++ {
+		r.record(QuantumSample{Quantum: q})
+	}
+	got := r.samples()
+	if len(got) != 5 || len(r.buf) != 5 {
+		t.Fatalf("after 15 samples the ring holds %d (buf %d), want 5", len(got), len(r.buf))
+	}
+	for i, s := range got {
+		if s.Quantum != 11+i {
+			t.Fatalf("after 15 samples: %+v, want quanta 11..15 oldest first", got)
+		}
+	}
+	if ev := r.total - len(r.buf); ev != 10 {
+		t.Fatalf("evicted = %d, want 10", ev)
+	}
 }
 
 func TestTimelineDisabledAndUnknown(t *testing.T) {

@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt (every tracked Go file)"
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+if [ -n "$unformatted" ]; then
+    echo "gofmt would reformat:" >&2
+    printf '%s\n' "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -45,6 +53,9 @@ fi
 
 echo "== journal decoder fuzz (5s)"
 go test -run '^$' -fuzz FuzzScanBytes -fuzztime 5s ./internal/persist/
+
+echo "== snapshot chain fold fuzz (5s)"
+go test -run '^$' -fuzz FuzzFoldSnapshots -fuzztime 5s ./internal/sim/
 
 echo "== closed-form breadth-first quantum fuzz (5s, vs the step loop)"
 go test -run '^$' -fuzz FuzzQuantumBreadthFirst -fuzztime 5s ./internal/sched/
