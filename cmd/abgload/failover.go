@@ -7,9 +7,12 @@ package main
 // /api/v1/promote: the survivors must detect the death, elect the
 // most-caught-up follower under a new fencing epoch, and keep serving — the
 // client rides every election by re-discovering the leader on its own. Each
-// killed daemon is restarted on a FRESH journal directory as a follower of
+// killed leader is restarted on a FRESH journal directory as a follower of
 // the new leader, so the group is back to full strength before the next
-// kill. At the end the final leader's results must DeepEqual an
+// kill. After the last election one follower is SIGKILLed as well and
+// relaunched on its OWN journal directory, so its boot recovery replays a
+// follower journal before the stream resumes at its end. At the end the
+// final leader's results must DeepEqual an
 // uninterrupted reference replay of ITS journal, and both other members'
 // journals must be byte copies of it — no fenced write survives anywhere.
 // Works with and without -fault.
@@ -313,6 +316,30 @@ func runFailoverSoak(ctx context.Context, w io.Writer, cfg crashConfig) (rep *re
 		}
 		leader, epoch = newLeader, dto.Epoch
 	}
+
+	// Reboot one caught-up follower in place: SIGKILL it and relaunch it on
+	// its own journal, following the current leader. The end checks then
+	// hold it to the same byte-copy journal as a member that never died.
+	f := (leader + 1) % n
+	lead, err := replProbe(ctx, urls[leader])
+	if err != nil {
+		return nil, err
+	}
+	if err := waitCaughtUp(ctx, urls[f], lead.JournalBytes); err != nil {
+		return nil, err
+	}
+	procs[f].kill()
+	procs[f] = nil
+	if procs[f], err = launchMember(cfg, dirs[f], addrs[f], urls, urls[leader]); err != nil {
+		return nil, err
+	}
+	mc := server.NewClient(addrs[f])
+	mc.Timeout = 5 * time.Second
+	if err := waitHealthy(ctx, mc, procs[f]); err != nil {
+		return nil, fmt.Errorf("rebooted follower %s: %w", addrs[f], err)
+	}
+	fmt.Fprintf(w, "rebooted follower %s on its own journal (%d bytes shipped)\n", addrs[f], lead.JournalBytes)
+
 	for submitted < cfg.run.jobs {
 		if err := submitOne(); err != nil {
 			return nil, err
@@ -366,7 +393,7 @@ func runFailoverSoak(ctx context.Context, w io.Writer, cfg crashConfig) (rep *re
 	// Let both followers catch all the way up, then drain the leader; the
 	// followers see the shipped drain record and their leader's clean
 	// end-of-stream, and drain themselves out.
-	lead, err := replProbe(ctx, urls[leader])
+	lead, err = replProbe(ctx, urls[leader])
 	if err != nil {
 		return nil, err
 	}

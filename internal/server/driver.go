@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"abg/internal/core"
+	"abg/internal/fault"
 	"abg/internal/job"
+	"abg/internal/obs"
 	"abg/internal/persist"
 	"abg/internal/sim"
 )
@@ -155,14 +158,9 @@ func (s *Server) journalStepLocked() error {
 	return s.appendJournal(persist.KindStep, encodeStep(rec))
 }
 
-// admitLocked hands every queued job to the engine at the current boundary.
-// Queue order is submission order, and the engine assigns ids sequentially,
-// so the engine's id for each job must equal the id the submission handler
-// promised the client; any divergence is a server bug worth dying loudly
-// over.
-//
-// The admit record is journaled before the engine sees the jobs: events for
-// this boundary only flow once Step runs, so a crash anywhere in between
+// admitLocked admits every queued job at the current boundary. The admit
+// record is journaled before the engine sees the jobs: events for this
+// boundary only flow once Step runs, so a crash anywhere in between
 // recovers to "admitted at this boundary" without ever having exposed
 // observable state that the replay would contradict.
 func (s *Server) admitLocked() {
@@ -176,19 +174,30 @@ func (s *Server) admitLocked() {
 	if s.appendJournal(persist.KindAdmit, encodeAdmit(rec)) != nil {
 		return // fatal; failLocked already fired
 	}
+	if err := s.admitQueueLocked(); err != nil {
+		s.failLocked(err)
+	}
+}
+
+// admitQueueLocked hands every queued job to the engine at the current
+// boundary, building each spec from the profile already in the queue. The
+// leader's admission and an applied admit record (a follower's, or
+// recovery's) both end here. Queue order is submission order, and the
+// engine assigns ids sequentially, so the engine's id for each job must
+// equal the id the submission promised; any divergence is a server bug
+// worth dying loudly over.
+func (s *Server) admitQueueLocked() error {
 	for _, p := range s.queue {
-		spec := s.jobSpec(p)
-		id, err := s.eng.Submit(spec)
+		id, err := s.eng.Submit(jobSpec(p, s.eng.Now(), s.plan, s.sched, s.bus))
 		if err != nil {
-			s.failLocked(fmt.Errorf("admit job %d: %w", p.id, err))
-			return
+			return fmt.Errorf("admit job %d: %w", p.id, err)
 		}
 		if id != p.id {
-			s.failLocked(fmt.Errorf("job id skew: engine assigned %d, promised %d", id, p.id))
-			return
+			return fmt.Errorf("job id skew: engine assigned %d, promised %d", id, p.id)
 		}
 	}
 	s.queue = s.queue[:0]
+	return nil
 }
 
 // maybeSnapshotLocked writes an engine snapshot once enough quanta have
@@ -222,31 +231,42 @@ func (s *Server) maybeSnapshotLocked() {
 		sseSeq: s.hub.Seq(), engine: blob,
 	}
 	if s.appendJournal(persist.KindSnapshot, encodeSnapshot(rec)) == nil {
-		s.lastSnapQ = q
-		s.lastSnapSeq = rec.sseSeq
-		s.snapFrom = s.eng.FirstUnfinished(s.snapFrom)
-		s.snapshotCount++
-		s.metrics.snapshots.Inc()
+		s.snapshotJournaledLocked(rec)
 	}
 }
 
-// jobSpec builds the engine-facing spec for one queued job: a fresh instance
-// and policy, the control channel wrapped by the fault plan, and the plan's
+// snapshotJournaledLocked advances the snapshot bookkeeping past a snapshot
+// record the journal now ends with, written here or shipped by the leader.
+// Every job done by now is in this record or an earlier one, so the next
+// delta starts at the first job still unfinished.
+func (s *Server) snapshotJournaledLocked(rec snapshotRecord) {
+	s.lastSnapQ = rec.quanta
+	s.lastSnapSeq = rec.sseSeq
+	s.snapFrom = s.eng.FirstUnfinished(s.snapFrom)
+	s.snapshotCount++
+	s.metrics.snapshots.Inc()
+}
+
+// jobSpec builds the engine-facing spec for one job: a fresh instance and
+// policy, the control channel wrapped by the fault plan, and the plan's
 // restart schedule (rebuilding restarted attempts from the same profile).
-func (s *Server) jobSpec(p pendingJob) sim.JobSpec {
+// It is the one spec builder: admission, snapshot restore and
+// ReferenceResult all build here, so a replayed job is the job the writer
+// ran.
+func jobSpec(p pendingJob, release int64, plan fault.Plan, scheduler core.Scheduler, bus *obs.Bus) sim.JobSpec {
 	spec := sim.JobSpec{
 		Name:    p.name,
 		Inst:    job.NewRun(p.profile),
-		Policy:  s.plan.Policy(s.sched.NewPolicy(), p.id, s.bus),
-		Sched:   s.sched.TaskScheduler(),
-		Release: s.eng.Now(),
+		Policy:  plan.Policy(scheduler.NewPolicy(), p.id, bus),
+		Sched:   scheduler.TaskScheduler(),
+		Release: release,
 	}
-	if at := s.plan.RestartHook(p.id); at != nil {
+	if at := plan.RestartHook(p.id); at != nil {
 		profile := p.profile
 		spec.Restart = &sim.RestartPlan{
 			At:  at,
 			New: func() job.Instance { return job.NewRun(profile) },
-			Max: s.plan.MaxRestarts,
+			Max: plan.MaxRestarts,
 		}
 	}
 	return spec

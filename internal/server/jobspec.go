@@ -120,6 +120,15 @@ func (r JobRequest) BuildProfile(i, l int) *job.Profile {
 	}
 }
 
+// profiles builds every job of a normalized request for quantum length l.
+func (r JobRequest) profiles(l int) []*job.Profile {
+	out := make([]*job.Profile, r.Count)
+	for i := range out {
+		out[i] = r.BuildProfile(i, l)
+	}
+	return out
+}
+
 // jobName labels the i-th job of the request.
 func (r JobRequest) jobName(i, id int) string {
 	if r.Name != "" {

@@ -9,21 +9,20 @@ import (
 	"abg/internal/alloc"
 	"abg/internal/core"
 	"abg/internal/fault"
-	"abg/internal/job"
-	"abg/internal/obs"
 	"abg/internal/persist"
 	"abg/internal/sim"
 )
 
 // Crash recovery. The journal records every externally-sourced decision
-// (see journal.go); the engine is bit-identically replay-deterministic; so
-// recovery is: fold the snapshot records into the last full snapshot and
-// restore it, re-submit the jobs admitted after it with their journaled
-// admission boundaries pinned as releases, replay the engine across those
-// boundaries (which re-emits the same events under the same SSE ids), and
-// re-queue acked-but-unadmitted submissions. The daemon then resumes as if
-// the crash were a pause: same job ids, same completion times, same event
-// stream.
+// (see journal.go) and the engine is bit-identically replay-deterministic,
+// so recovery has no record reader of its own: it restores the last
+// snapshot, then applies every later record through applyLocked, the same
+// applier a follower runs on shipped records (replication.go). The tail's
+// admit and step records re-admit the jobs and re-execute the quanta the
+// crashed run journaled, re-emitting the same events under the same SSE
+// ids; its submit records re-queue the acked jobs still awaiting
+// admission. The daemon then resumes as if the crash were a pause: same job
+// ids, same completion times, same event stream.
 
 // RecoveryDTO is served at /api/v1/recovery: what the boot-time recovery
 // found and did, plus the live snapshot counters.
@@ -107,31 +106,22 @@ func (s *Server) openJournal() error {
 	return nil
 }
 
-// journalLog is the decoded, cross-checked content of a journal.
+// journalLog is the decoded, cross-checked content of a journal, or of the
+// prefix of one that recovery restores from.
 type journalLog struct {
 	header   headerRecord
-	submits  []submitRecord
-	admits   []admitRecord // in journal order; ids ascend across records
-	admitted map[int]int   // job id → admission boundary
-	// snap is the last snapshot, with snapAdmits the number of jobs
-	// admitted before it (== the job count inside the engine blob), and
-	// chain every snapshot record's engine blob in journal order: the fold
-	// of chain is the full engine snapshot as of snap.
-	snap        *snapshotRecord
-	chain       [][]byte
-	snapAdmits  int
-	snapRecords int // records up to and including the snapshot
-	// maxStep is the highest journaled step boundary (-1 when the journal
-	// predates step records): the engine provably executed every boundary up
-	// to and including it, so recovery replays that far even past the last
-	// admission, landing on the exact state the writer held.
-	maxStep int
+	submits  []submitRecord // in journal order; ids ascend densely from 0
+	admitted []int          // admission boundary of each job id, ids dense from 0
+	// snap is the last snapshot, and chain every snapshot record's engine
+	// blob in journal order: the fold of chain is the full engine snapshot
+	// as of snap.
+	snap  *snapshotRecord
+	chain [][]byte
 	// shares maps step boundaries to the cluster-assigned capacity shares
 	// their quanta executed under (cluster-shard journals only; see
-	// stepRecord). Recovery must install them before replaying.
+	// stepRecord).
 	shares  map[int]int
 	drained bool
-	nextID  int
 }
 
 // parseJournal decodes and sanity-checks a clean record stream.
@@ -143,7 +133,8 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	lg := &journalLog{header: h, admitted: make(map[int]int), maxStep: -1}
+	lg := &journalLog{header: h}
+	nextID, lastStep := 0, -1
 	for i, rec := range records[1:] {
 		switch rec.Kind {
 		case persist.KindHeader:
@@ -153,11 +144,11 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", i+1, err)
 			}
-			if sub.firstID != lg.nextID {
+			if sub.firstID != nextID {
 				return nil, fmt.Errorf("record %d: submit ids start at %d, expected %d",
-					i+1, sub.firstID, lg.nextID)
+					i+1, sub.firstID, nextID)
 			}
-			lg.nextID = sub.firstID + sub.count
+			nextID = sub.firstID + sub.count
 			lg.submits = append(lg.submits, sub)
 		case persist.KindAdmit:
 			adm, err := decodeAdmit(rec.Body)
@@ -171,12 +162,11 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 					return nil, fmt.Errorf("record %d: admit id %d out of order (expected %d)",
 						i+1, id, len(lg.admitted))
 				}
-				if id >= lg.nextID {
+				if id >= nextID {
 					return nil, fmt.Errorf("record %d: admit id %d was never submitted", i+1, id)
 				}
-				lg.admitted[id] = adm.boundary
+				lg.admitted = append(lg.admitted, adm.boundary)
 			}
-			lg.admits = append(lg.admits, adm)
 		case persist.KindDrain:
 			lg.drained = true
 		case persist.KindStep:
@@ -184,11 +174,11 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", i+1, err)
 			}
-			if st.boundary < lg.maxStep {
+			if st.boundary < lastStep {
 				return nil, fmt.Errorf("record %d: step boundary %d below previous %d",
-					i+1, st.boundary, lg.maxStep)
+					i+1, st.boundary, lastStep)
 			}
-			lg.maxStep = st.boundary
+			lastStep = st.boundary
 			if st.share >= 0 {
 				if lg.shares == nil {
 					lg.shares = make(map[int]int)
@@ -202,8 +192,6 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 			}
 			lg.snap = &snap
 			lg.chain = append(lg.chain, snap.engine)
-			lg.snapAdmits = len(lg.admitted)
-			lg.snapRecords = i + 2 // header + records[0..i]
 		case persist.KindEpoch:
 			// A leadership change. The scheduling replay ignores it (an epoch
 			// record mutates no engine state), but the cross-check against the
@@ -223,201 +211,91 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 	return lg, nil
 }
 
-// submitFor resolves a job id to its submission record and the job's index
-// within that request.
-func (lg *journalLog) submitFor(id int) (submitRecord, int, error) {
-	return submitIn(lg.submits, id)
-}
-
-// replaySpec rebuilds the engine-facing JobSpec for one journaled job —
-// the same construction the live admission path performs, pinned to the
-// journaled admission boundary via Release.
-func replaySpec(sub submitRecord, idx, id, l int, release int64,
-	plan fault.Plan, scheduler core.Scheduler, bus *obs.Bus) sim.JobSpec {
-	profile := sub.req.BuildProfile(idx, l)
-	spec := sim.JobSpec{
-		Name:    sub.req.jobName(idx, id),
-		Inst:    job.NewRun(profile),
-		Policy:  plan.Policy(scheduler.NewPolicy(), id, bus),
-		Sched:   scheduler.TaskScheduler(),
-		Release: release,
-	}
-	if at := plan.RestartHook(id); at != nil {
-		p := profile
-		spec.Restart = &sim.RestartPlan{
-			At:  at,
-			New: func() job.Instance { return job.NewRun(p) },
-			Max: plan.MaxRestarts,
+// recoverRecords rebuilds the daemon's state from the journal's clean
+// records. Only the prefix up to the last snapshot record is parsed: it
+// seeds the queue, idempotency keys and drain flag, and its snapshot chain
+// restores the engine. Every later record then goes through applyLocked,
+// the applier a follower runs on each shipped record, minus the epoch fence
+// and the journal append (the record is already on disk).
+func (s *Server) recoverRecords(records []persist.Record) error {
+	cut := 1 // the header alone when the journal holds no snapshot
+	for i := len(records) - 1; i > 0; i-- {
+		if records[i].Kind == persist.KindSnapshot {
+			cut = i + 1
+			break
 		}
 	}
-	return spec
-}
-
-// recoverRecords rebuilds the daemon's state from a parsed journal.
-func (s *Server) recoverRecords(records []persist.Record) error {
-	lg, err := parseJournal(records)
+	lg, err := parseJournal(records[:cut])
 	if err != nil {
 		return err
 	}
-	if got, want := lg.header, s.headerRecord(); got != want {
-		return fmt.Errorf("journal written under a different configuration:\n  journal: %+v\n  daemon:  %+v",
-			got, want)
+	if err := s.applyHeaderLocked(records[0].Body); err != nil {
+		return err
 	}
-	// Cluster-shard journals pin each executed quantum's capacity share;
-	// those shares must be back in the table before any boundary replays,
-	// or the replay would run under the wrong machine size.
-	if len(lg.shares) > 0 {
-		t, ok := s.capacity.(*ShareTable)
-		if !ok {
-			return fmt.Errorf("journal carries cluster capacity shares; boot it behind the cluster layer (abgd -cluster)")
-		}
-		for b, share := range lg.shares {
-			t.Set(b+1, share)
-		}
+	for _, sub := range lg.submits {
+		s.enqueueLocked(sub.req, sub.req.profiles(s.cfg.L))
 	}
-	l64 := int64(s.cfg.L)
-
-	// 1. Restore the snapshot, if any: fold the chain of snapshot records
-	// into the full snapshot, rebuild a fresh spec for every job the
-	// snapshotted engine held (ids 0..snapAdmits-1) and load the cursors
-	// onto them.
 	if lg.snap != nil {
+		// The snapshotted engine holds exactly the jobs admitted before it,
+		// the head of the queue. Each spec is rebuilt from its queued
+		// profile; RestoreEngine takes the release and every cursor from the
+		// folded snapshot.
 		full, err := sim.FoldSnapshots(lg.chain)
 		if err != nil {
 			return err
 		}
-		specs := make([]sim.JobSpec, lg.snapAdmits)
-		for id := 0; id < lg.snapAdmits; id++ {
-			sub, idx, err := lg.submitFor(id)
-			if err != nil {
-				return err
-			}
-			specs[id] = replaySpec(sub, idx, id, s.cfg.L,
-				int64(lg.admitted[id])*l64, s.plan, s.sched, s.bus)
+		n := len(lg.admitted)
+		specs := make([]sim.JobSpec, n)
+		for i, p := range s.queue[:n] {
+			specs[i] = jobSpec(p, 0, s.plan, s.sched, s.bus)
 		}
-		eng, err := sim.RestoreEngine(sim.MultiConfig{
-			P: s.cfg.P, L: s.cfg.L,
-			Allocator: alloc.DynamicEquiPartition{},
-			MaxQuanta: s.cfg.MaxQuanta,
-			Obs:       s.bus,
-			Capacity:  s.capacity,
-			// The ring is observational and excluded from snapshots; the
-			// recovered engine records samples for the quanta it replays.
-			TimelineRing: s.cfg.TimelineRing,
-			StepWorkers:  s.cfg.StepWorkers,
-		}, full, specs)
-		if err != nil {
+		if s.eng, err = sim.RestoreEngine(s.engineConfig(), full, specs); err != nil {
 			return err
 		}
-		s.eng = eng
-		// The next delta continues the chain from the jobs unfinished at
-		// the last record. It must be read now, before the tail replays:
-		// a job that finishes during the replay is in no record as done.
-		s.snapFrom = eng.FirstUnfinished(0)
+		s.queue = s.queue[n:]
+		// The next delta continues the chain from the jobs unfinished at the
+		// snapshot. It must be read now, before the tail replays: a job that
+		// finishes during the replay is in no record as done.
+		s.snapFrom = s.eng.FirstUnfinished(0)
 		s.hub.SetSeq(0, lg.snap.sseSeq)
 		s.lastSnapQ = lg.snap.quanta
 		s.lastSnapSeq = lg.snap.sseSeq
 		s.recovery.SnapshotQuantum = lg.snap.quanta
 		s.recovery.SnapshotBoundary = lg.snap.boundary
-		s.recovery.ReplayedRecords = len(records) - lg.snapRecords
-	} else {
-		s.recovery.ReplayedRecords = len(records) - 1 // everything after the header
-	}
-
-	// 2. Prime the invariant checker with the restored jobs' mid-run state:
-	// it never saw the pre-snapshot events, so deprivation and attempt-work
-	// accounting must be seeded, not inferred.
-	if s.checker != nil {
-		for id, rs := range s.eng.ResumeStates() {
-			if rs.Started && !rs.Done {
-				s.checker.Resume(id, rs.Deprived, rs.AttemptWork)
+		// Prime the invariant checker with the restored jobs' mid-run state:
+		// it never saw the pre-snapshot events, so deprivation and
+		// attempt-work accounting must be seeded, not inferred.
+		if s.checker != nil {
+			for id, rs := range s.eng.ResumeStates() {
+				if rs.Started && !rs.Done {
+					s.checker.Resume(id, rs.Deprived, rs.AttemptWork)
+				}
 			}
 		}
 	}
-
-	// 3. Re-submit the jobs admitted after the snapshot. Release pins each
-	// job to its journaled admission boundary, so the replay below admits
-	// it exactly where the crashed run did.
-	maxBoundary := -1
-	for id := s.eng.NumJobs(); id < len(lg.admitted); id++ {
-		sub, idx, err := lg.submitFor(id)
-		if err != nil {
-			return err
-		}
-		b := lg.admitted[id]
-		got, err := s.eng.Submit(replaySpec(sub, idx, id, s.cfg.L,
-			int64(b)*l64, s.plan, s.sched, s.bus))
-		if err != nil {
-			return err
-		}
-		if got != id {
-			return fmt.Errorf("replay id skew: engine assigned %d, journal has %d", got, id)
-		}
-		if b > maxBoundary {
-			maxBoundary = b
-		}
-	}
-
-	// 4. Replay the engine across the journaled boundaries. The re-executed
-	// quanta re-emit the original events under the original SSE ids —
-	// determinism makes the replay indistinguishable from the run it
-	// reconstructs. Step records extend the replay past the last admission
-	// to the last quantum the writer provably executed; on journals that
-	// predate step records (maxStep == -1) any further quanta replay
-	// themselves after boot, the same way.
-	if lg.maxStep > maxBoundary {
-		maxBoundary = lg.maxStep
-	}
-	for s.eng.Boundary() <= maxBoundary {
-		if _, err := s.eng.Step(); err != nil {
-			return fmt.Errorf("replay boundary %d: %w", s.eng.Boundary(), err)
-		}
-		s.recovery.ReplayedBoundaries++
-	}
-	if t, ok := s.capacity.(*ShareTable); ok {
-		t.PruneBelow(s.eng.Boundary())
-	}
-	s.recovery.ResumedJobs = s.eng.NumJobs()
-
-	// 5. Re-queue acked submissions that were never admitted, and restore
-	// the idempotency-key table so retried submissions keep deduplicating.
-	for _, sub := range lg.submits {
-		ids := make([]int, sub.count)
-		for i := range ids {
-			ids[i] = sub.firstID + i
-		}
-		if sub.key != "" {
-			s.keys[sub.key] = ids
-		}
-		for i, id := range ids {
-			if _, admitted := lg.admitted[id]; !admitted {
-				s.queue = append(s.queue, pendingJob{
-					id:      id,
-					name:    sub.req.jobName(i, id),
-					profile: sub.req.BuildProfile(i, s.cfg.L),
-				})
-				s.recovery.RequeuedJobs++
-			}
-		}
-	}
-	s.nextID = lg.nextID
-
-	// 6. A journaled drain survives the crash: finish it.
 	if lg.drained {
 		s.draining.Store(true)
 	}
 
-	// 7. A follower keeps the parsed submit/admit bookkeeping: the live
-	// stream continues applying records incrementally from exactly here.
-	if s.isFollower() {
-		s.repl = replState{
-			headerSeen: true,
-			submits:    lg.submits,
-			admitted:   len(lg.admitted),
-			maxStep:    lg.maxStep,
+	start := s.eng.Boundary()
+	for i, rec := range records[cut:] {
+		if err := s.applyLocked(rec); err != nil {
+			return fmt.Errorf("record %d: %w", cut+i, err)
 		}
 	}
-	return nil
+	s.recovery.ReplayedRecords = len(records) - cut
+	s.recovery.ReplayedBoundaries = s.eng.Boundary() - start
+	s.recovery.ResumedJobs = s.eng.NumJobs()
+	s.recovery.RequeuedJobs = len(s.queue)
+
+	// The writer may have died between a step record and the snapshot due
+	// after it. A leader writes that snapshot now, at the quantum it was due,
+	// so every later snapshot lands where the uncrashed run put it; a
+	// follower's journal holds only the leader's records.
+	if !s.isFollower() {
+		s.maybeSnapshotLocked()
+	}
+	return s.fatal
 }
 
 // ReferenceResult replays a journal offline, from boundary zero and without
@@ -468,18 +346,17 @@ func ReferenceResult(dir string) ([]JobStatusDTO, error) {
 	if err != nil {
 		return nil, err
 	}
-	for id := 0; id < len(lg.admitted); id++ {
-		sub, idx, err := lg.submitFor(id)
-		if err != nil {
-			return nil, fmt.Errorf("server: reference: %w", err)
-		}
-		got, err := eng.Submit(replaySpec(sub, idx, id, h.l,
-			int64(lg.admitted[id])*int64(h.l), plan, scheduler, nil))
-		if err != nil {
-			return nil, err
-		}
-		if got != id {
-			return nil, fmt.Errorf("server: reference: id skew at job %d", id)
+	for _, sub := range lg.submits {
+		for i := 0; i < sub.count && sub.firstID+i < len(lg.admitted); i++ {
+			id := sub.firstID + i
+			p := pendingJob{id: id, name: sub.req.jobName(i, id), profile: sub.req.BuildProfile(i, h.l)}
+			got, err := eng.Submit(jobSpec(p, int64(lg.admitted[id])*int64(h.l), plan, scheduler, nil))
+			if err != nil {
+				return nil, err
+			}
+			if got != id {
+				return nil, fmt.Errorf("server: reference: id skew at job %d", id)
+			}
 		}
 	}
 	for !eng.Done() {

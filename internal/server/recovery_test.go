@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -14,13 +15,23 @@ import (
 )
 
 // startCrashable boots a journaled server whose lifecycle the test manages
-// explicitly: no automatic drain or Wait, so the test can crash it.
-func startCrashable(t *testing.T, cfg Config) (*Server, string) {
+// explicitly: no automatic drain or Wait, so the test can crash it. Any reqs
+// are acked before the quantum clock starts, which makes a virtual-clock
+// run a deterministic function of cfg and reqs.
+func startCrashable(t *testing.T, cfg Config, reqs ...JobRequest) (*Server, string) {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	for i, req := range reqs {
+		if err := req.Normalize(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if _, _, err := s.SubmitLocal(req, ""); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	if err := s.Start(ctx); err != nil {
@@ -38,6 +49,9 @@ func crash(t *testing.T, s *Server) {
 	t.Helper()
 	s.killed.Store(true)
 	s.notify()
+	if s.isFollower() {
+		s.tailer.Stop() // a follower's driver is its tail loop
+	}
 	select {
 	case <-s.stopped:
 	case <-time.After(10 * time.Second):
@@ -246,6 +260,151 @@ func TestRecoveryTornTail(t *testing.T) {
 	}
 	if !reflect.DeepEqual(live, ref) {
 		t.Fatalf("torn-tail recovery diverged:\n live %+v\n ref  %+v", live, ref)
+	}
+}
+
+// finishRun waits until a virtual-clock daemon has run out of work, drains
+// it and returns the final job statuses.
+func finishRun(t *testing.T, s *Server) []JobStatusDTO {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.NeedsSteps() {
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never ran out of work")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Drain()
+	if err := s.Wait(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	return liveStatuses(s)
+}
+
+// TestRecoveryAtEveryRecordBoundary crashes a run at every record boundary:
+// it cuts a finished run's journal after each record, recovers the cut on a
+// fresh daemon and runs it to the end. Every recovered run must finish on
+// ReferenceResult's statuses, and every cut that still holds the last
+// submit record must finish on the uncut journal byte for byte: a crash
+// anywhere after the last submission changes no record the run writes.
+func TestRecoveryAtEveryRecordBoundary(t *testing.T) {
+	reqs := []JobRequest{
+		{Kind: "batch", Seed: 11, Key: "a"},
+		{Kind: "fullPar", Width: 6, Quanta: 3, Key: "b"},
+		{Kind: "batch", Seed: 12, Count: 2, Key: "c"},
+	}
+	for _, tc := range []struct{ name, fault string }{
+		{"clean", ""},
+		{"faulted", "restart=0.3,restartat=1,maxrestarts=2,drop=0.2,cap=churn:0.5:4,seed=5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := replCfg(t.TempDir(), tc.fault)
+			cfg.SnapshotEvery = 3
+			s, _ := startCrashable(t, cfg, reqs...)
+			finishRun(t, s)
+			full, err := os.ReadFile(filepath.Join(cfg.JournalDir, persist.JournalFile))
+			if err != nil {
+				t.Fatalf("read journal: %v", err)
+			}
+			records := persist.ScanBytes(full).Records
+			lastSubmit := 0
+			for i, rec := range records {
+				if rec.Kind == persist.KindSubmit {
+					lastSubmit = i
+				}
+			}
+
+			end := 0 // byte offset after records[i]
+			for i, rec := range records {
+				end += 8 + 1 + 4 + len(rec.Body) // length+CRC, kind, epoch, body
+				ccfg := cfg
+				ccfg.JournalDir = t.TempDir()
+				if err := os.WriteFile(filepath.Join(ccfg.JournalDir, persist.JournalFile),
+					full[:end], 0o666); err != nil {
+					t.Fatalf("write cut: %v", err)
+				}
+				rs, _ := startCrashable(t, ccfg)
+				live := finishRun(t, rs)
+				got, err := os.ReadFile(filepath.Join(ccfg.JournalDir, persist.JournalFile))
+				if err != nil {
+					t.Fatalf("read recovered journal: %v", err)
+				}
+				what := fmt.Sprintf("cut after record %d of %d (%s)",
+					i, len(records), persist.KindName(rec.Kind))
+				if i >= lastSubmit && !bytes.Equal(got, full) {
+					t.Errorf("%s: recovered journal differs (%d bytes, uncut %d)", what, len(got), len(full))
+				}
+				ref, err := ReferenceResult(ccfg.JournalDir)
+				if err != nil {
+					t.Fatalf("%s: ReferenceResult: %v", what, err)
+				}
+				if !reflect.DeepEqual(live, ref) {
+					t.Errorf("%s: statuses diverged from the reference:\n live %+v\n ref  %+v", what, live, ref)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoveryAdmitAfterIdleGap: a wall-clock leader idles through
+// boundaries it never journals, admits a job, and crashes before the admit's
+// step record. Recovery steps through the idle boundaries before admitting,
+// so the resumed leader journals exactly the step record the uncrashed run
+// wrote next, at the admit's boundary.
+func TestRecoveryAdmitAfterIdleGap(t *testing.T) {
+	cfg := crashCfg(t.TempDir(), "")
+	s, base := startCrashable(t, cfg)
+	submitKeyed(t, base, 0)
+	idleFrom := waitCompleted(t, base, 1).Boundary
+	for s.snapshot().Boundary < idleFrom+5 {
+		time.Sleep(time.Millisecond)
+	}
+	submitKeyed(t, base, 1)
+	waitCompleted(t, base, 2)
+	s.Drain()
+	if err := s.Wait(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	full, err := os.ReadFile(filepath.Join(cfg.JournalDir, persist.JournalFile))
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
+	}
+	records := persist.ScanBytes(full).Records
+	cut, end, admits := 0, 0, 0
+	for i, rec := range records {
+		end += 8 + 1 + 4 + len(rec.Body) // length+CRC, kind, epoch, body
+		if rec.Kind == persist.KindAdmit {
+			if admits++; admits == 2 {
+				cut = i
+				break
+			}
+		}
+	}
+	adm, err := decodeAdmit(records[cut].Body)
+	if err != nil || adm.boundary < idleFrom+5 {
+		t.Fatalf("second admit %+v (%v), want one past the idle gap from %d", adm, err, idleFrom)
+	}
+
+	ccfg := cfg
+	ccfg.JournalDir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(ccfg.JournalDir, persist.JournalFile), full[:end], 0o666); err != nil {
+		t.Fatalf("write cut: %v", err)
+	}
+	rs, base2 := startCrashable(t, ccfg)
+	waitCompleted(t, base2, 2)
+	rs.Drain()
+	if err := rs.Wait(); err != nil {
+		t.Fatalf("drain after recovery: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(ccfg.JournalDir, persist.JournalFile))
+	if err != nil {
+		t.Fatalf("read recovered journal: %v", err)
+	}
+	next, want := persist.ScanBytes(got).Records[cut+1], records[cut+1]
+	if next.Kind != want.Kind || !bytes.Equal(next.Body, want.Body) {
+		t.Fatalf("recovered leader wrote a %s record %x after the admit, the uncrashed run a %s record %x",
+			persist.KindName(next.Kind), next.Body, persist.KindName(want.Kind), want.Body)
 	}
 }
 

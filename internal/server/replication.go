@@ -19,15 +19,15 @@ import (
 // the engine is bit-identically replay-deterministic, so replication is
 // journal shipping: a leader streams its journal file's bytes; a follower
 // appends each shipped record to its own journal (keeping its file a byte
-// prefix of the leader's) and applies it to its own engine through the same
-// code paths boot recovery uses. Follower state is therefore a pure
-// function of its applied byte offset — at equal offsets, leader and
-// follower hold identical engines, identical job results, and identical
-// SSE event ids, which is what lets followers serve reads (/state, job
-// status, /metrics, /api/v1/events) and re-serve the event stream to their
-// own subscribers while the leader takes only writes. Followers also serve
-// /api/v1/journal themselves, so followers can chain off followers (a
-// fan-out relay tier).
+// prefix of the leader's) and applies it to its own engine through
+// applyLocked, the applier boot recovery replays its journal tail with.
+// Follower state is therefore a pure function of its applied byte offset —
+// at equal offsets, leader and follower hold identical engines, identical
+// job results, and identical SSE event ids, which is what lets followers
+// serve reads (/state, job status, /metrics, /api/v1/events) and re-serve
+// the event stream to their own subscribers while the leader takes only
+// writes. Followers also serve /api/v1/journal themselves, so followers can
+// chain off followers (a fan-out relay tier).
 //
 // Failover is promotion: a follower stops tailing and starts the quantum
 // clock on the state it has applied — exactly the crash-recovery resume,
@@ -75,15 +75,10 @@ func (r Role) String() string {
 // isFollower reports whether the daemon currently serves in follower role.
 func (s *Server) isFollower() bool { return Role(s.role.Load()) == RoleFollower }
 
-// replState is the follower's incremental view of the shipped journal —
-// the same bookkeeping parseJournal derives at boot, maintained record by
-// record as the stream applies.
+// replState is the applier's view of the records applied so far.
 type replState struct {
 	headerSeen bool
-	submits    []submitRecord // resolve job ids → specs at admit time
-	admitted   int            // jobs handed to the engine so far
-	applied    int64          // records applied since boot (recovery + stream)
-	maxStep    int            // highest applied step boundary
+	applied    int64 // records applied since boot: the recovery tail, then the stream
 }
 
 // shippedApplier adapts the Server's follower role onto replica.Applier.
@@ -95,9 +90,10 @@ func (a shippedApplier) Apply(rec persist.Record) error { return a.s.applyShippe
 
 // applyShipped applies one shipped journal record: append it to the local
 // journal first (identical bytes — the follower's file stays a verbatim
-// prefix of the leader's), then mutate the engine through the same
-// constructions recovery uses. Any inconsistency is fatal: a follower that
-// cannot apply must wedge loudly, never serve state it knows is divergent.
+// prefix of the leader's), then apply it to the engine through applyLocked,
+// the applier boot recovery also replays the journal tail with. Any
+// inconsistency is fatal: a follower that cannot apply must wedge loudly,
+// never serve state it knows is divergent.
 func (s *Server) applyShipped(rec persist.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -127,6 +123,18 @@ func (s *Server) applyShipped(rec persist.Record) error {
 		s.failLocked(fmt.Errorf("replica journal append: %w", err))
 		return err
 	}
+	if err := s.applyLocked(rec); err != nil {
+		s.failLocked(fmt.Errorf("replica apply: %w", err))
+		return err
+	}
+	return nil
+}
+
+// applyLocked turns one journal record, read back from disk or the wire,
+// into daemon state. It is the only such reader: a follower runs it on
+// every shipped record and boot recovery on every record after the
+// restored snapshot. Caller holds s.mu.
+func (s *Server) applyLocked(rec persist.Record) error {
 	var err error
 	switch rec.Kind {
 	case persist.KindHeader:
@@ -146,17 +154,15 @@ func (s *Server) applyShipped(rec persist.Record) error {
 	default:
 		err = fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
-	if err != nil {
-		s.failLocked(fmt.Errorf("replica apply: %w", err))
-		return err
+	if err == nil {
+		s.repl.applied++
 	}
-	s.repl.applied++
-	return nil
+	return err
 }
 
-// applyEpochLocked applies a shipped leadership change: the journal epoch
-// was already raised by AppendRecord; mirror it into the served epoch so
-// this replica's API answers under the new term immediately.
+// applyEpochLocked applies a leadership change: the journal epoch already
+// covers the record (AppendRecord raised it, or Open scanned it); mirror it
+// into the served epoch so the API answers under the new term immediately.
 func (s *Server) applyEpochLocked(rec persist.Record) error {
 	ep, err := decodeEpoch(rec.Body)
 	if err != nil {
@@ -179,7 +185,7 @@ func (s *Server) applyHeaderLocked(body []byte) error {
 		return err
 	}
 	if want := s.headerRecord(); h != want {
-		return fmt.Errorf("leader journal written under a different configuration:\n  leader:   %+v\n  follower: %+v",
+		return fmt.Errorf("journal written under a different configuration:\n  journal: %+v\n  daemon:  %+v",
 			h, want)
 	}
 	s.repl.headerSeen = true
@@ -192,23 +198,9 @@ func (s *Server) applySubmitLocked(body []byte) error {
 		return err
 	}
 	if sub.firstID != s.nextID {
-		return fmt.Errorf("submit ids start at %d, follower expects %d", sub.firstID, s.nextID)
+		return fmt.Errorf("submit ids start at %d, expected %d", sub.firstID, s.nextID)
 	}
-	ids := make([]int, sub.count)
-	for i := range ids {
-		id := sub.firstID + i
-		ids[i] = id
-		s.queue = append(s.queue, pendingJob{
-			id:      id,
-			name:    sub.req.jobName(i, id),
-			profile: sub.req.BuildProfile(i, s.cfg.L),
-		})
-	}
-	if sub.key != "" {
-		s.keys[sub.key] = ids
-	}
-	s.nextID = sub.firstID + sub.count
-	s.repl.submits = append(s.repl.submits, sub)
+	s.enqueueLocked(sub.req, sub.req.profiles(s.cfg.L))
 	return nil
 }
 
@@ -217,32 +209,20 @@ func (s *Server) applyAdmitLocked(body []byte) error {
 	if err != nil {
 		return err
 	}
-	// The leader admits its entire queue at a boundary, so the record's ids
-	// must be exactly the follower's queued jobs, in order.
+	// The writer admits its entire queue at a boundary, so the record's ids
+	// must be exactly the queued jobs, in order.
 	if len(adm.ids) != len(s.queue) {
-		return fmt.Errorf("admit covers %d jobs, follower queue holds %d", len(adm.ids), len(s.queue))
+		return fmt.Errorf("admit covers %d jobs, queue holds %d", len(adm.ids), len(s.queue))
 	}
-	l64 := int64(s.cfg.L)
-	for _, id := range adm.ids {
-		if id != s.repl.admitted {
-			return fmt.Errorf("admit id %d out of order (follower expects %d)", id, s.repl.admitted)
+	for i, id := range adm.ids {
+		if id != s.queue[i].id {
+			return fmt.Errorf("admit id %d out of order (queue holds %d)", id, s.queue[i].id)
 		}
-		sub, idx, err := submitIn(s.repl.submits, id)
-		if err != nil {
-			return err
-		}
-		got, err := s.eng.Submit(replaySpec(sub, idx, id, s.cfg.L,
-			int64(adm.boundary)*l64, s.plan, s.sched, s.bus))
-		if err != nil {
-			return err
-		}
-		if got != id {
-			return fmt.Errorf("id skew: engine assigned %d, record has %d", got, id)
-		}
-		s.repl.admitted++
 	}
-	s.queue = s.queue[:0]
-	return nil
+	if err := s.catchUpLocked(adm.boundary); err != nil {
+		return err
+	}
+	return s.admitQueueLocked()
 }
 
 func (s *Server) applyStepLocked(body []byte) error {
@@ -250,28 +230,41 @@ func (s *Server) applyStepLocked(body []byte) error {
 	if err != nil {
 		return err
 	}
-	if st.boundary < s.repl.maxStep {
-		return fmt.Errorf("step boundary %d below previous %d", st.boundary, s.repl.maxStep)
-	}
-	s.repl.maxStep = st.boundary
 	if st.share >= 0 {
-		// A cluster shard's record: the follower must execute this quantum
-		// under the leader's pinned share or it diverges.
+		// A cluster shard's record: the quantum must execute under the
+		// writer's pinned share or the replay diverges.
 		t, ok := s.capacity.(*ShareTable)
 		if !ok {
-			return fmt.Errorf("leader journal carries cluster capacity shares; boot the follower behind the cluster layer")
+			return fmt.Errorf("journal carries cluster capacity shares; boot it behind the cluster layer (abgd -cluster)")
 		}
 		t.Set(st.boundary+1, st.share)
 	}
-	// Catch up to and execute the recorded boundary. Idle boundaries the
-	// leader skipped journaling replay here as idle steps (or a single
-	// fast-forward when only future releases are pending) — both paths land
-	// exactly on the recorded boundary, then execute the same quantum the
-	// leader executed, re-emitting its events under its SSE ids.
-	for s.eng.Boundary() <= st.boundary {
+	if err := s.catchUpLocked(st.boundary); err != nil {
+		return err
+	}
+	// Execute the recorded quantum, re-emitting the writer's events under
+	// its SSE ids.
+	if _, err := s.eng.Step(); err != nil {
+		return fmt.Errorf("step boundary %d: %w", st.boundary, err)
+	}
+	return nil
+}
+
+// catchUpLocked steps the engine forward to boundary b, the boundary of the
+// record being applied. The boundaries it crosses are ones the writer
+// executed without a step record: idle boundaries, which the writer never
+// journals, and working ones in journals written before step records
+// existed or resumed after a recovery that executed an admitted quantum
+// without journaling its step. A record behind the engine means the
+// replica has diverged.
+func (s *Server) catchUpLocked(b int) error {
+	for s.eng.Boundary() < b {
 		if _, err := s.eng.Step(); err != nil {
-			return fmt.Errorf("step boundary %d: %w", s.eng.Boundary(), err)
+			return fmt.Errorf("boundary %d: %w", s.eng.Boundary(), err)
 		}
+	}
+	if got := s.eng.Boundary(); got != b {
+		return fmt.Errorf("diverged: record at boundary %d, engine at %d", b, got)
 	}
 	return nil
 }
@@ -293,24 +286,10 @@ func (s *Server) applySnapshotLocked(body []byte) error {
 	if seq := s.hub.Seq(); snap.sseSeq != seq {
 		return fmt.Errorf("diverged from leader: snapshot SSE seq %d, follower at %d", snap.sseSeq, seq)
 	}
-	s.lastSnapQ = snap.quanta
-	s.lastSnapSeq = snap.sseSeq
-	// Track the leader's delta watermark, so a promoted follower continues
-	// the same chain.
-	s.snapFrom = s.eng.FirstUnfinished(s.snapFrom)
-	s.snapshotCount++
-	s.metrics.snapshots.Inc()
+	// Tracking the leader's delta watermark lets a promoted follower
+	// continue the same chain.
+	s.snapshotJournaledLocked(snap)
 	return nil
-}
-
-// submitIn resolves a job id to its submission record and index within it.
-func submitIn(submits []submitRecord, id int) (submitRecord, int, error) {
-	for _, sub := range submits {
-		if id >= sub.firstID && id < sub.firstID+sub.count {
-			return sub, id - sub.firstID, nil
-		}
-	}
-	return submitRecord{}, 0, fmt.Errorf("job %d has no submit record", id)
 }
 
 // follow is the follower's driver goroutine: tail the leader until the
@@ -531,7 +510,8 @@ type ReplicationDTO struct {
 	// with the largest value holds the longest prefix of the dead leader's
 	// journal and is the one to promote.
 	JournalBytes int64 `json:"journalBytes"`
-	// AppliedRecords counts records applied since boot (recovery + stream);
+	// AppliedRecords counts records applied since boot: the journal tail
+	// boot recovery replayed after its snapshot, then every shipped record;
 	// follower only.
 	AppliedRecords int64 `json:"appliedRecords,omitempty"`
 	// LagBytes is the follower's best-effort byte lag behind its leader

@@ -462,6 +462,98 @@ func TestLeaderDrainPropagates(t *testing.T) {
 	}
 }
 
+// TestFollowerRebootResumesTail: a follower killed mid-stream reboots on its
+// own journal. Boot recovery rebuilds its state through the shipped-record
+// applier, and the tail stream resumes at the journal's end; once the
+// leader drains, the rebooted follower holds a byte copy of the leader's
+// journal, the same job statuses and the same SSE head. In the virtual
+// case the follower dies with snapshots and a tail behind the last one in
+// its journal. In the wall case a one-hour tick keeps every acked job
+// queued until the drain, so the follower dies holding submitted jobs the
+// leader has not admitted.
+func TestFollowerRebootResumesTail(t *testing.T) {
+	wall := func(dir string) Config {
+		cfg := replCfg(dir, "")
+		cfg.Clock, cfg.Tick = ClockWall, time.Hour
+		return cfg
+	}
+	virtual := func(dir string) Config {
+		return replCfg(dir, "restart=0.3,restartat=1,maxrestarts=2,seed=5")
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      func(dir string) Config
+		prefix   []JobRequest // acked before the leader's clock starts
+		restored func(RecoveryDTO) bool
+	}{
+		{"virtual-snapshot", virtual,
+			[]JobRequest{{Kind: "batch", Seed: 21}, {Kind: "fullPar", Width: 6}, {Kind: "batch", Seed: 22}},
+			func(r RecoveryDTO) bool { return r.SnapshotQuantum > 0 && r.ReplayedRecords > 0 }},
+		{"wall-queued", wall, nil,
+			func(r RecoveryDTO) bool { return r.SnapshotQuantum == 0 && r.RequeuedJobs == 3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := tc.cfg(t.TempDir())
+			s1, leaderBase := startCrashable(t, cfg, tc.prefix...)
+			f1, fBase, fDir := startFollower(t, tc.cfg(""), leaderBase)
+			for i := len(tc.prefix); i < 3; i++ {
+				submitKeyed(t, leaderBase, i)
+			}
+			if cfg.Clock == ClockVirtual {
+				waitCompleted(t, leaderBase, 3)
+			}
+			waitReplBytes(t, fBase, s1.journal.Size())
+			crash(t, f1)
+
+			// The leader moves on while the follower is down.
+			for i := 3; i < 5; i++ {
+				submitKeyed(t, leaderBase, i)
+			}
+			fcfg := tc.cfg(fDir)
+			fcfg.FollowURL = leaderBase
+			f2, fBase2 := startCrashable(t, fcfg)
+			var rec RecoveryDTO
+			getJSON(t, fBase2+"/api/v1/recovery", &rec)
+			if !rec.Recovered || !tc.restored(rec) {
+				t.Fatalf("follower reboot recovered %+v", rec)
+			}
+			// Caught up means attached: the drain's records then ship over
+			// the live stream before the leader's listener closes.
+			waitReplBytes(t, fBase2, s1.journal.Size())
+
+			s1.Drain()
+			if err := s1.Wait(); err != nil {
+				t.Fatalf("leader Wait: %v", err)
+			}
+			waitDone := make(chan error, 1)
+			go func() { waitDone <- f2.Wait() }()
+			select {
+			case err := <-waitDone:
+				if err != nil {
+					t.Fatalf("follower Wait: %v", err)
+				}
+			case <-time.After(15 * time.Second):
+				t.Fatal("rebooted follower did not drain out with the leader")
+			}
+
+			lRaw, _ := os.ReadFile(filepath.Join(cfg.JournalDir, persist.JournalFile))
+			fRaw, _ := os.ReadFile(filepath.Join(fDir, persist.JournalFile))
+			if len(lRaw) == 0 || !bytes.Equal(lRaw, fRaw) {
+				t.Fatalf("rebooted follower journal is not a byte copy: leader %d bytes, follower %d",
+					len(lRaw), len(fRaw))
+			}
+			live, lead := liveStatuses(f2), liveStatuses(s1)
+			if len(live) != 5 || !reflect.DeepEqual(live, lead) {
+				t.Fatalf("rebooted follower diverged:\n follower %+v\n leader   %+v", live, lead)
+			}
+			if f, l := f2.SSESeq(), s1.SSESeq(); f != l {
+				t.Fatalf("SSE head: follower %d, leader %d", f, l)
+			}
+		})
+	}
+}
+
 // TestFollowerRejectsMismatchedConfig: a follower booted with a different
 // engine configuration must wedge on the shipped header, not serve state it
 // would compute differently.

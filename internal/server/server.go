@@ -379,19 +379,6 @@ func New(cfg Config) (*Server, error) {
 	if capacity == nil {
 		capacity = plan.Capacity
 	}
-	eng, err := sim.NewEngine(sim.MultiConfig{
-		P: cfg.P, L: cfg.L,
-		Allocator: alloc.DynamicEquiPartition{},
-		MaxQuanta: cfg.MaxQuanta,
-		Obs:       cfg.Bus,
-		Capacity:  capacity,
-		// Observational: the ring never perturbs scheduling or snapshots.
-		TimelineRing: cfg.TimelineRing,
-		StepWorkers:  cfg.StepWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:      cfg,
 		sched:    scheduler,
@@ -402,12 +389,14 @@ func New(cfg Config) (*Server, error) {
 		hist:     newHistory(256),
 		traces:   newTraceStore(),
 		log:      obs.Component("server"),
-		eng:      eng,
 		keys:     make(map[string][]int),
 		wake:     make(chan struct{}, 1),
 		drained:  make(chan struct{}),
 		stopped:  make(chan struct{}),
 		started:  time.Now(),
+	}
+	if s.eng, err = sim.NewEngine(s.engineConfig()); err != nil {
+		return nil, err
 	}
 	s.metrics = newServerMetrics(cfg.Metrics)
 	s.bus.Subscribe(s.hub)
@@ -465,6 +454,21 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics.recordRecovery(s.recovery)
 	return s, nil
+}
+
+// engineConfig is the configuration of the daemon's engine, whether built
+// fresh or restored from a snapshot.
+func (s *Server) engineConfig() sim.MultiConfig {
+	return sim.MultiConfig{
+		P: s.cfg.P, L: s.cfg.L,
+		Allocator: alloc.DynamicEquiPartition{},
+		MaxQuanta: s.cfg.MaxQuanta,
+		Obs:       s.bus,
+		Capacity:  s.capacity,
+		// Observational: the ring never perturbs scheduling or snapshots.
+		TimelineRing: s.cfg.TimelineRing,
+		StepWorkers:  s.cfg.StepWorkers,
+	}
 }
 
 // Start binds the listener and launches the quantum-clock driver and the
@@ -659,10 +663,7 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 	}
 	// Build the profiles outside the engine lock: generation cost must not
 	// stall the quantum clock.
-	profiles := make([]*job.Profile, req.Count)
-	for i := range profiles {
-		profiles[i] = req.BuildProfile(i, s.cfg.L)
-	}
+	profiles := req.profiles(s.cfg.L)
 
 	s.mu.Lock()
 	// Checked under s.mu, where Drain journals its record and flips the
@@ -697,13 +698,12 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 		return SubmitResponse{}, http.StatusTooManyRequests,
 			fmt.Errorf("admission queue full (%d/%d)", depth, s.cfg.QueueLimit)
 	}
-	firstID := s.nextID
 	// The journal record precedes the ack: once the client hears 202, the
 	// submission is recoverable. The reverse order would let a crash forget
 	// an acked job.
 	var off int64
 	if s.journal != nil {
-		body, err := encodeSubmit(submitRecord{firstID: firstID, count: req.Count, key: req.Key, req: req})
+		body, err := encodeSubmit(submitRecord{firstID: s.nextID, count: req.Count, key: req.Key, req: req})
 		if err == nil {
 			err = s.appendJournal(persist.KindSubmit, body)
 		}
@@ -714,18 +714,7 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 		}
 		off = s.journal.Size()
 	}
-	ids := make([]int, req.Count)
-	for i := range profiles {
-		id := s.nextID
-		s.nextID++
-		ids[i] = id
-		s.queue = append(s.queue, pendingJob{
-			id: id, name: req.jobName(i, id), profile: profiles[i],
-		})
-	}
-	if req.Key != "" {
-		s.keys[req.Key] = ids
-	}
+	ids := s.enqueueLocked(req, profiles)
 	depth := len(s.queue)
 	now := s.eng.Now()
 	s.mu.Unlock()
@@ -736,6 +725,24 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 	return SubmitResponse{
 		IDs: ids, State: "queued", Queued: depth, TraceID: traceID, Offset: off,
 	}, http.StatusAccepted, nil
+}
+
+// enqueueLocked puts one journaled submission's jobs on the admission queue
+// under the next dense ids and records its idempotency key. SubmitLocal and
+// an applied submit record (a follower's, or recovery's) both enqueue here.
+// Caller holds s.mu.
+func (s *Server) enqueueLocked(req JobRequest, profiles []*job.Profile) []int {
+	ids := make([]int, len(profiles))
+	for i, profile := range profiles {
+		id := s.nextID
+		s.nextID++
+		ids[i] = id
+		s.queue = append(s.queue, pendingJob{id: id, name: req.jobName(i, id), profile: profile})
+	}
+	if req.Key != "" {
+		s.keys[req.Key] = ids
+	}
+	return ids
 }
 
 // JobStatusDTO is the JSON wire form of one job's live status.

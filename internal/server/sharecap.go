@@ -17,7 +17,7 @@ import (
 // shard's share for quantum q depends on the *other* shards' desires, which
 // its own journal cannot reconstruct. The driver therefore journals each
 // assigned share inside the shard's step record (see stepRecord), and
-// recovery re-installs the journaled shares into the table before replaying —
+// applying a step record installs its share before the quantum re-executes —
 // making every shard's replay a pure function of its own journal bytes again.
 //
 // Quanta with no entry fall back to the full machine clamped by the base

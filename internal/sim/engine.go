@@ -413,7 +413,7 @@ func (e *Engine) Step() (StepInfo, error) {
 		if st.Deprived {
 			e.res.Jobs[i].DeprivedQ++
 		}
-		if cfg.keepTrace() {
+		if cfg.KeepTrace {
 			e.res.Jobs[i].Quanta = append(e.res.Jobs[i].Quanta, st)
 		}
 		if cfg.TimelineRing > 0 {

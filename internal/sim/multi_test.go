@@ -254,7 +254,7 @@ func TestRunMultiKeepTraces(t *testing.T) {
 		abgSpec("b", 0, workload.ConstantJob(4, 2, 20)),
 	}
 	res, err := RunMulti(specs, MultiConfig{
-		P: 16, L: 20, Allocator: alloc.DynamicEquiPartition{}, KeepTraces: true,
+		P: 16, L: 20, Allocator: alloc.DynamicEquiPartition{}, KeepTrace: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -191,7 +191,9 @@ func TestRunSingleAdaptiveLEmits(t *testing.T) {
 	}
 }
 
-func TestDeprecatedRetentionShims(t *testing.T) {
+// TestTraceRetentionOptIn: per-quantum traces are opt-in on both run
+// paths — the zero value keeps none, KeepTrace keeps them.
+func TestTraceRetentionOptIn(t *testing.T) {
 	p := workload.ConstantJob(4, 4, 20)
 	run := func(cfg SingleConfig) SingleResult {
 		t.Helper()
@@ -208,10 +210,6 @@ func TestDeprecatedRetentionShims(t *testing.T) {
 	if res := run(SingleConfig{L: 20, KeepTrace: true}); len(res.Quanta) == 0 {
 		t.Fatal("KeepTrace dropped the trace")
 	}
-	// The deprecated opt-out still forces the trace off.
-	if res := run(SingleConfig{L: 20, KeepTrace: true, DropTrace: true}); len(res.Quanta) != 0 {
-		t.Fatal("DropTrace shim ignored")
-	}
 
 	mrun := func(cfg MultiConfig) MultiResult {
 		t.Helper()
@@ -227,9 +225,5 @@ func TestDeprecatedRetentionShims(t *testing.T) {
 	}
 	if res := mrun(MultiConfig{KeepTrace: true}); len(res.Jobs[0].Quanta) == 0 {
 		t.Fatal("MultiConfig.KeepTrace dropped traces")
-	}
-	// The deprecated plural spelling still opts in.
-	if res := mrun(MultiConfig{KeepTraces: true}); len(res.Jobs[0].Quanta) == 0 {
-		t.Fatal("KeepTraces shim ignored")
 	}
 }

@@ -37,13 +37,6 @@ type SingleConfig struct {
 	// and opt-in, the same name and polarity as MultiConfig and
 	// AdaptiveLConfig.
 	KeepTrace bool
-	// DropTrace is the deprecated inverse of KeepTrace, from when
-	// single-job runs recorded the trace by default. Setting it still
-	// forces the trace off, overriding KeepTrace.
-	//
-	// Deprecated: set KeepTrace instead (note the flipped default: a
-	// zero-value config no longer records a trace).
-	DropTrace bool
 	// Obs receives the live instrumentation events of the run (see
 	// abg/internal/obs). Nil — the zero value — disables emission; with a
 	// bus attached but no subscribers the cost is one atomic load per
@@ -59,9 +52,6 @@ type SingleConfig struct {
 	// zero value — leaves the run failure-free.
 	Restart *RestartPlan
 }
-
-// keepTrace resolves the retention flags, honouring the deprecated one.
-func (c SingleConfig) keepTrace() bool { return c.KeepTrace && !c.DropTrace }
 
 // SingleResult is the outcome of simulating one job alone.
 type SingleResult struct {
@@ -235,7 +225,7 @@ func RunSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 		if st.Completed {
 			res.BoundaryWaste = int64(a) * int64(cfg.L-st.Steps)
 		}
-		if cfg.keepTrace() {
+		if cfg.KeepTrace {
 			res.Quanta = append(res.Quanta, st)
 		}
 		if bus.Active() {

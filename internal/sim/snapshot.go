@@ -67,7 +67,7 @@ func (e *Engine) MarshalDelta(from int) ([]byte, error) {
 // marshal writes the header and the entries of jobs [from, n); version 2
 // also records from.
 func (e *Engine) marshal(version byte, from int) ([]byte, error) {
-	if e.cfg.keepTrace() {
+	if e.cfg.KeepTrace {
 		return nil, fmt.Errorf("sim: snapshot does not support KeepTrace engines")
 	}
 	enc := persist.Enc{}
