@@ -34,21 +34,25 @@
 // that are byte-identical to the leader's at the same applied offset.
 // Writes are redirected to the leader with a 307. Followers chain — a
 // follower re-serves /api/v1/journal and the event stream, so relay tiers
-// fan out reads without touching the leader. Promote a follower with
-// POST /api/v1/promote (or automatically after -promote-after of leader
-// silence); it resumes the run on exactly the journal prefix it applied.
+// fan out reads without touching the leader. Without -group a follower is
+// promoted by hand with POST /api/v1/promote; it resumes the run on exactly
+// the journal prefix it applied. Re-point another follower at the promoted
+// one by restarting it with -follow NEW on its own -journal directory: boot
+// recovery replays that journal and the stream resumes at its end.
 //
 //	abgd -addr :7134 -journal /var/lib/abgd-b -follow http://leader:7133
 //
 // With -group the failover is self-healing instead of operator-driven: every
 // member runs an election supervisor that probes the others, and when the
-// leader dies a quorum of survivors promotes the most-caught-up follower
-// under a new fencing epoch — no manual /api/v1/promote, no split brain (a
-// revived old leader is fenced and exits). Each member needs -advertise (the
-// URL its peers reach it at) and -journal; start the first member plain and
-// the rest with -follow pointing anywhere in the group (the supervisor
-// retargets them at the real leader). Group-aware clients (abgload -group)
-// follow the leadership wherever it moves.
+// leader dies or hangs a quorum of survivors promotes the most-caught-up
+// follower under a new fencing epoch — no manual /api/v1/promote, no split
+// brain (a revived old leader is fenced and exits). A group has at least
+// three members, since two cannot out-vote each other; run a pair without
+// -group. Each member needs -advertise (the URL its peers reach it at) and
+// -journal; start the first member plain and the rest with -follow pointing
+// anywhere in the group (the supervisor retargets them at the real leader).
+// Group-aware clients (abgload -group) follow the leadership wherever it
+// moves.
 //
 //	abgd -addr :7134 -journal /var/lib/abgd-b -advertise http://b:7134 \
 //	     -group http://a:7133,http://b:7134,http://c:7135 -follow http://a:7133
@@ -105,8 +109,7 @@ func main() {
 		ageMax    = flag.Int("healthz-snapshot-age-max", 0, "snapshot-age ceiling in quanta before /healthz degrades (0 = 8× -snapshot-every)")
 		stepWork  = flag.Int("step-workers", 0, "goroutines stepping independent jobs per quantum (0/1 serial, -1 = one per CPU); results and journals are identical at every setting")
 		follow    = flag.String("follow", "", "run as a hot standby tailing this leader URL (requires -journal); serves reads, redirects writes")
-		promAfter = flag.Duration("promote-after", 0, "self-promote after the leader has been unreachable this long (0 = manual /api/v1/promote only; incompatible with -group)")
-		group     = flag.String("group", "", "comma-separated member URLs of a self-healing replication group (requires -journal and -advertise); quorum elections with epoch fencing replace manual promotion")
+		group     = flag.String("group", "", "comma-separated URLs of the 3 or more members of a self-healing replication group (requires -journal and -advertise); quorum elections with epoch fencing replace manual promotion, which a groupless pair keeps")
 		advertise = flag.String("advertise", "", "base URL peers and clients reach this daemon at (required with -group)")
 		probeEv   = flag.Duration("probe-every", 0, "failover supervisor probe interval (0 = 500ms default)")
 		failAfter = flag.Duration("fail-after", 0, "leader-silence window before the group elects a replacement (0 = 2s default)")
@@ -178,8 +181,7 @@ func main() {
 		Bus: bus, Metrics: obs.Default, TimelineRing: *ring,
 		JournalLagMax: *lagMax, SnapshotAgeMax: *ageMax,
 		StepWorkers: *stepWork,
-		FollowURL:   *follow, PromoteAfter: *promAfter,
-		Group: splitGroup(*group), Advertise: *advertise,
+		FollowURL:   *follow, Group: splitGroup(*group), Advertise: *advertise,
 		ProbeEvery: *probeEv, FailAfter: *failAfter,
 	})
 	if err != nil {

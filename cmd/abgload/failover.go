@@ -42,19 +42,9 @@ const (
 	soakFailAfter  = "600ms"
 )
 
-// replDTO is the slice of /api/v1/replication the soak steers by.
-type replDTO struct {
-	Role         string `json:"role"`
-	JournalBytes int64  `json:"journalBytes"`
-	Promotions   int64  `json:"promotions"`
-	Epoch        uint32 `json:"epoch"`
-	Fenced       bool   `json:"fenced"`
-	Confirmed    bool   `json:"confirmed"`
-}
-
 // replProbe fetches base's /api/v1/replication.
-func replProbe(ctx context.Context, base string) (replDTO, error) {
-	var dto replDTO
+func replProbe(ctx context.Context, base string) (server.ReplicationDTO, error) {
+	var dto server.ReplicationDTO
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/replication", nil)
 	if err != nil {
 		return dto, err
@@ -99,7 +89,7 @@ func waitCaughtUp(ctx context.Context, base string, want int64) error {
 
 // waitElected polls the survivors (dead excluded) until one is a confirmed,
 // unfenced leader under at least minEpoch, and returns its index and status.
-func waitElected(ctx context.Context, urls []string, dead int, minEpoch uint32) (int, replDTO, error) {
+func waitElected(ctx context.Context, urls []string, dead int, minEpoch uint32) (int, server.ReplicationDTO, error) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		for i, u := range urls {
@@ -115,11 +105,11 @@ func waitElected(ctx context.Context, urls []string, dead int, minEpoch uint32) 
 			}
 		}
 		if time.Now().After(deadline) {
-			return 0, replDTO{}, fmt.Errorf("no member promoted itself to epoch >= %d within 30s", minEpoch)
+			return 0, server.ReplicationDTO{}, fmt.Errorf("no member promoted itself to epoch >= %d within 30s", minEpoch)
 		}
 		select {
 		case <-ctx.Done():
-			return 0, replDTO{}, ctx.Err()
+			return 0, server.ReplicationDTO{}, ctx.Err()
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -286,8 +276,8 @@ func runFailoverSoak(ctx context.Context, w io.Writer, cfg crashConfig) (rep *re
 			}
 		}
 
-		// The group heals itself: no /promote, no /retarget — just wait for a
-		// survivor to win an election under a higher epoch.
+		// The group heals itself: no /promote — just wait for a survivor to
+		// win an election under a higher epoch.
 		newLeader, dto, err := waitElected(ctx, urls, leader, epoch+1)
 		if err != nil {
 			return nil, fmt.Errorf("failover %d: %w", k, err)

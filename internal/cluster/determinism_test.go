@@ -112,6 +112,12 @@ func TestShardedDeterminismAcrossWorkerCounts(t *testing.T) {
 	if len(a.jobs) != 14 {
 		t.Errorf("got %d jobs, want 14", len(a.jobs))
 	}
+	for i := 1; i < len(a.jobs); i++ {
+		if a.jobs[i].ID <= a.jobs[i-1].ID {
+			t.Errorf("job listing not in ascending global id order at %d: %d after %d",
+				i, a.jobs[i].ID, a.jobs[i-1].ID)
+		}
+	}
 	done := 0
 	for _, j := range a.jobs {
 		if j.State == "done" {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"time"
 
@@ -151,11 +152,7 @@ func (c *Cluster) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	}
 	// Global ids interleave round-robin across shards, so sorting by id
 	// reads as submission-ish order rather than shard-grouped.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	if out == nil {
 		out = []JobDTO{}
 	}

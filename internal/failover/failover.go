@@ -29,7 +29,11 @@
 //   - Retargeting. A follower whose tail is down retargets at the group's
 //     current leader — the reachable, unfenced leader with the highest
 //     epoch — as soon as one exists, resuming shipping from its applied
-//     offset with no operator action.
+//     offset with no operator action. A hung leader (stopped process,
+//     wedged host) holds its stream open and ships nothing, so a follower
+//     whose connected tail target has failed every probe for FailAfter
+//     re-dials it: the open stream drops, and the election rule above
+//     judges the leader like any other.
 //
 // The package speaks to its own daemon through the Node interface and to
 // peers over the daemons' public HTTP API, so it has no dependency on the
@@ -198,6 +202,7 @@ type Supervisor struct {
 
 	mu        sync.Mutex // serializes rounds and manual promotes
 	rng       *rand.Rand
+	muteSince time.Time // when a connected tail's target first failed a probe
 	deadSince time.Time // when the tailed leader first looked dead
 	holdUntil time.Time // no claims before this (post-defeat holdoff)
 	maxSeen   uint32    // highest epoch (or promise) observed anywhere
@@ -335,37 +340,49 @@ func (s *Supervisor) leaderRound(st NodeStatus, views []peerView) {
 	}
 }
 
-// followerRound heals a follower: retarget at the group's current leader
-// when the tail is down, or elect a new one when there is no leader left.
+// followerRound heals a follower: re-dial a connected tail whose target has
+// gone mute, retarget at the group's current leader when the tail is down,
+// or elect a new one when there is no leader left.
 func (s *Supervisor) followerRound(ctx context.Context, st NodeStatus, views []peerView) {
 	tail := NormalizeURL(st.Leader)
-	if st.Connected {
-		s.deadSince = time.Time{}
-	}
-	// Retarget: a reachable, unfenced leader at (or beyond) our epoch whose
-	// address differs from the tail target, while the tail is down.
-	if !st.Connected {
-		if lead, ok := groupLeader(views, st.Epoch); ok && NormalizeURL(lead.Addr) != tail {
-			s.log().Info("retargeting at the group leader",
-				"leader", lead.Addr, "epoch", lead.Epoch)
-			s.Node.Retarget(lead.Addr)
-			s.deadSince = time.Time{}
-			return
-		}
-	}
-	// Leader death: the tail target itself must be gone (unreachable,
-	// fenced, or no longer a leader), not merely the stream dropped.
-	dead := !st.Connected
-	for _, v := range views {
-		if NormalizeURL(v.URL) != tail {
-			continue
-		}
-		if v.Err == nil && !v.Fenced && v.Role == "leader" {
-			dead = false
+	var tailView *peerView // the tail target's probe
+	for i := range views {
+		if NormalizeURL(views[i].URL) == tail {
+			tailView = &views[i]
 		}
 	}
 	now := time.Now()
-	if !dead {
+	if st.Connected {
+		// A connected tail counts as a live leader until its target has
+		// failed every probe for FailAfter; then re-dial it, which drops the
+		// open stream so the death rule below can judge the leader.
+		s.deadSince = time.Time{}
+		switch {
+		case tailView == nil || tailView.Err == nil:
+			s.muteSince = time.Time{}
+		case s.muteSince.IsZero():
+			s.muteSince = now
+		case now.Sub(s.muteSince) >= s.failAfter():
+			s.log().Warn("tailed leader fails probes on an open stream; re-dialing it",
+				"leader", tail, "muteFor", now.Sub(s.muteSince).Round(time.Millisecond))
+			s.muteSince = time.Time{}
+			s.Node.Retarget(st.Leader)
+		}
+		return
+	}
+	s.muteSince = time.Time{}
+	// Retarget: a reachable, unfenced leader at (or beyond) our epoch whose
+	// address differs from the tail target, while the tail is down.
+	if lead, ok := groupLeader(views, st.Epoch); ok && NormalizeURL(lead.Addr) != tail {
+		s.log().Info("retargeting at the group leader",
+			"leader", lead.Addr, "epoch", lead.Epoch)
+		s.Node.Retarget(lead.Addr)
+		s.deadSince = time.Time{}
+		return
+	}
+	// Leader death: the tail target itself must be gone (unreachable,
+	// fenced, or no longer a leader), not merely the stream dropped.
+	if tailView != nil && tailView.Err == nil && !tailView.Fenced && tailView.Role == "leader" {
 		s.deadSince = time.Time{}
 		return
 	}

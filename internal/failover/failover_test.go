@@ -228,23 +228,89 @@ func TestElectionStandsBackForLongerPeer(t *testing.T) {
 
 // TestElectionNeedsQuorum: with every peer unreachable there is no death
 // quorum, so the lone survivor must never promote itself (split-brain guard).
+// A two-member group is the same case for good: its quorum is both members,
+// so the survivor of a dead leader can never elect. That is why a pair runs
+// without a group and promotes its standby by hand.
 func TestElectionNeedsQuorum(t *testing.T) {
-	dead := deadURL(t)
-	deadPeer := deadURL(t)
-
 	self := "http://127.0.0.1:59993"
-	node := &fakeNode{st: NodeStatus{
-		Role: "follower", Epoch: 1, JournalBytes: 100,
-		Leader: dead, Connected: false,
-	}}
-	sup := newSup(node, self, []string{self, deadPeer, dead})
+	for _, tc := range []struct {
+		name  string
+		peers int // dead members besides self and the dead leader
+	}{
+		{"three members, both peers dead", 1},
+		{"two members, leader dead", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dead := deadURL(t)
+			group := []string{self, dead}
+			for i := 0; i < tc.peers; i++ {
+				group = append(group, deadURL(t))
+			}
+			node := &fakeNode{st: NodeStatus{
+				Role: "follower", Epoch: 1, JournalBytes: 100,
+				Leader: dead, Connected: false,
+			}}
+			sup := newSup(node, self, group)
 
-	ctx := context.Background()
-	sup.round(ctx)
-	time.Sleep(30 * time.Millisecond)
-	sup.round(ctx)
-	if len(node.promotes) != 0 {
-		t.Fatalf("promoted %v without a quorum", node.promotes)
+			ctx := context.Background()
+			sup.round(ctx)
+			time.Sleep(30 * time.Millisecond)
+			sup.round(ctx)
+			if len(node.promotes) != 0 {
+				t.Fatalf("promoted %v without a quorum", node.promotes)
+			}
+		})
+	}
+}
+
+// TestMuteLeaderIsRedialed: a connected tail is not proof of a live leader. A
+// hung leader holds its stream open and ships nothing, so the tail never
+// drops by itself. Once the tail target has failed its probes for FailAfter
+// the follower re-dials it exactly once, which drops the stream and hands the
+// leader to the death rule. A connected tail whose target answers as a live
+// leader is left alone.
+func TestMuteLeaderIsRedialed(t *testing.T) {
+	other := newPeer(t, probeDTO{
+		Role: "follower", JournalBytes: 100, Epoch: 1,
+		Tail: &struct {
+			Connected bool `json:"connected"`
+		}{Connected: true},
+	}, true, "")
+	live := newPeer(t, probeDTO{Role: "leader", JournalBytes: 100, Epoch: 1}, false, "")
+
+	self := "http://127.0.0.1:60001"
+	for _, tc := range []struct {
+		name, leader string
+		redials      int
+	}{
+		{"mute", deadURL(t), 1},
+		{"live", live.srv.URL, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node := &fakeNode{st: NodeStatus{
+				Role: "follower", Epoch: 1, JournalBytes: 100,
+				Leader: tc.leader, Connected: true,
+			}}
+			sup := newSup(node, self, []string{self, other.srv.URL, tc.leader})
+
+			ctx := context.Background()
+			sup.round(ctx) // starts the mute clock
+			if len(node.retargets) != 0 {
+				t.Fatalf("re-dialed %v before FailAfter elapsed", node.retargets)
+			}
+			time.Sleep(30 * time.Millisecond)
+			sup.round(ctx) // FailAfter elapsed
+			sup.round(ctx) // the clock restarted: no second re-dial yet
+			if len(node.retargets) != tc.redials {
+				t.Fatalf("retargets = %v, want %d re-dial(s) of %s", node.retargets, tc.redials, tc.leader)
+			}
+			if tc.redials > 0 && node.retargets[0] != tc.leader {
+				t.Fatalf("re-dialed %q, want the tailed leader %q", node.retargets[0], tc.leader)
+			}
+			if len(node.promotes) != 0 {
+				t.Fatalf("promoted %v on a connected tail", node.promotes)
+			}
+		})
 	}
 }
 

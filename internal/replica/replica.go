@@ -16,10 +16,11 @@
 //
 // The tailer retries transport failures with the same exponential
 // backoff + jitter machinery the hardened API client uses (Backoff is
-// shared with server.Client), distinguishes them from fatal conditions
-// (corrupt stream, divergent offset, apply failure), and optionally runs a
-// promotion watchdog: if the leader stays unreachable past a configured
-// grace, the follower promotes itself.
+// shared with server.Client) and distinguishes them from fatal conditions
+// (corrupt stream, divergent offset, apply failure). It never decides that
+// the leader is dead: a groupless follower is promoted by an operator, and
+// in a -group the failover supervisor (internal/failover) judges the
+// leader and re-points the tailer with SetLeader.
 package replica
 
 import (
@@ -105,11 +106,6 @@ type Tailer struct {
 	HTTP *http.Client
 	// BaseDelay and MaxDelay shape the reconnect backoff.
 	BaseDelay, MaxDelay time.Duration
-	// PromoteAfter, when positive, arms the watchdog: if the leader stays
-	// unreachable for this long, OnPromote is called once and Run returns.
-	PromoteAfter time.Duration
-	// OnPromote is the watchdog's action (required when PromoteAfter > 0).
-	OnPromote func()
 	// StopOnEOF, when set, is consulted after the leader closes a stream
 	// cleanly (EOF — its end-of-drain, not a dropped connection). Returning
 	// true ends Run without error: the journal has been shipped in full and
@@ -117,10 +113,7 @@ type Tailer struct {
 	StopOnEOF func() bool
 
 	apply Applier
-	log   interface {
-		Info(msg string, args ...any)
-		Warn(msg string, args ...any)
-	}
+	log   interface{ Info(msg string, args ...any) }
 
 	mu       sync.Mutex
 	leader   string
@@ -216,13 +209,12 @@ func (e *fatalErr) Unwrap() error { return e.err }
 // implementations to distinguish divergence from transient trouble).
 func Fatal(err error) error { return &fatalErr{err: err} }
 
-// Run tails the leader until Stop, ctx cancellation, watchdog promotion
-// (returns nil after OnPromote), or a fatal replication error (returned).
-// Transport failures reconnect with backoff, resuming at the applied
-// offset; the CRC check across the resume makes a bad rejoin loud.
+// Run tails the leader until Stop, ctx cancellation, StopOnEOF, or a fatal
+// replication error (returned). Transport failures reconnect with backoff,
+// resuming at the applied offset; the CRC check across the resume makes a
+// bad rejoin loud.
 func (t *Tailer) Run(ctx context.Context) error {
 	streak := 0 // consecutive failures against the current leader
-	var lastDown time.Time
 	for {
 		t.mu.Lock()
 		if t.stopped {
@@ -232,13 +224,12 @@ func (t *Tailer) Run(ctx context.Context) error {
 		if t.retarget {
 			t.retarget = false
 			streak = 0
-			lastDown = time.Time{}
 		}
 		actx, cancel := context.WithCancel(ctx)
 		t.cancel = cancel
 		t.mu.Unlock()
 
-		madeProgress, err := t.streamOnce(actx, cancel)
+		madeProgress, err := t.streamOnce(actx)
 		cancel()
 		t.connected.Store(false)
 		if ctx.Err() != nil {
@@ -260,23 +251,8 @@ func (t *Tailer) Run(ctx context.Context) error {
 		}
 		if madeProgress {
 			streak = 0
-			lastDown = time.Time{}
-		}
-		if lastDown.IsZero() {
-			lastDown = time.Now()
-		}
-		if t.PromoteAfter > 0 && time.Since(lastDown) >= t.PromoteAfter {
-			t.log.Warn("leader unreachable past grace, promoting",
-				"leader", t.Leader(), "grace", t.PromoteAfter, "err", err)
-			t.OnPromote()
-			return nil
 		}
 		delay := Backoff(t.BaseDelay, t.MaxDelay, streak, 0)
-		if t.PromoteAfter > 0 {
-			if until := t.PromoteAfter - time.Since(lastDown); delay > until {
-				delay = until // never sleep past the watchdog deadline
-			}
-		}
 		streak++
 		select {
 		case <-time.After(delay):
@@ -296,7 +272,7 @@ func (t *Tailer) Run(ctx context.Context) error {
 // all return progress=false, so the caller's backoff ladder keeps growing —
 // a leader that accepts connections but ships nothing must look exactly as
 // dead as one that refuses them.
-func (t *Tailer) streamOnce(ctx context.Context, cancel context.CancelFunc) (bool, error) {
+func (t *Tailer) streamOnce(ctx context.Context) (bool, error) {
 	from := t.apply.Offset()
 	url := fmt.Sprintf("%s%s?from=%d", t.Leader(), JournalPath, from)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -334,42 +310,6 @@ func (t *Tailer) streamOnce(ctx context.Context, cancel context.CancelFunc) (boo
 	}
 	t.reconnects.Add(1)
 
-	// Stall monitor: a stream that stays open while the leader advertises
-	// bytes we never receive would otherwise block in Read forever — the
-	// watchdog could never evaluate. When no whole record arrives for the
-	// promotion grace *and* we are known-behind, abort the attempt so the
-	// outer loop treats the leader as down. An idle-but-healthy leader
-	// (offset == advertised size, nothing to ship) is never aborted.
-	if t.PromoteAfter > 0 {
-		attemptStart := time.Now()
-		stallDone := make(chan struct{})
-		defer close(stallDone)
-		go func() {
-			tick := time.NewTicker(t.PromoteAfter / 4)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stallDone:
-					return
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					anchor := attemptStart
-					if last := t.lastRecord.Load(); last > anchor.UnixNano() {
-						anchor = time.Unix(0, last)
-					}
-					behind := t.apply.Offset() < t.leaderBytes.Load()
-					if behind && time.Since(anchor) >= t.PromoteAfter {
-						t.log.Warn("journal stream stalled with bytes outstanding, aborting attempt",
-							"leader", t.Leader(), "grace", t.PromoteAfter)
-						cancel()
-						return
-					}
-				}
-			}
-		}()
-	}
-
 	sc := persist.NewStreamScanner(from)
 	buf := make([]byte, 32*1024)
 	progress := false
@@ -400,8 +340,8 @@ func (t *Tailer) streamOnce(ctx context.Context, cancel context.CancelFunc) (boo
 		if rerr != nil {
 			if rerr == io.EOF {
 				// Leader closed the stream (drain, shutdown). The caller
-				// reconnects; if the leader is gone for good the watchdog
-				// takes it from there.
+				// reconnects until the leader returns, StopOnEOF ends the
+				// run, or a supervisor re-points the tailer.
 				return progress, io.EOF
 			}
 			return progress, rerr

@@ -247,30 +247,6 @@ func TestTailerFatalOnApplyError(t *testing.T) {
 	}
 }
 
-// TestTailerWatchdogPromotes: with the leader unreachable past PromoteAfter,
-// OnPromote fires exactly once and Run returns nil.
-func TestTailerWatchdogPromotes(t *testing.T) {
-	// A closed port: connections are refused immediately.
-	srv := httptest.NewServer(http.NotFoundHandler())
-	base := srv.URL
-	srv.Close()
-
-	var promoted atomic.Int64
-	tl := tailerFor(base, &memApplier{})
-	tl.PromoteAfter = 50 * time.Millisecond
-	tl.OnPromote = func() { promoted.Add(1) }
-	start := time.Now()
-	if err := runTailer(t, tl); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if n := promoted.Load(); n != 1 {
-		t.Fatalf("OnPromote fired %d times, want 1", n)
-	}
-	if since := time.Since(start); since < tl.PromoteAfter {
-		t.Fatalf("promoted after %v, before the %v grace", since, tl.PromoteAfter)
-	}
-}
-
 // TestTailerStopInterruptsBackoff: Stop must end Run promptly even while the
 // tailer sleeps a long backoff.
 func TestTailerStopInterruptsBackoff(t *testing.T) {
@@ -378,40 +354,6 @@ func TestTailerZeroByteLeaderBacksOff(t *testing.T) {
 	}
 	if tl.Status().LastRecordUnixNano != 0 {
 		t.Fatalf("zero-byte stream counted as record progress: %+v", tl.Status())
-	}
-}
-
-// TestTailerSilentOpenStreamStillPromotes: a leader that accepts the
-// connection, advertises outstanding bytes, and then hangs without shipping
-// them must not pin the follower in a blocked Read forever — the stall
-// monitor aborts the attempt and the watchdog promotes.
-func TestTailerSilentOpenStreamStillPromotes(t *testing.T) {
-	hang := make(chan struct{})
-	defer close(hang)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(SizeHeader, "4096")
-		w.WriteHeader(http.StatusOK)
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-		select { // hold the stream open, ship nothing
-		case <-hang:
-		case <-r.Context().Done():
-		}
-	}))
-	defer srv.Close()
-
-	var promoted atomic.Int64
-	tl := NewTailer(srv.URL, &memApplier{})
-	tl.BaseDelay = time.Millisecond
-	tl.MaxDelay = 10 * time.Millisecond
-	tl.PromoteAfter = 60 * time.Millisecond
-	tl.OnPromote = func() { promoted.Add(1) }
-	if err := runTailer(t, tl); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if n := promoted.Load(); n != 1 {
-		t.Fatalf("OnPromote fired %d times, want 1", n)
 	}
 }
 

@@ -92,9 +92,10 @@ func (s *Server) Fence(epoch uint32, winner string) {
 	s.mu.Unlock()
 }
 
-// Retarget implements failover.Node: re-point the tail at the promoted
-// leader (same operation as POST /api/v1/retarget, driven by the supervisor
-// instead of an operator).
+// Retarget implements failover.Node: re-point the tail at the group's
+// leader, or re-dial the same one to drop a stream that has gone silent.
+// Only the supervisor re-points a running follower; a groupless one is
+// re-pointed by restarting it with -follow on its own journal.
 func (s *Server) Retarget(leader string) {
 	if s.tailer == nil || !s.isFollower() {
 		return
@@ -126,6 +127,9 @@ func (s *Server) Promise(epoch uint32, candidate string, candidateBytes int64) f
 	case s.fenced.Load():
 		resp.Reason = "fenced"
 	case epoch <= resp.Epoch:
+		if !s.isFollower() {
+			resp.Holder = self // the claim lost to this leader's term
+		}
 		resp.Reason = fmt.Sprintf("epoch %d is not beyond current %d", epoch, resp.Epoch)
 	case !s.isFollower():
 		// A reachable live leader never grants: if a majority can reach it,

@@ -283,7 +283,7 @@ func TestConcurrentPromoteSerializes(t *testing.T) {
 	group := []string{pA.URL(), pB.URL(), pC.URL()}
 
 	// Inert supervisors on the followers (slow probes, a minute of grace):
-	// every promotion below is operator-driven, never the watchdog's.
+	// every promotion below is operator-driven, never an election's.
 	aCfg := failoverCfg(t.TempDir(), group, pA.URL())
 	aCfg.FailAfter = time.Minute
 	s1, leaderBase := startCrashable(t, aCfg)

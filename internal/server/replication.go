@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -599,35 +598,5 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusConflict, ErrorDTO{err.Error()})
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.replication())
-}
-
-// retargetRequest is the POST /api/v1/retarget body.
-type retargetRequest struct {
-	Leader string `json:"leader"`
-}
-
-// handleRetarget re-points a follower at a new leader — after a failover,
-// the surviving followers retarget at the promoted one. Safe because every
-// follower's journal is a byte prefix of the promoted leader's; if this
-// follower were somehow ahead (operator promoted the wrong, shorter
-// journal), the offset check on reconnect turns it into a loud 409 instead
-// of silent divergence.
-func (s *Server) handleRetarget(w http.ResponseWriter, r *http.Request) {
-	if !s.isFollower() {
-		WriteJSON(w, http.StatusConflict, ErrorDTO{"not a follower"})
-		return
-	}
-	var req retargetRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad request body: " + err.Error()})
-		return
-	}
-	if req.Leader == "" {
-		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"leader is required"})
-		return
-	}
-	s.tailer.SetLeader(req.Leader)
-	s.log.Info("retargeted", "leader", s.tailer.Leader())
 	WriteJSON(w, http.StatusOK, s.replication())
 }

@@ -297,53 +297,6 @@ func TestFollowerPromotionMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWatchdogPromotion: with -promote-after armed, a follower promotes
-// itself once the leader stays unreachable past the grace, and the promoted
-// run still matches the reference replay.
-func TestWatchdogPromotion(t *testing.T) {
-	cfg := crashCfg(t.TempDir(), "")
-	s1, leaderBase := startCrashable(t, cfg)
-	fcfg := crashCfg("", "")
-	fcfg.PromoteAfter = 150 * time.Millisecond
-	s2, fBase, fDir := startFollower(t, fcfg, leaderBase)
-
-	for i := 0; i < 4; i++ {
-		submitKeyed(t, leaderBase, i)
-	}
-	waitQuanta(t, s1, 3, 4)
-	waitReplBytes(t, fBase, s1.journal.Size())
-	crash(t, s1)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var dto ReplicationDTO
-		getJSON(t, fBase+"/api/v1/replication", &dto)
-		if dto.Role == "leader" {
-			if dto.Promotions != 1 {
-				t.Fatalf("promotions = %d, want 1", dto.Promotions)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never promoted: %+v", dto)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	s2.Drain()
-	if err := s2.Wait(); err != nil {
-		t.Fatalf("promoted drain: %v", err)
-	}
-	live := liveStatuses(s2)
-	ref, err := ReferenceResult(fDir)
-	if err != nil {
-		t.Fatalf("ReferenceResult: %v", err)
-	}
-	if !reflect.DeepEqual(live, ref) {
-		t.Fatalf("watchdog-promoted run diverged:\n live %+v\n ref  %+v", live, ref)
-	}
-}
-
 // TestRelayChainServesEvictedReconnect: followers chained off followers
 // (leader → A → B) re-serve the event stream, and a slow consumer
 // reconnecting to the relay tier with an evicted Last-Event-ID gets the
@@ -641,8 +594,9 @@ func TestClientReadFailover(t *testing.T) {
 	}
 }
 
-// TestRetargetFollower: after a failover, the surviving follower re-points at
-// the promoted leader and keeps mirroring — including the new leader's own
+// TestRetargetFollower: after a groupless failover, the surviving follower is
+// re-pointed at the promoted leader by a reboot on its own journal with the
+// new leader to follow, and keeps mirroring — including the new leader's own
 // appended records.
 func TestRetargetFollower(t *testing.T) {
 	cfg := crashCfg(t.TempDir(), "")
@@ -657,22 +611,36 @@ func TestRetargetFollower(t *testing.T) {
 	size := s1.journal.Size()
 	waitReplBytes(t, aBase, size)
 	waitReplBytes(t, bBase, size)
+
+	// B goes down first, and the leader dies only once A holds all of B's
+	// prefix: the wall-clock leader journals right up to its crash, and
+	// this order is what guarantees that A, the follower promoted, holds
+	// the longer journal, as an operator would choose.
+	crash(t, s3)
+	bInfo, err := os.Stat(filepath.Join(bDir, persist.JournalFile))
+	if err != nil {
+		t.Fatalf("stat B's journal: %v", err)
+	}
+	waitReplBytes(t, aBase, bInfo.Size())
 	crash(t, s1)
 
-	// Promote A (both are caught up; either would do), retarget B at it.
+	// Promote A, then re-point B at it: reboot B on its own journal,
+	// following A.
 	resp, err := http.Post(aBase+"/api/v1/promote", "application/json", nil)
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
 	resp.Body.Close()
-	body, _ := json.Marshal(retargetRequest{Leader: aBase})
-	resp, err = http.Post(bBase+"/api/v1/retarget", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("retarget: %v", err)
-	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retarget: status %d", resp.StatusCode)
+		t.Fatalf("promote: status %d", resp.StatusCode)
+	}
+	bCfg := crashCfg(bDir, "")
+	bCfg.FollowURL = aBase
+	s3, bBase = startCrashable(t, bCfg)
+	var dto ReplicationDTO
+	getJSON(t, bBase+"/api/v1/replication", &dto)
+	if dto.Role != "follower" || dto.Tail == nil || dto.Tail.Leader != aBase {
+		t.Fatalf("rebooted follower replication %+v, want a follower of %s", dto, aBase)
 	}
 
 	// New writes land on A and flow through to B.

@@ -144,16 +144,12 @@ type Config struct {
 	// Followers serve reads and the SSE stream; writes answer 307 to the
 	// leader.
 	FollowURL string
-	// PromoteAfter arms the follower's promotion watchdog: if the leader
-	// stays unreachable for this long, the follower promotes itself. Zero
-	// means manual promotion only (POST /api/v1/promote). Mutually exclusive
-	// with Group — quorum elections replace the lone watchdog.
-	PromoteAfter time.Duration
 	// Group enables automated failover (internal/failover): the advertised
 	// URLs of every replication-group member, this daemon included. Each
 	// member runs a supervisor that probes the group, fences stale leaders
 	// by epoch, and elects the longest-prefix follower when the leader dies.
-	// Requires JournalDir and Advertise.
+	// Requires JournalDir, Advertise and at least three members; without a
+	// group, a follower is promoted by hand (POST /api/v1/promote).
 	Group []string
 	// Advertise is the base URL peers and clients reach this daemon at.
 	// Required with Group (the bound address of ":7133" is not something a
@@ -241,9 +237,6 @@ func (c *Config) normalize() error {
 	if c.FollowURL != "" && c.JournalDir == "" {
 		return fmt.Errorf("server: follower mode requires a journal (-follow needs -journal)")
 	}
-	if c.PromoteAfter > 0 && c.FollowURL == "" {
-		return fmt.Errorf("server: -promote-after only applies to followers (-follow)")
-	}
 	if c.ReadWaitMax <= 0 {
 		c.ReadWaitMax = 2 * time.Second
 	}
@@ -252,14 +245,13 @@ func (c *Config) normalize() error {
 		if c.JournalDir == "" {
 			return fmt.Errorf("server: group mode requires a journal (-group needs -journal)")
 		}
-		if c.PromoteAfter > 0 {
-			return fmt.Errorf("server: -promote-after conflicts with -group (quorum elections replace the watchdog)")
-		}
 		if c.Advertise == "" {
 			return fmt.Errorf("server: group mode requires -advertise (peers must know this member's URL)")
 		}
-		if len(c.Group) < 2 {
-			return fmt.Errorf("server: a replication group needs at least 2 members, got %d", len(c.Group))
+		if len(c.Group) < 3 {
+			// Two members can never form a death quorum without each other.
+			return fmt.Errorf("server: a replication group needs at least 3 members, got %d "+
+				"(run a pair without -group and promote the standby with POST /api/v1/promote)", len(c.Group))
 		}
 		self := false
 		// Normalized into a copy: members of one group often share the
@@ -423,8 +415,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.FollowURL != "" {
 		t := replica.NewTailer(cfg.FollowURL, shippedApplier{s})
-		t.PromoteAfter = cfg.PromoteAfter
-		t.OnPromote = func() { _ = s.Promote("watchdog") }
 		// A clean EOF after the drain record has applied and the engine has
 		// finished is the leader's end-of-drain: the journal is complete, so
 		// the follower drains out too instead of re-dialing a gone leader.
@@ -591,7 +581,6 @@ func (s *Server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /api/v1/journal", s.instrument("/api/v1/journal", s.handleJournal))
 	mux.HandleFunc("GET /api/v1/replication", s.instrument("/api/v1/replication", s.handleReplication))
 	mux.HandleFunc("POST /api/v1/promote", s.instrument("/api/v1/promote", s.handlePromote))
-	mux.HandleFunc("POST /api/v1/retarget", s.instrument("/api/v1/retarget", s.handleRetarget))
 	mux.HandleFunc("POST /api/v1/fence", s.instrument("/api/v1/fence", s.handleFence))
 	mux.HandleFunc("GET /api/v1/version", s.instrument("/api/v1/version", s.handleVersion))
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealth))

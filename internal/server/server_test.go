@@ -309,14 +309,25 @@ func TestWallClockAdvancesIdleTime(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{
-		{Scheduler: "lifo"},
-		{Clock: "sundial"},
-		{P: -1},
-		{FaultSpec: "bogus=1"},
+	for _, tc := range []struct {
+		cfg  Config
+		want string // substring of the error, when pinned
+	}{
+		{cfg: Config{Scheduler: "lifo"}},
+		{cfg: Config{Clock: "sundial"}},
+		{cfg: Config{P: -1}},
+		{cfg: Config{FaultSpec: "bogus=1"}},
+		// A two-member group can never elect: a pair runs groupless and
+		// promotes its standby by hand.
+		{cfg: Config{JournalDir: t.TempDir(), Advertise: "http://a:1",
+			Group: []string{"http://a:1", "http://b:2"}}, want: "POST /api/v1/promote"},
 	} {
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("New(%+v) accepted invalid config", cfg)
+		_, err := New(tc.cfg)
+		if err == nil {
+			t.Fatalf("New(%+v) accepted invalid config", tc.cfg)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("New(%+v) = %v, want an error naming %q", tc.cfg, err, tc.want)
 		}
 	}
 }
