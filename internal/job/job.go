@@ -10,10 +10,13 @@
 // Two implementations exist:
 //
 //   - Profile/Run (this package): jobs described as a sequence of levels with
-//     widths and readiness kinds. This covers the paper's data-parallel
-//     fork-join workloads. A step costs O(active levels) and a whole
-//     breadth-first quantum O(levels touched) (Run.StepsBreadthFirst), fast
-//     enough for the Figure 5/6 sweeps.
+//     widths and readiness kinds, stored as run-length segments. This covers
+//     the paper's data-parallel fork-join workloads, and a job costs
+//     O(phases) however long it runs: its profile holds a few segments per
+//     phase, a breadth-first cursor is O(1), and a whole breadth-first
+//     quantum costs O(segments touched) (Run.StepsBreadthFirst). A single
+//     step costs O(window), the levels depth-first steps started above the
+//     frontier.
 //   - dag.Run (package abg/internal/dag): explicit node/edge DAGs for exact
 //     small-scale experiments such as the Figure 2 measurement example.
 package job

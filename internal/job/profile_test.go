@@ -1,6 +1,9 @@
 package job
 
 import (
+	"math"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -18,6 +21,7 @@ func TestNewProfileValidation(t *testing.T) {
 		{"valid single", []Level{{Width: 4, Kind: Sync}}, true},
 		{"valid chain", []Level{{Width: 4, Kind: Sync}, {Width: 4, Kind: Chain}}, true},
 		{"valid sync resize", []Level{{Width: 4, Kind: Sync}, {Width: 9, Kind: Sync}}, true},
+		{"unknown kind", []Level{{Width: 4, Kind: Sync}, {Width: 4, Kind: 2}}, false},
 	}
 	for _, c := range cases {
 		_, err := NewProfile(c.levels)
@@ -365,5 +369,109 @@ func BenchmarkProfileStepDF(b *testing.B) {
 		}
 		buf = buf[:0]
 		_, buf = r.Step(48, DepthFirst, buf)
+	}
+}
+
+// TestProfileSegments pins the run-length representation: a profile holds
+// one segment per maximal run of equal levels, so every way of building the
+// same levels gives DeepEqual profiles, and Level finds each level by
+// binary search.
+func TestProfileSegments(t *testing.T) {
+	levels := []Level{
+		{Width: 1, Kind: Sync}, {Width: 1, Kind: Sync}, {Width: 1, Kind: Sync},
+		{Width: 4, Kind: Sync}, {Width: 4, Kind: Chain}, {Width: 4, Kind: Chain},
+		{Width: 4, Kind: Sync}, {Width: 4, Kind: Sync},
+		{Width: 1, Kind: Sync},
+	}
+	p := MustProfile(levels)
+	want := []Segment{
+		{Level{Width: 1, Kind: Sync}, 3},
+		{Level{Width: 4, Kind: Sync}, 1},
+		{Level{Width: 4, Kind: Chain}, 2},
+		{Level{Width: 4, Kind: Sync}, 2},
+		{Level{Width: 1, Kind: Sync}, 1},
+	}
+	if got := p.Segments(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("segments = %v, want %v", got, want)
+	}
+	split := []Segment{
+		{Level{Width: 1, Kind: Sync}, 1}, {Level{Width: 1, Kind: Sync}, 2},
+		{Level{Width: 4, Kind: Sync}, 1}, {Level{Width: 4, Kind: Chain}, 1},
+		{Level{Width: 4, Kind: Chain}, 1}, {Level{Width: 4, Kind: Sync}, 2},
+		{Level{Width: 1, Kind: Sync}, 1},
+	}
+	for name, q := range map[string]*Profile{
+		"segments": must(NewProfileSegments(split)),
+		"concat":   Concat(Serial(3), Constant(4, 3), FromWidths([]int{4, 4, 1})),
+	} {
+		if !reflect.DeepEqual(q, p) {
+			t.Errorf("%s: %+v, want %+v", name, q, p)
+		}
+	}
+	for i, l := range levels {
+		if got := p.Level(i); got != l {
+			t.Errorf("Level(%d) = %v, want %v", i, got, l)
+		}
+	}
+	if p.Work() != 24 || p.CriticalPathLen() != 9 || !reflect.DeepEqual(p.Widths(), []int{1, 1, 1, 4, 4, 4, 4, 4, 1}) {
+		t.Fatalf("work %d, levels %d, widths %v", p.Work(), p.CriticalPathLen(), p.Widths())
+	}
+	if got := len(Constant(3, 1_000_000).Segments()); got != 2 {
+		t.Fatalf("a constant job has %d segments, want 2", got)
+	}
+	for _, i := range []int{-1, 9} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Level(%d) did not panic", i)
+				}
+			}()
+			p.Level(i)
+		}()
+	}
+}
+
+func TestNewProfileSegmentsValidation(t *testing.T) {
+	big := int(^uint(0) >> 2)
+	for _, c := range []struct {
+		name string
+		segs []Segment
+		ok   bool
+	}{
+		{"empty", nil, false},
+		{"zero count", []Segment{{Level{Width: 2, Kind: Sync}, 0}}, false},
+		{"unknown kind", []Segment{{Level{Width: 2, Kind: Sync}, 1}, {Level{Width: 2, Kind: 7}, 1}}, false},
+		{"chain first", []Segment{{Level{Width: 2, Kind: Chain}, 3}}, false},
+		{"chain width mismatch", []Segment{{Level{Width: 2, Kind: Sync}, 1}, {Level{Width: 3, Kind: Chain}, 4}}, false},
+		{"work overflow", []Segment{{Level{Width: 4, Kind: Sync}, big}}, false},
+		{"level overflow", []Segment{{Level{Width: 1, Kind: Sync}, big}, {Level{Width: 1, Kind: Sync}, big}, {Level{Width: 1, Kind: Sync}, big}}, false},
+		{"long", []Segment{{Level{Width: 1, Kind: Sync}, big}, {Level{Width: 1, Kind: Chain}, big}}, true},
+	} {
+		_, err := NewProfileSegments(c.segs)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestAddOnesMatchesSequentialSums pins addOnes to k one-at-a-time float
+// additions of 1.0, bit for bit, from fractional starts, starts on and
+// next to powers of two, and starts at and past 2^53.
+func TestAddOnesMatchesSequentialSums(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 1))
+	starts := []float64{0, 0.1, 1.0 / 3, 0.5, 1, 1.5, 3, 4 - 0x1p-50, 1 << 20, 1<<52 - 0.5, 1 << 53, 1<<53 + 2, 1<<54 + 4}
+	for i := 0; i < 200; i++ {
+		starts = append(starts, rng.Float64(), float64(rng.IntN(1<<12))+rng.Float64(), float64(rng.IntN(9))/float64(1+rng.IntN(12)))
+	}
+	for _, x := range starts {
+		for _, k := range []int{0, 1, 2, 3, 7, 64, 1000, 4097, 100_000} {
+			want := x
+			for j := 0; j < k; j++ {
+				want++
+			}
+			if got := addOnes(x, k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("addOnes(%v, %d) = %v, want %v", x, k, got, want)
+			}
+		}
 	}
 }

@@ -149,9 +149,10 @@ func RunQuantum(inst job.Instance, sc Scheduler, allotment, length int) QuantumS
 //
 // A *job.Run under a breadth-first or FIFO order with a positive allotment
 // runs the quantum in closed form (job.Run.StepsBreadthFirst) when its
-// cursor allows; that walk adds the same fractions in the same order, so
-// the stats are bit-identical to the step loop below, which serves every
-// other case and is the reference the closed form is tested against.
+// cursor allows; the closed form reproduces the step loop's float
+// additions bit for bit, so the stats are identical to the step loop
+// below, which serves every other case and is the reference the closed
+// form is tested against.
 func RunQuantumScratch(inst job.Instance, sc Scheduler, allotment, length int, scr *Scratch) QuantumStats {
 	st := QuantumStats{Allotment: allotment, Length: length}
 	if length <= 0 {

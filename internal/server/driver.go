@@ -97,13 +97,7 @@ func (s *Server) drive(ctx context.Context) {
 func (s *Server) snapshotJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, st := range s.eng.Statuses() {
-		if st.State == sim.JobDone {
-			n++
-		}
-	}
-	return n
+	return s.eng.NumJobs() - s.eng.Remaining()
 }
 
 // stepOnce admits everything queued at the current boundary and advances the

@@ -854,8 +854,7 @@ type StateDTO struct {
 // snapshot assembles the scheduler-wide state.
 func (s *Server) snapshot() StateDTO {
 	s.mu.Lock()
-	sts := s.eng.Statuses()
-	res := s.eng.Result()
+	tally := s.eng.Tally()
 	st := StateDTO{
 		Version:       cli.Version,
 		Scheduler:     s.sched.Name(),
@@ -868,30 +867,19 @@ func (s *Server) snapshot() StateDTO {
 		QuantaElapsed: s.eng.QuantaElapsed(),
 		Submitted:     s.nextID,
 		Queued:        len(s.queue),
+		Pending:       tally.Pending,
+		Running:       tally.Running,
+		Completed:     tally.Done,
 		QueueLimit:    s.cfg.QueueLimit,
-		Makespan:      res.Makespan,
-		TotalWaste:    res.TotalWaste,
+		Makespan:      tally.Makespan,
+		TotalWaste:    tally.TotalWaste,
 	}
 	if s.fatal != nil {
 		st.Error = s.fatal.Error()
 	}
-	// Aggregate before releasing the lock: the engine owns the Statuses
-	// buffer and a concurrent handler's call would overwrite it in place.
-	var respSum int64
-	for _, j := range sts {
-		switch j.State {
-		case sim.JobPending:
-			st.Pending++
-		case sim.JobRunning:
-			st.Running++
-		case sim.JobDone:
-			st.Completed++
-			respSum += j.Response
-		}
-	}
 	s.mu.Unlock()
 	if st.Completed > 0 {
-		st.MeanResponse = float64(respSum) / float64(st.Completed)
+		st.MeanResponse = float64(tally.ResponseSum) / float64(st.Completed)
 	}
 	s.hub.FillState(&st)
 	s.metrics.http.FillState(&st)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -328,6 +329,53 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("New(%+v) = %v, want an error naming %q", tc.cfg, err, tc.want)
+		}
+	}
+}
+
+// TestLargestRequestsAllocatePerSegment pins that no request within the
+// submission limits makes the daemon materialise a job level by level. At
+// abgd's default L = 1000 the largest fullPar, serial and adversarial
+// requests (MaxCount jobs of maxQuanta quanta at width maxWidth) are
+// normalized and built job by job, and the bytes allocated per job stay
+// under a small constant per segment: two segments for fullPar and serial,
+// two per quantum for adversarial. Built level by level, one fullPar job
+// of a million levels takes over 16 MiB.
+func TestLargestRequestsAllocatePerSegment(t *testing.T) {
+	const (
+		l          = 1000 // abgd's -L default
+		perSegment = 256  // bytes allocated per segment, at most
+		perJob     = 1 << 20
+	)
+	for _, tc := range []struct {
+		kind     string
+		segments int
+	}{{"fullPar", 2}, {"serial", 2}, {"adversarial", 2 * maxQuanta}} {
+		req := JobRequest{Kind: tc.kind, Width: maxWidth, Quanta: maxQuanta, Count: MaxCount}
+		if err := req.Normalize(); err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		var built uint64 // bytes allocated building the request's jobs
+		for i := 0; i < req.Count; i++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			p := req.BuildProfile(i, l)
+			runtime.ReadMemStats(&m1)
+			// Stop at the first job that is far too big, before a
+			// level-by-level build of the whole request exhausts memory.
+			if got := m1.TotalAlloc - m0.TotalAlloc; got > perJob {
+				t.Fatalf("%s job %d allocated %d bytes", tc.kind, i, got)
+			}
+			built += m1.TotalAlloc - m0.TotalAlloc
+			if n := len(p.Segments()); n != tc.segments {
+				t.Fatalf("%s job %d: %d segments, want %d", tc.kind, i, n, tc.segments)
+			}
+		}
+		got := built / uint64(req.Count)
+		t.Logf("%s: %d bytes per job, %d segments", tc.kind, got, tc.segments)
+		if got > perSegment*uint64(tc.segments) {
+			t.Errorf("%s: %d bytes per job, want at most %d per segment × %d segments",
+				tc.kind, got, perSegment, tc.segments)
 		}
 	}
 }

@@ -29,8 +29,10 @@ type Engine struct {
 	states    []jobState
 	res       MultiResult
 	remaining int
-	k         int // next quantum boundary to process
-	capNow    int // last emitted effective capacity
+	running   int   // started, unfinished jobs
+	respSum   int64 // Σ Response over done jobs
+	k         int   // next quantum boundary to process
+	capNow    int   // last emitted effective capacity
 	draining  bool
 
 	// Reusable per-boundary scratch. allot wraps the configured allocator
@@ -221,6 +223,28 @@ func (e *Engine) QuantaElapsed() int { return e.res.QuantaElapsed }
 // Remaining returns the number of admitted-but-unfinished jobs.
 func (e *Engine) Remaining() int { return e.remaining }
 
+// Tally is the engine's job count by lifecycle stage plus the run's totals:
+// what a service's state endpoint reports. The engine keeps it as it runs
+// (and RestoreEngine rebuilds it), so reading it costs O(1) however many
+// jobs the engine has served. It always agrees with Statuses and Result.
+type Tally struct {
+	Pending, Running, Done int
+	ResponseSum            int64 // Σ Response over done jobs
+	Makespan, TotalWaste   int64 // as in Result
+}
+
+// Tally returns the running job counts and totals.
+func (e *Engine) Tally() Tally {
+	return Tally{
+		Pending:     e.remaining - e.running,
+		Running:     e.running,
+		Done:        len(e.states) - e.remaining,
+		ResponseSum: e.respSum,
+		Makespan:    e.res.Makespan,
+		TotalWaste:  e.res.TotalWaste,
+	}
+}
+
 // FirstUnfinished returns the lowest job id at or above hint that is not
 // done, or NumJobs() when there is none. Jobs below hint are taken as done:
 // a caller advancing a watermark passes its previous value, so the scans
@@ -289,6 +313,7 @@ func (e *Engine) Step() (StepInfo, error) {
 		}
 		if !s.started {
 			s.started = true
+			e.running++
 			s.request = s.spec.Policy.InitialRequest()
 			if cfg.Obs.Active() {
 				cfg.Obs.Emit(obs.Event{Kind: obs.EvJobAdmitted, Time: now,
@@ -465,9 +490,11 @@ func (e *Engine) completeJob(i int, t int64) {
 	s := &e.states[i]
 	s.done = true
 	e.remaining--
+	e.running--
 	j := &e.res.Jobs[i]
 	j.Completion = t
 	j.Response = j.Completion - s.spec.Release
+	e.respSum += j.Response
 	if j.Completion > e.res.Makespan {
 		e.res.Makespan = j.Completion
 	}

@@ -276,7 +276,13 @@ func RestoreEngine(cfg MultiConfig, data []byte, specs []JobSpec) (*Engine, erro
 		s.spec = &sp
 		e.states = append(e.states, s)
 		e.res.Jobs = append(e.res.Jobs, j)
-		if !s.done {
+		switch {
+		case s.done:
+			e.respSum += j.Response
+		case s.started:
+			e.running++
+			unfinished++
+		default:
 			unfinished++
 		}
 	}

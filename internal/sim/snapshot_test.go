@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"abg/internal/alloc"
 	"abg/internal/fault"
+	"abg/internal/feedback"
 	"abg/internal/job"
 	"abg/internal/obs"
+	"abg/internal/sched"
 )
 
 // snapCfg is the machine used by the snapshot tests. Traces stay off:
@@ -236,5 +239,90 @@ func TestEngineResumeStates(t *testing.T) {
 	}
 	if rs = eng.ResumeStates(); !rs[0].Done {
 		t.Fatalf("job a resume state after completion: %+v", rs[0])
+	}
+}
+
+// TestEngineTallyMatchesStatuses pins the engine's running counters to the
+// values Statuses and Result give, after every Step of a faulted run
+// (restarts, capacity churn, releases in the future with an idle gap, and
+// a zero-work job) and after every Step of that run restored mid-way.
+func TestEngineTallyMatchesStatuses(t *testing.T) {
+	plan, err := fault.ParseSpec(
+		"drop=0.15,delay=2:0.1,dup=0.1,noise=0.3,restart=0.1,restartat=2,maxrestarts=2,cap=churn:0.5:4,seed=11", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := func() []JobSpec {
+		done := job.NewRun(job.Constant(1, 1))
+		sched.RunQuantum(done, sched.BGreedy(), 1, 10)
+		return append(equivSpecs(t, plan, obs.NewBus()), JobSpec{
+			Name: "zero", Release: 150, Inst: done,
+			Policy: feedback.NewAControl(0.2), Sched: sched.BGreedy(),
+		})
+	}
+	check := func(eng *Engine, when string) {
+		t.Helper()
+		var want Tally
+		for _, st := range eng.Statuses() {
+			switch st.State {
+			case JobPending:
+				want.Pending++
+			case JobRunning:
+				want.Running++
+			case JobDone:
+				want.Done++
+				want.ResponseSum += st.Response
+			}
+		}
+		res := eng.Result()
+		want.Makespan, want.TotalWaste = res.Makespan, res.TotalWaste
+		if got := eng.Tally(); got != want {
+			t.Fatalf("%s: tally %+v, statuses give %+v", when, got, want)
+		}
+	}
+	eng, err := NewEngine(snapCfg(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range specs() {
+		if _, err := eng.Submit(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(eng, "before the first step")
+	var blob []byte
+	var cut Tally
+	for step := 0; !eng.Done(); step++ {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+		check(eng, fmt.Sprintf("step %d", step))
+		if step == 5 {
+			if blob, err = eng.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+			cut = eng.Tally()
+		}
+	}
+	restarts := 0
+	for _, j := range eng.Result().Jobs {
+		restarts += j.Restarts
+	}
+	if restarts == 0 || cut.Pending == 0 || cut.Running == 0 || cut.Done == 0 {
+		t.Fatalf("run too tame: %d restarts, tally at the cut %+v", restarts, cut)
+	}
+	restored, err := RestoreEngine(snapCfg(plan), blob, specs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(restored, "after restore")
+	for step := 0; !restored.Done(); step++ {
+		if _, err := restored.Step(); err != nil {
+			t.Fatal(err)
+		}
+		check(restored, fmt.Sprintf("restored step %d", step))
+	}
+	if got, want := restored.Tally(), eng.Tally(); got != want {
+		t.Fatalf("restored run ends at %+v, the original at %+v", got, want)
 	}
 }

@@ -28,27 +28,44 @@ type Phase struct {
 // BuildForkJoin assembles a profile job from explicit phases. Serial levels
 // are width-1 Sync levels; a parallel phase is one Sync fan-out level of the
 // given width followed by Height−1 Chain levels (independent chains), and
-// the next level after it acts as the join.
+// the next level after it acts as the join. It appends at most three
+// segments per phase and materialises no level.
 func BuildForkJoin(phases []Phase) *job.Profile {
-	var levels []job.Level
+	segs := make([]job.Segment, 0, 3*len(phases))
 	for _, ph := range phases {
 		if ph.Serial < 0 || ph.Width < 0 || ph.Height < 0 {
 			panic(fmt.Sprintf("workload: negative phase field %+v", ph))
 		}
-		for i := 0; i < ph.Serial; i++ {
-			levels = append(levels, job.Level{Width: 1, Kind: job.Sync})
+		if ph.Serial > 0 {
+			segs = append(segs, job.Segment{Level: job.Level{Width: 1, Kind: job.Sync}, Count: ph.Serial})
 		}
 		if ph.Width > 0 && ph.Height > 0 {
-			levels = append(levels, job.Level{Width: ph.Width, Kind: job.Sync})
-			for i := 1; i < ph.Height; i++ {
-				levels = append(levels, job.Level{Width: ph.Width, Kind: job.Chain})
-			}
+			segs = appendRun(segs, ph.Width, ph.Height)
 		}
 	}
-	if len(levels) == 0 {
+	if len(segs) == 0 {
 		panic("workload: fork-join job with no levels")
 	}
-	return job.MustProfile(levels)
+	return mustSegments(segs)
+}
+
+// appendRun appends a Sync fan-out level of the given width and its
+// height−1 Chain levels.
+func appendRun(segs []job.Segment, width, height int) []job.Segment {
+	segs = append(segs, job.Segment{Level: job.Level{Width: width, Kind: job.Sync}, Count: 1})
+	if height > 1 {
+		segs = append(segs, job.Segment{Level: job.Level{Width: width, Kind: job.Chain}, Count: height - 1})
+	}
+	return segs
+}
+
+// mustSegments builds a profile from segments the caller has validated.
+func mustSegments(segs []job.Segment) *job.Profile {
+	p, err := job.NewProfileSegments(segs)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // JobParams parameterises one random fork-join job.
@@ -215,17 +232,14 @@ func StepWidths(widths []int, hold int) *job.Profile {
 	if len(widths) == 0 || hold < 1 {
 		panic("workload: StepWidths needs widths and hold >= 1")
 	}
-	var levels []job.Level
+	segs := make([]job.Segment, 0, 2*len(widths))
 	for _, w := range widths {
 		if w < 1 {
 			panic("workload: step width must be >= 1")
 		}
-		levels = append(levels, job.Level{Width: w, Kind: job.Sync})
-		for i := 1; i < hold; i++ {
-			levels = append(levels, job.Level{Width: w, Kind: job.Chain})
-		}
+		segs = appendRun(segs, w, hold)
 	}
-	return job.MustProfile(levels)
+	return mustSegments(segs)
 }
 
 // ConstantJob returns a constant-parallelism job sized to run for about the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"abg/internal/alloc"
@@ -264,5 +265,47 @@ func BenchmarkGenJob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GenJob(rng, params)
+	}
+}
+
+// TestGeneratorsMatchLevelByLevel pins that the segment-appending generators
+// describe exactly the levels a level-by-level build lists: each profile
+// is DeepEqual to job.MustProfile over the expanded levels, and holds at
+// most three segments per phase however long the phases are.
+func TestGeneratorsMatchLevelByLevel(t *testing.T) {
+	rng := xrand.New(18)
+	for i := 0; i < 200; i++ {
+		phases := GenPhases(rng, ScaledJobParams(rng.IntRange(1, 40), 200, rng.IntRange(1, 4)))
+		if i%5 == 0 {
+			phases = append(phases, Phase{Width: 1, Height: 3}, Phase{Serial: 2, Width: 4, Height: 1})
+		}
+		var levels []job.Level
+		for _, ph := range phases {
+			for j := 0; j < ph.Serial; j++ {
+				levels = append(levels, job.Level{Width: 1, Kind: job.Sync})
+			}
+			for j := 0; ph.Width > 0 && j < ph.Height; j++ {
+				kind := job.Chain
+				if j == 0 {
+					kind = job.Sync
+				}
+				levels = append(levels, job.Level{Width: ph.Width, Kind: kind})
+			}
+		}
+		p := BuildForkJoin(phases)
+		if want := job.MustProfile(levels); !reflect.DeepEqual(p, want) {
+			t.Fatalf("phases %+v: built %+v, want %+v", phases, p.Segments(), want.Segments())
+		}
+		if n := len(p.Segments()); n > 3*len(phases) {
+			t.Fatalf("%d segments for %d phases", n, len(phases))
+		}
+	}
+	var levels []job.Level
+	widths := []int{3, 3, 1, 5}
+	for _, w := range widths {
+		levels = append(levels, job.Level{Width: w, Kind: job.Sync}, job.Level{Width: w, Kind: job.Chain})
+	}
+	if got, want := StepWidths(widths, 2), job.MustProfile(levels); !reflect.DeepEqual(got, want) {
+		t.Fatalf("StepWidths: %+v, want %+v", got.Segments(), want.Segments())
 	}
 }

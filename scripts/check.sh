@@ -60,6 +60,9 @@ go test -run '^$' -fuzz FuzzFoldSnapshots -fuzztime 5s ./internal/sim/
 echo "== closed-form breadth-first quantum fuzz (5s, vs the step loop)"
 go test -run '^$' -fuzz FuzzQuantumBreadthFirst -fuzztime 5s ./internal/sched/
 
+echo "== run cursor decoder fuzz (5s, both layouts)"
+go test -run '^$' -fuzz FuzzRunCursor -fuzztime 5s ./internal/job/
+
 echo "== deterministic replay guard (same seed+spec => identical chaos report)"
 a="$(go run ./cmd/abgexp -exp chaos -scale small)"
 b="$(go run ./cmd/abgexp -exp chaos -scale small)"
