@@ -54,10 +54,7 @@ type Doc struct {
 	Version   string `json:"version"`
 	Scheduler string `json:"scheduler"`
 	Quick     bool   `json:"quick,omitempty"`
-	// StepWorkers records sim.MultiConfig.StepWorkers for the run. Absent in
-	// files written before the knob existed (= 0, serial).
-	StepWorkers int    `json:"stepWorkers,omitempty"`
-	Sizes       []Size `json:"sizes"`
+	Sizes     []Size `json:"sizes"`
 }
 
 // Size is the measurement at one concurrency level.
@@ -88,7 +85,6 @@ func main() {
 		validate  = flag.String("validate", "", "validate an existing BENCH file's schema and exit")
 		l         = flag.Int("L", 100, "quantum length (steps)")
 		r         = flag.Float64("r", 0.2, "ABG convergence rate")
-		stepWork  = flag.Int("step-workers", 0, "sim.MultiConfig.StepWorkers for the measured engine (0/1 serial, -1 = one per CPU)")
 		version   = cli.VersionFlag()
 	)
 	flag.Parse()
@@ -120,10 +116,9 @@ func main() {
 	doc := Doc{
 		Schema: Schema, Go: runtime.Version(), Version: cli.Version,
 		Scheduler: core.NewABG(*r).Name(), Quick: *quick,
-		StepWorkers: *stepWork,
 	}
 	for _, n := range sizes {
-		sz, err := benchOne(n, *l, *r, *stepWork)
+		sz, err := benchOne(n, *l, *r)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "abgbench: %d jobs: %v\n", n, err)
 			os.Exit(1)
@@ -192,13 +187,12 @@ func writeDoc(doc Doc, out string) (string, error) {
 // count: equi-partitioning then guarantees every job ≥2 processors (no
 // stalled boundaries), while the width-4/8 jobs still start deprived — the
 // allocator and the ABG feedback loop both do real work at every scale.
-func benchOne(jobs, l int, r float64, stepWorkers int) (Size, error) {
+func benchOne(jobs, l int, r float64) (Size, error) {
 	p := 2 * jobs
 	scheduler := core.NewABG(r)
 	eng, err := sim.NewEngine(sim.MultiConfig{
 		P: p, L: l, Allocator: alloc.DynamicEquiPartition{},
-		MaxQuanta:   1 << 30,
-		StepWorkers: stepWorkers,
+		MaxQuanta: 1 << 30,
 	})
 	if err != nil {
 		return Size{}, err

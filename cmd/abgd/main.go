@@ -107,7 +107,6 @@ func main() {
 		ring      = flag.Int("timeline-ring", 0, "per-job quantum-timeline ring depth behind /api/v1/jobs/{id}/timeline (0 = default 256, negative disables)")
 		lagMax    = flag.Int("healthz-lag-max", 0, "journal-lag ceiling before /healthz degrades (0 = default 1024)")
 		ageMax    = flag.Int("healthz-snapshot-age-max", 0, "snapshot-age ceiling in quanta before /healthz degrades (0 = 8× -snapshot-every)")
-		stepWork  = flag.Int("step-workers", 0, "goroutines stepping independent jobs per quantum (0/1 serial, -1 = one per CPU); results and journals are identical at every setting")
 		follow    = flag.String("follow", "", "run as a hot standby tailing this leader URL (requires -journal); serves reads, redirects writes")
 		group     = flag.String("group", "", "comma-separated URLs of the 3 or more members of a self-healing replication group (requires -journal and -advertise); quorum elections with epoch fencing replace manual promotion, which a groupless pair keeps")
 		advertise = flag.String("advertise", "", "base URL peers and clients reach this daemon at (required with -group)")
@@ -153,7 +152,6 @@ func main() {
 				QueueLimit: *queue, FaultSpec: *faultSpec, Seed: *seed,
 				JournalDir: *journal, SnapshotEvery: *snapEvery, Fsync: *fsync,
 				TimelineRing: *ring, JournalLagMax: *lagMax, SnapshotAgeMax: *ageMax,
-				StepWorkers: *stepWork,
 			},
 		})
 		if err != nil {
@@ -180,8 +178,7 @@ func main() {
 		JournalDir: *journal, SnapshotEvery: *snapEvery, Fsync: *fsync,
 		Bus: bus, Metrics: obs.Default, TimelineRing: *ring,
 		JournalLagMax: *lagMax, SnapshotAgeMax: *ageMax,
-		StepWorkers: *stepWork,
-		FollowURL:   *follow, Group: splitGroup(*group), Advertise: *advertise,
+		FollowURL: *follow, Group: splitGroup(*group), Advertise: *advertise,
 		ProbeEvery: *probeEv, FailAfter: *failAfter,
 	})
 	if err != nil {

@@ -63,7 +63,6 @@ func main() {
 		metricsOn = flag.Bool("metrics", false, "print the metrics snapshot to stderr after the run")
 		repeat    = flag.Int("repeat", 1, "run the simulation this many times (profiling aid with -debug-addr)")
 		faultSpec = flag.String("fault", "", `fault-injection spec, e.g. "drop=0.3,cap=step:0.5@30,seed=7" (see internal/fault)`)
-		stepWork  = flag.Int("step-workers", 0, "goroutines stepping independent jobs per quantum (0/1 serial, -1 = one per CPU); results are identical at every setting")
 		version   = cli.VersionFlag()
 	)
 	flag.Parse()
@@ -132,7 +131,7 @@ func main() {
 	}
 
 	if *jobsN > 1 {
-		runJobSet(ctx, machine, scheduler, bus, plan, profileAt, *jobsN, *release, *perfetto, *showTrace, *repeat, *stepWork)
+		runJobSet(ctx, machine, scheduler, bus, plan, profileAt, *jobsN, *release, *perfetto, *showTrace, *repeat)
 	} else {
 		runSingleJob(ctx, machine, scheduler, bus, plan, profileAt(0), *avail, *perfetto, *showTrace, *repeat)
 	}
@@ -240,7 +239,7 @@ func runSingleJob(ctx context.Context, machine core.Machine, scheduler core.Sche
 // least one complete run.
 func runJobSet(ctx context.Context, machine core.Machine, scheduler core.Scheduler, bus *obs.Bus,
 	plan fault.Plan, profileAt func(int) *job.Profile, n int, spacing int64,
-	perfetto string, showTrace bool, repeat int, stepWorkers int) {
+	perfetto string, showTrace bool, repeat int) {
 
 	// Job specs are built directly (rather than via core.RunJobSetObserved)
 	// so each job's policy can be wrapped in the plan's lossy channel and
@@ -275,7 +274,6 @@ func runJobSet(ctx context.Context, machine core.Machine, scheduler core.Schedul
 		res, err = sim.RunMulti(build(), sim.MultiConfig{
 			P: machine.P, L: machine.L, Allocator: alloc.DynamicEquiPartition{},
 			KeepTrace: true, Obs: bus, Capacity: plan.Capacity,
-			StepWorkers: stepWorkers,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "abgsim: %v\n", err)

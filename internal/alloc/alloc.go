@@ -122,16 +122,25 @@ type DynamicEquiPartition struct{}
 
 // Allot implements Multi.
 func (DynamicEquiPartition) Allot(requests []int, p int) []int {
-	n := len(requests)
-	out := make([]int, n)
-	if n == 0 || p <= 0 {
-		return out
+	out := make([]int, len(requests))
+	deq(requests, p, out, make([]poolEntry, 0, len(requests)))
+	return out
+}
+
+type poolEntry struct{ idx, want int }
+
+// deq is DynamicEquiPartition's algorithm over caller-supplied buffers: it
+// writes the allotments into out, which must be zeroed and as long as
+// requests, and keeps its candidate pool in pool's backing array (no
+// allocation when cap(pool) ≥ len(requests)).
+func deq(requests []int, p int, out []int, pool []poolEntry) {
+	if len(requests) == 0 || p <= 0 {
+		return
 	}
-	type jr struct{ idx, want int }
-	pool := make([]jr, 0, n)
+	pool = pool[:0]
 	for i, r := range requests {
 		if r > 0 {
-			pool = append(pool, jr{i, r})
+			pool = append(pool, poolEntry{i, r})
 		}
 	}
 	remaining := p
@@ -147,7 +156,7 @@ func (DynamicEquiPartition) Allot(requests []int, p int) []int {
 				out[j.idx] = 1
 				remaining--
 			}
-			return out
+			return
 		}
 		moved := false
 		next := pool[:0]
@@ -171,10 +180,9 @@ func (DynamicEquiPartition) Allot(requests []int, p int) []int {
 					out[j.idx]++
 				}
 			}
-			return out
+			return
 		}
 	}
-	return out
 }
 
 // Name implements Multi.
@@ -188,10 +196,16 @@ type EqualSplit struct{}
 
 // Allot implements Multi.
 func (EqualSplit) Allot(requests []int, p int) []int {
-	n := len(requests)
-	out := make([]int, n)
-	if n == 0 || p <= 0 {
-		return out
+	out := make([]int, len(requests))
+	equalSplit(requests, p, out)
+	return out
+}
+
+// equalSplit is EqualSplit's algorithm writing into out, which must be
+// zeroed and as long as requests.
+func equalSplit(requests []int, p int, out []int) {
+	if len(requests) == 0 || p <= 0 {
+		return
 	}
 	active := 0
 	for _, r := range requests {
@@ -200,7 +214,7 @@ func (EqualSplit) Allot(requests []int, p int) []int {
 		}
 	}
 	if active == 0 {
-		return out
+		return
 	}
 	share := p / active
 	extra := p - share*active
@@ -219,7 +233,6 @@ func (EqualSplit) Allot(requests []int, p int) []int {
 		}
 		out[i] = s
 	}
-	return out
 }
 
 // Name implements Multi.

@@ -1,13 +1,13 @@
 package alloc
 
 // Allotter wraps a Multi allocator with reusable per-quantum buffers. The
-// engine calls an allocator once per boundary; at large job counts the
-// naive Allot implementations re-allocate an allotment slice (and, for DEQ,
-// a candidate pool) every quantum, which is pure per-quantum garbage. An
-// Allotter keeps those buffers across calls and runs scratch-based
-// re-implementations of the stateless built-in allocators, falling back to
-// the wrapped allocator's own Allot for anything it does not recognise
-// (checked, observed, or user-supplied allocators keep their semantics).
+// engine calls an allocator once per boundary; at large job counts a fresh
+// Allot re-allocates an allotment slice (and, for DEQ, a candidate pool)
+// every quantum, which is pure per-quantum garbage. An Allotter keeps those
+// buffers across calls and runs the stateless built-in allocators' own
+// bodies (deq, equalSplit) over them, falling back to the wrapped
+// allocator's Allot for anything it does not recognise (checked, observed,
+// or user-supplied allocators keep their semantics).
 //
 // The returned slice is owned by the Allotter and valid until the next
 // Allot call; an Allotter is not safe for concurrent use. Outputs are
@@ -17,8 +17,6 @@ type Allotter struct {
 	out  []int
 	pool []poolEntry
 }
-
-type poolEntry struct{ idx, want int }
 
 // NewAllotter returns a reusing wrapper around m.
 func NewAllotter(m Multi) *Allotter { return &Allotter{m: m} }
@@ -30,9 +28,16 @@ func (a *Allotter) Name() string { return a.m.Name() }
 func (a *Allotter) Allot(requests []int, p int) []int {
 	switch a.m.(type) {
 	case DynamicEquiPartition:
-		return a.deq(requests, p)
+		out := a.grow(len(requests))
+		if cap(a.pool) < len(requests) {
+			a.pool = make([]poolEntry, 0, len(requests))
+		}
+		deq(requests, p, out, a.pool)
+		return out
 	case EqualSplit:
-		return a.equalSplit(requests, p)
+		out := a.grow(len(requests))
+		equalSplit(requests, p, out)
+		return out
 	default:
 		return a.m.Allot(requests, p)
 	}
@@ -46,96 +51,4 @@ func (a *Allotter) grow(n int) []int {
 	a.out = a.out[:n]
 	clear(a.out)
 	return a.out
-}
-
-// deq mirrors DynamicEquiPartition.Allot over reused buffers.
-func (a *Allotter) deq(requests []int, p int) []int {
-	n := len(requests)
-	out := a.grow(n)
-	if n == 0 || p <= 0 {
-		return out
-	}
-	if cap(a.pool) < n {
-		a.pool = make([]poolEntry, 0, n)
-	}
-	pool := a.pool[:0]
-	for i, r := range requests {
-		if r > 0 {
-			pool = append(pool, poolEntry{i, r})
-		}
-	}
-	remaining := p
-	for len(pool) > 0 && remaining > 0 {
-		share := remaining / len(pool)
-		if share == 0 {
-			for _, j := range pool {
-				if remaining == 0 {
-					break
-				}
-				out[j.idx] = 1
-				remaining--
-			}
-			return out
-		}
-		moved := false
-		next := pool[:0]
-		for _, j := range pool {
-			if j.want <= share {
-				out[j.idx] = j.want
-				remaining -= j.want
-				moved = true
-			} else {
-				next = append(next, j)
-			}
-		}
-		pool = next
-		if !moved {
-			share = remaining / len(pool)
-			extra := remaining - share*len(pool)
-			for k, j := range pool {
-				out[j.idx] = share
-				if k < extra {
-					out[j.idx]++
-				}
-			}
-			return out
-		}
-	}
-	return out
-}
-
-// equalSplit mirrors EqualSplit.Allot over the reused allotment buffer.
-func (a *Allotter) equalSplit(requests []int, p int) []int {
-	n := len(requests)
-	out := a.grow(n)
-	if n == 0 || p <= 0 {
-		return out
-	}
-	active := 0
-	for _, r := range requests {
-		if r > 0 {
-			active++
-		}
-	}
-	if active == 0 {
-		return out
-	}
-	share := p / active
-	extra := p - share*active
-	k := 0
-	for i, r := range requests {
-		if r <= 0 {
-			continue
-		}
-		s := share
-		if k < extra {
-			s++
-		}
-		k++
-		if s > r {
-			s = r
-		}
-		out[i] = s
-	}
-	return out
 }

@@ -13,8 +13,8 @@ import (
 
 // N-shard replay determinism: the same seed and submission sequence must
 // produce DeepEqual results, identical merged event streams, and identical
-// per-shard journal bytes at every worker count — cluster Workers and
-// engine StepWorkers are execution knobs, not semantics.
+// per-shard journal bytes at every worker count — cluster Workers is an
+// execution knob, not semantics.
 
 type clusterRun struct {
 	jobs     []JobDTO
@@ -26,15 +26,13 @@ type clusterRun struct {
 
 // runShardedCluster drives a fixed deterministic workload through an N-shard
 // cluster and captures everything the determinism contract covers.
-func runShardedCluster(t *testing.T, dir string, shards, workers, stepWorkers int) clusterRun {
+func runShardedCluster(t *testing.T, dir string, shards, workers int) clusterRun {
 	t.Helper()
-	scfg := shardConfig(dir, "")
-	scfg.StepWorkers = stepWorkers
 	c, err := New(Config{
 		Addr:    "127.0.0.1:0",
 		Shards:  shards,
 		Workers: workers,
-		Shard:   scfg,
+		Shard:   shardConfig(dir, ""),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -98,10 +96,10 @@ func runShardedCluster(t *testing.T, dir string, shards, workers, stepWorkers in
 
 func TestShardedDeterminismAcrossWorkerCounts(t *testing.T) {
 	const shards = 3
-	// Serial cluster stepping with serial engines vs maximal parallelism on
-	// both levels: every observable output must be identical.
-	a := runShardedCluster(t, t.TempDir(), shards, 1, 0)
-	b := runShardedCluster(t, t.TempDir(), shards, 8, -1)
+	// Serial shard stepping vs eight cluster workers: every observable
+	// output must be identical.
+	a := runShardedCluster(t, t.TempDir(), shards, 1)
+	b := runShardedCluster(t, t.TempDir(), shards, 8)
 
 	if a.state.SSEDropped != 0 || b.state.SSEDropped != 0 {
 		t.Fatalf("dropped SSE events (%d, %d) — streams not comparable", a.state.SSEDropped, b.state.SSEDropped)
@@ -170,7 +168,7 @@ func TestShardedDeterminismAcrossWorkerCounts(t *testing.T) {
 // TestShardedStateAggregation sanity-checks the merged /state and vector
 // event ids on a multi-shard run.
 func TestShardedStateAggregation(t *testing.T) {
-	run := runShardedCluster(t, t.TempDir(), 3, 0, 0)
+	run := runShardedCluster(t, t.TempDir(), 3, 0)
 	if run.state.Cluster.Shards != 3 {
 		t.Errorf("cluster.shards = %d, want 3", run.state.Cluster.Shards)
 	}

@@ -1,5 +1,5 @@
 // Package parallel provides the deterministic fan-out primitives used by the
-// experiment harness and the simulation engine: independent tasks are
+// experiment harness and the cluster's shard round: independent tasks are
 // executed concurrently across CPUs while results land in input order, so
 // output is identical no matter how many cores ran it.
 package parallel
@@ -19,24 +19,15 @@ import (
 // remaining work is cancelled, every worker is joined, and the first panic
 // value observed is re-raised on the caller's goroutine.
 func ForEach(n int, fn func(i int)) {
-	ForEachShard(n, 0, func(_, i int) { fn(i) })
+	ForEachN(n, 0, fn)
 }
 
 // ForEachN is ForEach with an explicit worker bound: at most workers
 // goroutines run fn (workers ≤ 0 means GOMAXPROCS, and the count is further
 // capped at n). workers == 1 runs fn inline on the calling goroutine.
+// Index-to-goroutine assignment is dynamic (load-balanced), so only code
+// whose result does not depend on it belongs in fn.
 func ForEachN(n, workers int, fn func(i int)) {
-	ForEachShard(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachShard is ForEachN for callers that keep per-worker scratch state:
-// fn additionally receives the worker index in [0, workers), and a given
-// worker index is only ever live on one goroutine at a time, so fn may use
-// scratch[worker] without synchronisation. Index-to-worker assignment is
-// dynamic (load-balanced) and NOT deterministic; only code whose result does
-// not depend on the assignment — per-index outputs, per-worker scratch —
-// belongs in fn.
-func ForEachShard(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -48,7 +39,7 @@ func ForEachShard(n, workers int, fn func(worker, i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -60,8 +51,8 @@ func ForEachShard(n, workers int, fn func(worker, i int)) {
 		wg       sync.WaitGroup
 	)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
+	for range workers {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -78,9 +69,9 @@ func ForEachShard(n, workers int, fn func(worker, i int)) {
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if panicked.Load() {

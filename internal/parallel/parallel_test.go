@@ -99,27 +99,6 @@ func TestForEachNWorkerBound(t *testing.T) {
 	}
 }
 
-func TestForEachShardWorkerExclusive(t *testing.T) {
-	const workers = 4
-	var inUse [workers]atomic.Bool
-	scratch := make([]int, workers)
-	ForEachShard(500, workers, func(w, i int) {
-		if !inUse[w].CompareAndSwap(false, true) {
-			t.Errorf("worker slot %d used concurrently", w)
-		}
-		scratch[w]++ // must be safe without further synchronisation
-		time.Sleep(10 * time.Microsecond)
-		inUse[w].Store(false)
-	})
-	total := 0
-	for _, c := range scratch {
-		total += c
-	}
-	if total != 500 {
-		t.Fatalf("scratch slots saw %d calls, want 500", total)
-	}
-}
-
 // TestForEachPanic is the pool-deadlock regression: a panic in one worker
 // must cancel the remaining work, join every sibling goroutine, and re-raise
 // the original panic value on the caller's goroutine — not hang the pool.

@@ -117,8 +117,8 @@ func (s QuantumStats) String() string {
 // Scratch holds the reusable buffers RunQuantumScratch's step loop needs:
 // the per-step completion buffer and a dense per-level accumulator. The
 // closed-form breadth-first quantum of a *job.Run uses neither. A Scratch
-// belongs to exactly one goroutine at a time (the engine keeps one per step
-// worker); the zero value is ready to use and the buffers grow to the
+// belongs to one goroutine at a time (the engine keeps one for all its
+// jobs); the zero value is ready to use and the buffers grow to the
 // largest job seen, so a long-lived Scratch makes the quantum loop
 // allocation-free.
 type Scratch struct {

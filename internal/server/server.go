@@ -124,12 +124,6 @@ type Config struct {
 	// GET /api/v1/jobs/{id}/timeline (sim.MultiConfig.TimelineRing).
 	// Default 256; negative disables the timeline.
 	TimelineRing int
-	// StepWorkers is sim.MultiConfig.StepWorkers: how many goroutines step
-	// independent jobs within one quantum (0/1 serial, negative = one per
-	// CPU). A pure execution knob — results, events, journal records, and
-	// snapshots are bit-identical at every setting, so it is safe to change
-	// across restarts of the same journal.
-	StepWorkers int
 	// Capacity overrides the engine's capacity model (the fault plan's model
 	// is used when nil). The cluster layer (internal/cluster) injects a
 	// *ShareTable here so a cluster-level allocator can re-partition the
@@ -457,7 +451,6 @@ func (s *Server) engineConfig() sim.MultiConfig {
 		Capacity:  s.capacity,
 		// Observational: the ring never perturbs scheduling or snapshots.
 		TimelineRing: s.cfg.TimelineRing,
-		StepWorkers:  s.cfg.StepWorkers,
 	}
 }
 

@@ -384,12 +384,18 @@ func parseVector(s string, n int) ([]uint64, bool) {
 }
 
 // history records each job's lifecycle transitions — admitted,
-// deprived↔satisfied flips, restarts, completion — from the event stream,
-// bounded per job so a long-lived daemon cannot grow without bound.
+// deprived↔satisfied flips, restarts, completion — from the event stream.
+// It keeps at most max entries per job, and the entries of every unfinished
+// job plus the maxDoneHistories most recently completed ones, so a
+// long-lived daemon's history does not grow with the jobs it has served.
 type history struct {
 	mu    sync.Mutex
 	max   int
 	byJob map[int][]HistoryEntry
+	// done is a ring of the newest completed job ids; once it is full,
+	// done[next] is the oldest, whose entries the next completion drops.
+	done []int
+	next int
 }
 
 // HistoryEntry is one lifecycle transition of a job.
@@ -423,6 +429,15 @@ func (h *history) OnEvent(e obs.Event) {
 	h.byJob[e.Job] = append(entries, HistoryEntry{
 		Quantum: e.Quantum, Time: e.Time, Event: e.Kind.String(),
 	})
+	if e.Kind == obs.EvJobCompleted {
+		if len(h.done) < maxDoneHistories {
+			h.done = append(h.done, e.Job)
+		} else {
+			delete(h.byJob, h.done[h.next])
+			h.done[h.next] = e.Job
+			h.next = (h.next + 1) % maxDoneHistories
+		}
+	}
 	h.mu.Unlock()
 }
 

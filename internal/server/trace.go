@@ -28,6 +28,7 @@ const TraceHeader = "X-Abg-Trace-Id"
 const (
 	maxTraces        = 256  // retained traces; oldest evicted first
 	maxSpansPerTrace = 4096 // per-trace span cap; overflow sets Truncated
+	maxDoneHistories = 4096 // completed jobs whose history is kept; oldest dropped first
 )
 
 // TraceDTO is the JSON wire form of one trace.
@@ -221,27 +222,10 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad job id"})
 		return
 	}
-	s.mu.Lock()
-	samples, evicted, known := s.eng.Timeline(id)
-	st, _ := s.eng.JobStatus(id)
-	s.mu.Unlock()
-	if !known {
-		// Not in the engine — maybe still queued.
-		if dto, ok := s.lookupJob(id); ok {
-			WriteJSON(w, http.StatusOK, TimelineDTO{
-				ID: id, Name: dto.Name, State: dto.State,
-				Ring: s.cfg.TimelineRing, Samples: []sim.QuantumSample{},
-			})
-			return
-		}
+	dto, ok := s.JobTimeline(id)
+	if !ok {
 		WriteJSON(w, http.StatusNotFound, ErrorDTO{fmt.Sprintf("unknown job %d", id)})
 		return
 	}
-	if samples == nil {
-		samples = []sim.QuantumSample{}
-	}
-	WriteJSON(w, http.StatusOK, TimelineDTO{
-		ID: id, Name: st.Name, State: st.State.String(),
-		Ring: s.cfg.TimelineRing, Evicted: evicted, Samples: samples,
-	})
+	WriteJSON(w, http.StatusOK, dto)
 }

@@ -73,76 +73,24 @@ func RunSingleAdaptiveL(inst job.Instance, pol feedback.Policy, sc sched.Schedul
 	if err := cfg.normalize(); err != nil {
 		return SingleResult{}, err
 	}
-	res := SingleResult{
-		Work:         inst.TotalWork(),
-		CriticalPath: inst.CriticalPathLen(),
+	return runSingle(inst, pol, sc, allocator, SingleConfig{L: cfg.LMin,
+		MaxQuanta: cfg.MaxQuanta, KeepTrace: cfg.KeepTrace, Obs: cfg.Obs}, &cfg)
+}
+
+// nextLength is the adaptive rule: after a quantum whose request moved from
+// prevD to d by at most StableTol relative to max(prevD, 1), the length l
+// grows by Grow up to LMax; after a larger move it resets to LMin.
+func (c *AdaptiveLConfig) nextLength(l int, prevD, d float64) int {
+	scale := prevD
+	if scale < 1 {
+		scale = 1
 	}
-	bus := cfg.Obs
-	if bus.Active() {
-		bus.Emit(obs.Event{Kind: obs.EvJobAdmitted, Work: res.Work,
-			Parallelism: avgParallelism(res.Work, res.CriticalPath)})
+	rel := d - prevD
+	if rel < 0 {
+		rel = -rel
 	}
-	l := cfg.LMin
-	d := pol.InitialRequest()
-	prevD := d
-	deprived := false
-	var scr sched.Scratch // reused across quanta; measurements are identical
-	for q := 1; !inst.Done(); q++ {
-		if q > cfg.MaxQuanta {
-			return res, fmt.Errorf("sim: job did not finish within %d quanta", cfg.MaxQuanta)
-		}
-		start := res.Runtime
-		req := RoundRequest(d)
-		if bus.Active() {
-			bus.Emit(obs.Event{Kind: obs.EvRequest, Time: start, Quantum: q,
-				Request: d, IntRequest: req})
-		}
-		a := allocator.Grant(q, req)
-		if bus.Active() {
-			bus.Emit(obs.Event{Kind: obs.EvAllotment, Time: start, Quantum: q,
-				IntRequest: req, Allotment: a, Deprived: a < req})
-		}
-		st := sched.RunQuantumScratch(inst, sc, a, l, &scr)
-		st.Index = q
-		st.Start = start
-		st.Request = d
-		st.Deprived = a < req
-		res.NumQuanta++
-		res.Runtime += int64(st.Steps)
-		res.AllottedCycles += int64(a) * int64(st.Steps)
-		res.Waste += st.Waste()
-		if st.Completed {
-			res.BoundaryWaste = int64(a) * int64(l-st.Steps)
-		}
-		if cfg.KeepTrace {
-			res.Quanta = append(res.Quanta, st)
-		}
-		if bus.Active() {
-			emitQuantum(bus, st, 0, "", &deprived)
-			if st.Completed {
-				bus.Emit(obs.Event{Kind: obs.EvJobCompleted, Time: res.Runtime,
-					Work: res.Work, Response: res.Runtime})
-			}
-		}
-		prevD = d
-		d = pol.NextRequest(st)
-		// Adapt the quantum length from the observed request movement.
-		scale := prevD
-		if scale < 1 {
-			scale = 1
-		}
-		rel := d - prevD
-		if rel < 0 {
-			rel = -rel
-		}
-		if rel/scale <= cfg.StableTol {
-			l = int(float64(l) * cfg.Grow)
-			if l > cfg.LMax {
-				l = cfg.LMax
-			}
-		} else {
-			l = cfg.LMin
-		}
+	if rel/scale <= c.StableTol {
+		return min(int(float64(l)*c.Grow), c.LMax)
 	}
-	return res, nil
+	return c.LMin
 }

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"abg/internal/alloc"
 	"abg/internal/feedback"
 	"abg/internal/job"
+	"abg/internal/obs"
 	"abg/internal/sched"
 	"abg/internal/workload"
 	"abg/internal/xrand"
@@ -119,5 +121,62 @@ func TestAdaptiveLDefaultsApplied(t *testing.T) {
 	}
 	if cfg.Grow != 2 || cfg.StableTol != 0.05 || cfg.MaxQuanta != DefaultMaxQuanta {
 		t.Fatalf("defaults: %+v", cfg)
+	}
+}
+
+// TestAdaptiveLFixedLengthMatchesRunSingle: with LMin = LMax = L the
+// adaptive-length loop must be RunSingle at quantum length L — the same
+// result, trace and event stream — for both feedback policies, on a job
+// whose parallelism steps and on a random fork-join job, with and without
+// an allocator that deprives the job.
+func TestAdaptiveLFixedLengthMatchesRunSingle(t *testing.T) {
+	const l = 50
+	profiles := map[string]*job.Profile{
+		"step-widths": workload.StepWidths([]int{2, 40, 2, 40}, 300),
+		"fork-join":   workload.GenJob(xrand.New(11), workload.ScaledJobParams(6, l, 1)),
+	}
+	policies := map[string]func() (feedback.Policy, sched.Scheduler){
+		"a-control": func() (feedback.Policy, sched.Scheduler) { return feedback.NewAControl(0.2), sched.BGreedy() },
+		"a-greedy":  func() (feedback.Policy, sched.Scheduler) { return feedback.NewAGreedy(2, 0.8), sched.Greedy() },
+	}
+	allocators := map[string]alloc.Single{
+		"unconstrained": alloc.NewUnconstrained(64),
+		"alternating":   alloc.NewAvailabilityTrace(64, func(q int) int { return 4 + 12*(q%3) }, "alt"),
+	}
+	record := func() (*obs.Bus, *obs.Recorder) {
+		bus := obs.NewBus()
+		rec := &obs.Recorder{}
+		bus.Subscribe(rec)
+		return bus, rec
+	}
+	for pn, p := range profiles {
+		for poln, mk := range policies {
+			for an, al := range allocators {
+				busF, recF := record()
+				pol, sc := mk()
+				fixed, err := RunSingle(job.NewRun(p), pol, sc, al,
+					SingleConfig{L: l, KeepTrace: true, Obs: busF})
+				if err != nil {
+					t.Fatal(err)
+				}
+				busA, recA := record()
+				pol, sc = mk()
+				adaptive, err := RunSingleAdaptiveL(job.NewRun(p), pol, sc, al,
+					AdaptiveLConfig{LMin: l, LMax: l, KeepTrace: true, Obs: busA})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fixed.NumQuanta < 2 {
+					t.Fatalf("%s/%s/%s: degenerate run of %d quanta", pn, poln, an, fixed.NumQuanta)
+				}
+				if !reflect.DeepEqual(adaptive, fixed) {
+					t.Errorf("%s/%s/%s: results diverge:\n got %+v\nwant %+v", pn, poln, an, adaptive, fixed)
+				}
+				if !reflect.DeepEqual(recA.Events(), recF.Events()) {
+					t.Errorf("%s/%s/%s: event streams diverge (%d events, want %d)",
+						pn, poln, an, len(recA.Events()), len(recF.Events()))
+				}
+			}
+		}
 	}
 }

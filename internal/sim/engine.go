@@ -2,11 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"abg/internal/alloc"
 	"abg/internal/obs"
-	"abg/internal/parallel"
 	"abg/internal/sched"
 )
 
@@ -37,14 +35,13 @@ type Engine struct {
 
 	// Reusable per-boundary scratch. allot wraps the configured allocator
 	// with buffer reuse; qstats holds the execute phase's per-position
-	// measurements; scratch is the per-step-worker quantum scratch (worker w
-	// owns scratch[w] exclusively while a step's execute phase runs);
-	// statusBuf backs Statuses.
+	// measurements; scratch is the quantum loop's buffers; statusBuf backs
+	// Statuses.
 	activeIdx []int
 	requests  []int
 	allot     *alloc.Allotter
 	qstats    []sched.QuantumStats
-	scratch   []sched.Scratch
+	scratch   sched.Scratch
 	statusBuf []JobStatus
 }
 
@@ -151,26 +148,6 @@ func NewEngine(cfg MultiConfig) (*Engine, error) {
 	}
 	return &Engine{cfg: cfg, maxQ: maxQ, L64: int64(cfg.L), capNow: -1,
 		allot: alloc.NewAllotter(cfg.Allocator)}, nil
-}
-
-// stepWorkers resolves MultiConfig.StepWorkers against the number of jobs
-// active this boundary: ≤ 0 selects one worker per CPU, and the count never
-// exceeds the active job count.
-func (e *Engine) stepWorkers(active int) int {
-	w := e.cfg.StepWorkers
-	if w <= 0 {
-		if w == 0 {
-			return 1 // default: serial
-		}
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > active {
-		w = active
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Submit adds a job to the running simulation and returns its id (dense,
@@ -379,32 +356,19 @@ func (e *Engine) Step() (StepInfo, error) {
 			Quantum: e.res.QuantaElapsed, Job: -1, Name: cfg.Allocator.Name(),
 			P: pEff, IntRequest: totalReq, Allotment: totalAllot})
 	}
-	// Execute phase: run every granted job's quantum. Each execution is
-	// self-contained — the job's own instance plus one per-worker Scratch —
-	// and the measured stats land by position, so the phase parallelises
-	// across jobs without changing any observable output: every read or
-	// write of shared engine state (events, traces, waste, restarts,
-	// completions, feedback) happens in the reduce loop below, serially and
-	// in job-index order, exactly as the serial engine did it.
+	// Execute phase: run every granted job's quantum into its position's
+	// slot. Every read or write of shared engine state (events, traces,
+	// waste, restarts, completions, feedback) happens in the reduce loop
+	// below, in job-index order. The phases stay two loops so the first
+	// EvAllotment marks where execute ends.
 	if cap(e.qstats) < len(e.activeIdx) {
 		e.qstats = make([]sched.QuantumStats, len(e.activeIdx))
 	}
 	qstats := e.qstats[:len(e.activeIdx)]
-	workers := e.stepWorkers(len(e.activeIdx))
-	for len(e.scratch) < workers {
-		e.scratch = append(e.scratch, sched.Scratch{})
-	}
-	execOne := func(worker, pos int) {
+	for pos, i := range e.activeIdx {
 		if a := allots[pos]; a > 0 {
-			s := &e.states[e.activeIdx[pos]]
-			qstats[pos] = sched.RunQuantumScratch(s.spec.Inst, s.spec.Sched, a, cfg.L, &e.scratch[worker])
-		}
-	}
-	if workers > 1 {
-		parallel.ForEachShard(len(e.activeIdx), workers, execOne)
-	} else {
-		for pos := range e.activeIdx {
-			execOne(0, pos)
+			s := &e.states[i]
+			qstats[pos] = sched.RunQuantumScratch(s.spec.Inst, s.spec.Sched, a, cfg.L, &e.scratch)
 		}
 	}
 	// Reduce phase, in job-index order.

@@ -14,6 +14,10 @@ import (
 	"abg/internal/xrand"
 )
 
+// fullFaultSpec is the disturbance stack the equivalence suites use: lossy
+// control channel, measurement noise, capacity churn, seeded restarts.
+const fullFaultSpec = "drop=0.15,delay=2:0.1,dup=0.1,noise=0.3,restart=0.1,restartat=2,maxrestarts=2,cap=churn:0.5:4,seed=11"
+
 // equivSpecs builds a deterministic mixed job set: random fork-join jobs
 // under alternating ABG/A-Greedy policies with staggered releases, including
 // a long idle gap that forces the engine's fast-forward path. Each call
@@ -416,4 +420,56 @@ func TestEngineIdleAndStatus(t *testing.T) {
 	if _, ok := eng.JobStatus(99); ok {
 		t.Fatal("JobStatus(99) reported ok for unknown id")
 	}
+}
+
+// TestStatusesStableOrderAndReuse pins the two Statuses guarantees the
+// /state handler leans on under load: ascending-id order on every call, and
+// no per-call reallocation once the job count is stable.
+func TestStatusesStableOrderAndReuse(t *testing.T) {
+	eng, err := NewEngine(engCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := eng.Submit(constSpec("s", 1+i%4, 50+10*i, int64(50*i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(e *Engine, sts []JobStatus) {
+		t.Helper()
+		if len(sts) != e.NumJobs() {
+			t.Fatalf("Statuses len %d, want %d", len(sts), e.NumJobs())
+		}
+		for i, st := range sts {
+			if st.ID != i {
+				t.Fatalf("Statuses()[%d].ID = %d, want ascending ids", i, st.ID)
+			}
+		}
+	}
+	first := eng.Statuses()
+	check(eng, first)
+	backing := &first[0]
+	for !eng.Done() {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+		sts := eng.Statuses()
+		check(eng, sts)
+		if &sts[0] != backing {
+			t.Fatal("Statuses reallocated its buffer with an unchanged job count")
+		}
+	}
+	// Growth keeps the contract: new submissions appear in order.
+	eng2, err := NewEngine(engCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng2.Submit(constSpec("a", 2, 10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	check(eng2, eng2.Statuses())
+	if _, err := eng2.Submit(constSpec("b", 2, 10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	check(eng2, eng2.Statuses())
 }

@@ -52,15 +52,6 @@ type MultiConfig struct {
 	// obs.EvCapacity when the value changes. Nil reproduces the fixed
 	// machine bit-for-bit.
 	Capacity alloc.Capacity
-	// StepWorkers bounds the goroutines Engine.Step uses to execute the
-	// quanta of independent active jobs concurrently. 0 (the default) and 1
-	// run serially; n > 1 uses up to n workers; negative selects one worker
-	// per CPU. Results, the event stream, snapshots, and replay are
-	// bit-identical at every setting: the parallel phase only steps each
-	// job's own instance into a per-position slot, and all shared-state
-	// reduction happens serially in job-index order (pinned by the
-	// serial-vs-parallel equivalence tests).
-	StepWorkers int
 	// TimelineRing, when positive, keeps a bounded per-job ring of the last
 	// TimelineRing quantum samples (desire, allotment, measured parallelism,
 	// verdict — see QuantumSample), readable via Engine.Timeline. Purely

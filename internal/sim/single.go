@@ -163,10 +163,20 @@ func RunSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 	if cfg.L < 1 {
 		return SingleResult{}, fmt.Errorf("sim: quantum length %d < 1", cfg.L)
 	}
-	maxQ := cfg.MaxQuanta
-	if maxQ <= 0 {
-		maxQ = DefaultMaxQuanta
+	if cfg.MaxQuanta <= 0 {
+		cfg.MaxQuanta = DefaultMaxQuanta
 	}
+	return runSingle(inst, pol, sc, allocator, cfg, nil)
+}
+
+// runSingle is the single-job quantum loop behind RunSingle and
+// RunSingleAdaptiveL. The first quantum runs cfg.L steps; with adapt nil
+// every quantum does, otherwise adapt.nextLength sets each following
+// quantum's length from the request's movement. cfg.MaxQuanta must be
+// positive.
+func runSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
+	allocator alloc.Single, cfg SingleConfig, adapt *AdaptiveLConfig) (SingleResult, error) {
+
 	res := SingleResult{
 		Work:         inst.TotalWork(),
 		CriticalPath: inst.CriticalPathLen(),
@@ -176,14 +186,15 @@ func RunSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 		bus.Emit(obs.Event{Kind: obs.EvJobAdmitted, Work: res.Work,
 			Parallelism: avgParallelism(res.Work, res.CriticalPath)})
 	}
+	l := cfg.L
 	d := pol.InitialRequest()
 	deprived := false
 	capNow := -1          // last emitted effective capacity
 	var attemptWork int64 // work completed since the last (re)start
 	var scr sched.Scratch // reused across quanta; measurements are identical
 	for q := 1; !inst.Done(); q++ {
-		if q > maxQ {
-			return res, fmt.Errorf("sim: job did not finish within %d quanta", maxQ)
+		if q > cfg.MaxQuanta {
+			return res, fmt.Errorf("sim: job did not finish within %d quanta", cfg.MaxQuanta)
 		}
 		start := res.Runtime
 		req := RoundRequest(d)
@@ -212,7 +223,7 @@ func RunSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 			bus.Emit(obs.Event{Kind: obs.EvAllotment, Time: start, Quantum: q,
 				IntRequest: req, Allotment: a, Deprived: a < req})
 		}
-		st := sched.RunQuantumScratch(inst, sc, a, cfg.L, &scr)
+		st := sched.RunQuantumScratch(inst, sc, a, l, &scr)
 		st.Index = q
 		st.Start = start
 		st.Request = d
@@ -223,7 +234,7 @@ func RunSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 		res.Waste += st.Waste()
 		attemptWork += st.Work
 		if st.Completed {
-			res.BoundaryWaste = int64(a) * int64(cfg.L-st.Steps)
+			res.BoundaryWaste = int64(a) * int64(l-st.Steps)
 		}
 		if cfg.KeepTrace {
 			res.Quanta = append(res.Quanta, st)
@@ -250,7 +261,11 @@ func RunSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 			d = pol.InitialRequest()
 			continue
 		}
+		prevD := d
 		d = pol.NextRequest(st)
+		if adapt != nil {
+			l = adapt.nextLength(l, prevD, d)
+		}
 	}
 	return res, nil
 }

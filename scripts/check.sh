@@ -34,13 +34,6 @@ go test -race ./internal/obs/... ./internal/sim/... ./internal/fault/... \
     ./internal/persist/... ./internal/cli/... ./internal/parallel/... \
     ./internal/replica/... ./internal/cluster/... ./internal/failover/...
 
-echo "== parallel-step determinism guard (serial vs workers {1,2,8}, faults + snapshot/restore)"
-# Bit-identical results, event streams, and statuses at every StepWorkers
-# setting — the contract that makes -step-workers a pure execution knob.
-go test -race -count=1 \
-    -run 'TestParallelStepEquivalence|TestParallelSnapshotRestoreEquivalence' \
-    ./internal/sim/
-
 echo "== bench schema smoke (abgbench -quick, validates BENCH format)"
 # The /metrics-scrape-vs-SSE-vs-stepping race test itself runs in the -race
 # block above (TestMetricsConcurrentWithStreamAndStepping, internal/server).
