@@ -598,10 +598,19 @@ func (r *report) render(w io.Writer) {
 			fmt.Sprintf("%.1f / %.1f / %.1f", pq.P50, pq.P99, pq.Max))
 	}
 	tb.AddRowf("status polls", r.polls)
-	tb.AddRowf("submit ms p50/p90/max", fmt.Sprintf("%.2f / %.2f / %.2f", sub.Median, sub.P90, sub.Max))
-	tb.AddRowf("status ms p50/p90/max", fmt.Sprintf("%.2f / %.2f / %.2f", sta.Median, sta.P90, sta.Max))
-	tb.AddRowf("response steps mean/p90", fmt.Sprintf("%.0f / %.0f", resp.Mean, resp.P90))
-	tb.AddRowf("deprived-quanta fraction", fmt.Sprintf("%.3f", depr.Mean))
+	// A statistic of an empty sample is NaN: its row is left out instead.
+	if sub.N > 0 {
+		tb.AddRowf("submit ms p50/p90/max", fmt.Sprintf("%.2f / %.2f / %.2f", sub.Median, sub.P90, sub.Max))
+	}
+	if sta.N > 0 {
+		tb.AddRowf("status ms p50/p90/max", fmt.Sprintf("%.2f / %.2f / %.2f", sta.Median, sta.P90, sta.Max))
+	}
+	if resp.N > 0 {
+		tb.AddRowf("response steps mean/p90", fmt.Sprintf("%.0f / %.0f", resp.Mean, resp.P90))
+	}
+	if depr.N > 0 {
+		tb.AddRowf("deprived-quanta fraction", fmt.Sprintf("%.3f", depr.Mean))
+	}
 	tb.AddRowf("makespan (steps)", r.state.Makespan)
 	tb.AddRowf("total waste", r.state.TotalWaste)
 	tb.AddRowf("sse dropped", r.state.SSEDropped)

@@ -351,3 +351,58 @@ func TestOneShardEquivalenceIDs(t *testing.T) {
 		t.Fatalf("Wait: %v", err)
 	}
 }
+
+// TestUnknownJobMatchesDaemon: a 2-shard front door answers a lookup of a
+// job it never admitted with the plain daemon's status and body.
+func TestUnknownJobMatchesDaemon(t *testing.T) {
+	shard := server.Config{P: 16, L: 20, Clock: server.ClockVirtual}
+	cfg := shard
+	cfg.Addr = "127.0.0.1:0"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("daemon New: %v", err)
+	}
+	if err := srv.Start(ctx); err != nil {
+		t.Fatalf("daemon Start: %v", err)
+	}
+	c, err := New(Config{Addr: "127.0.0.1:0", Shards: 2, Shard: shard})
+	if err != nil {
+		t.Fatalf("cluster New: %v", err)
+	}
+	if err := c.Start(ctx); err != nil {
+		t.Fatalf("cluster Start: %v", err)
+	}
+	get := func(url string) (int, string) {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: read: %v", url, err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	daemon, front := "http://"+srv.Addr(), "http://"+c.Addr()
+	for _, path := range []string{"/api/v1/jobs/999", "/api/v1/jobs/999/timeline", "/api/v1/jobs/-1"} {
+		dCode, dBody := get(daemon + path)
+		cCode, cBody := get(front + path)
+		if dCode != http.StatusNotFound || cCode != dCode || cBody != dBody {
+			t.Errorf("GET %s: daemon %d %q, cluster %d %q; want both 404 with one body", path, dCode, dBody, cCode, cBody)
+		}
+	}
+	for _, base := range []string{daemon, front} {
+		if code := postJSON(t, base+"/api/v1/drain?wait=1", nil, nil); code != http.StatusOK {
+			t.Fatalf("drain %s: status %d", base, code)
+		}
+	}
+	if err := srv.Wait(); err != nil {
+		t.Fatalf("daemon Wait: %v", err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatalf("cluster Wait: %v", err)
+	}
+}

@@ -167,7 +167,7 @@ func (c *Cluster) jobFromPath(w http.ResponseWriter, r *http.Request) (local, sh
 	}
 	local, shard, ok = c.splitID(g)
 	if !ok {
-		server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: fmt.Sprintf("no job %d", g)})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: fmt.Sprintf("unknown job %d", g)})
 	}
 	return local, shard, ok
 }
@@ -179,7 +179,7 @@ func (c *Cluster) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	dto, ok := c.shards[k].srv.LookupJob(local)
 	if !ok {
-		server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: fmt.Sprintf("no job %d", c.globalID(local, k))})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: fmt.Sprintf("unknown job %d", c.globalID(local, k))})
 		return
 	}
 	dto.History = c.shards[k].srv.JobHistory(local)
@@ -194,7 +194,7 @@ func (c *Cluster) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 	tl, ok := c.shards[k].srv.JobTimeline(local)
 	if !ok {
-		server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: fmt.Sprintf("no job %d", c.globalID(local, k))})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: fmt.Sprintf("unknown job %d", c.globalID(local, k))})
 		return
 	}
 	tl.ID = c.globalID(local, k)

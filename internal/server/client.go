@@ -672,7 +672,8 @@ func (c *Client) StreamEvents(ctx context.Context, afterID uint64, fn func(SSEEv
 
 // streamOnce is one SSE connection: subscribe after *last, dispatch frames,
 // and keep *last current so the caller can resume. Returns the number of
-// frames dispatched.
+// frames dispatched. Lines are read in place from the scanner's buffer, so
+// a frame allocates only the RawID, Type and Data it hands to fn.
 func (c *Client) streamOnce(ctx context.Context, last *string, fn func(SSEEvent) error) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/api/v1/events", nil)
 	if err != nil {
@@ -698,9 +699,9 @@ func (c *Client) streamOnce(ctx context.Context, last *string, fn func(SSEEvent)
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case line == "":
+		case len(line) == 0:
 			if haveData || ev.Type != "" {
 				if ev.RawID != "" {
 					*last = ev.RawID
@@ -711,19 +712,19 @@ func (c *Client) streamOnce(ctx context.Context, last *string, fn func(SSEEvent)
 				}
 			}
 			ev, haveData = SSEEvent{}, false
-		case strings.HasPrefix(line, "id: "):
-			ev.RawID = line[4:]
+		case bytes.HasPrefix(line, []byte("id: ")):
+			ev.RawID = string(line[4:])
 			// Scalar ids (single daemon, one-shard cluster) also populate
 			// ID; vector ids from a multi-shard cluster stay RawID-only.
 			if id, perr := strconv.ParseUint(ev.RawID, 10, 64); perr == nil {
 				ev.ID = id
 			}
-		case strings.HasPrefix(line, "event: "):
-			ev.Type = line[7:]
-		case strings.HasPrefix(line, "data: "):
+		case bytes.HasPrefix(line, []byte("event: ")):
+			ev.Type = string(line[7:])
+		case bytes.HasPrefix(line, []byte("data: ")):
 			ev.Data = append(ev.Data, line[6:]...)
 			haveData = true
-		case strings.HasPrefix(line, ":"), strings.HasPrefix(line, "retry: "):
+		case bytes.HasPrefix(line, []byte(":")), bytes.HasPrefix(line, []byte("retry: ")):
 			// comments and reconnect hints carry no payload
 		}
 	}

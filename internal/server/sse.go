@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,8 +35,64 @@ type eventDTO struct {
 	Completed   bool    `json:"completed,omitempty"`
 }
 
-// marshalEvent renders one instrumentation event as JSON.
+// eventBufLen sizes the stack buffer appendEvent renders into: every field
+// at its widest takes about 440 bytes, so only a long name spills.
+const eventBufLen = 512
+
+// marshalEvent renders one instrumentation event as JSON (see appendEvent).
 func marshalEvent(e obs.Event) []byte {
+	var buf [eventBufLen]byte
+	return bytes.Clone(appendEvent(buf[:0], e))
+}
+
+// appendEvent appends e's JSON wire form to b: byte for byte what
+// json.Marshal renders for eventDTO, in its field order and with its
+// omitempty rules, but without reflection. Strings are written verbatim
+// only when json.Marshal would write them so (plainJSON), and floats
+// only when finite; any other event goes through json.Marshal itself,
+// so no escaping rule is reimplemented here. FuzzEventJSON pins the
+// equality.
+func appendEvent(b []byte, e obs.Event) []byte {
+	kind := e.Kind.String()
+	if !plainJSON(kind) || !plainJSON(e.Name) || !finite(e.Request) || !finite(e.Parallelism) {
+		return append(b, marshalEventReflect(e)...)
+	}
+	b = append(b, `{"kind":"`...)
+	b = append(b, kind...)
+	b = append(b, `","time":`...)
+	b = strconv.AppendInt(b, e.Time, 10)
+	b = appendIntField(b, `,"quantum":`, int64(e.Quantum))
+	b = append(b, `,"job":`...)
+	b = strconv.AppendInt(b, int64(e.Job), 10)
+	if e.Name != "" {
+		b = append(b, `,"name":"`...)
+		b = append(b, e.Name...)
+		b = append(b, '"')
+	}
+	if e.Request != 0 {
+		b = appendFloat(append(b, `,"request":`...), e.Request)
+	}
+	b = appendIntField(b, `,"intRequest":`, int64(e.IntRequest))
+	b = appendIntField(b, `,"allotment":`, int64(e.Allotment))
+	b = appendIntField(b, `,"p":`, int64(e.P))
+	b = appendIntField(b, `,"steps":`, int64(e.Steps))
+	b = appendIntField(b, `,"work":`, e.Work)
+	b = appendIntField(b, `,"waste":`, e.Waste)
+	b = appendIntField(b, `,"response":`, e.Response)
+	if e.Parallelism != 0 {
+		b = appendFloat(append(b, `,"parallelism":`...), e.Parallelism)
+	}
+	if e.Deprived {
+		b = append(b, `,"deprived":true`...)
+	}
+	if e.Completed {
+		b = append(b, `,"completed":true`...)
+	}
+	return append(b, '}')
+}
+
+// marshalEventReflect is the reflection path appendEvent falls back to.
+func marshalEventReflect(e obs.Event) []byte {
 	b, err := json.Marshal(eventDTO{
 		Kind: e.Kind.String(), Time: e.Time, Quantum: e.Quantum, Job: e.Job,
 		Name: e.Name, Request: e.Request, IntRequest: e.IntRequest,
@@ -42,11 +100,52 @@ func marshalEvent(e obs.Event) []byte {
 		Waste: e.Waste, Response: e.Response, Parallelism: e.Parallelism,
 		Deprived: e.Deprived, Completed: e.Completed,
 	})
-	if err != nil { // a flat struct of scalars cannot fail to marshal
+	if err != nil { // a NaN or ±Inf float has no JSON form
 		return []byte(`{"kind":"marshal_error"}`)
 	}
 	return b
 }
+
+// appendIntField appends an omitempty integer field: key and value, or
+// nothing when v is zero.
+func appendIntField(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendFloat appends a finite f as json.Marshal renders a float64: the
+// shortest round-tripping digits, in 'e' form below 1e-6 and from 1e21 up
+// (as ES6 does), with a one-digit negative exponent unpadded (e-7, not
+// e-07).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// plainJSON reports whether json.Marshal writes s between its quotes
+// unchanged: printable ASCII other than '"' and '\\', and other than '<',
+// '>' and '&', which it escapes for HTML.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // sseMsg is one stream item: its SSE frame ("id: …\ndata: …\n\n"),
 // rendered once at publish, and its position — the publishing component in
@@ -130,8 +229,12 @@ func NewEventHub(components, ringCap, byteCap int) *EventHub {
 	}
 }
 
-// OnEvent implements obs.Subscriber for a daemon's one-component hub.
-func (h *EventHub) OnEvent(e obs.Event) { h.Publish(0, marshalEvent(e)) }
+// OnEvent implements obs.Subscriber for a daemon's one-component hub. The
+// JSON is rendered on the stack: Publish copies it into the frame.
+func (h *EventHub) OnEvent(e obs.Event) {
+	var buf [eventBufLen]byte
+	h.Publish(0, appendEvent(buf[:0], e))
+}
 
 // Publish appends one marshalled event to component comp's stream.
 func (h *EventHub) Publish(comp int, data []byte) {
@@ -286,8 +389,11 @@ func (h *EventHub) Close() {
 // that reconnects with Last-Event-ID (one number per component, 400
 // otherwise) resumes from the bounded replay ring without loss; one whose
 // position has been evicted receives an `event: resync` frame first and
-// must refetch absolute state (GET /api/v1/state). The stream ends when the
-// client disconnects or the hub closes at the end of the drain.
+// must refetch absolute state (GET /api/v1/state). Each wake-up writes the
+// frame that woke it and every frame queued behind it, then flushes once.
+// The stream ends when the client disconnects, or when the hub closes at
+// the end of the drain, after the frames still queued are written and
+// flushed.
 func (h *EventHub) Handler(scheduler string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		flusher, ok := w.(http.Flusher)
@@ -333,6 +439,16 @@ func (h *EventHub) Handler(scheduler string) http.HandlerFunc {
 				}
 				if _, err := w.Write(m.frame); err != nil {
 					return
+				}
+				// Every frame queued by now goes out under the same flush:
+				// a burst costs one write(2), not one per frame. This is
+				// the channel's only receiver, so the len(ch) frames are
+				// there even after a close; the bound keeps a steady
+				// publisher from postponing the flush.
+				for range len(ch) {
+					if _, err := w.Write((<-ch).frame); err != nil {
+						return
+					}
 				}
 				flusher.Flush()
 			case <-r.Context().Done():

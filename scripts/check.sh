@@ -56,6 +56,9 @@ go test -run '^$' -fuzz FuzzQuantumBreadthFirst -fuzztime 5s ./internal/sched/
 echo "== run cursor decoder fuzz (5s, both layouts)"
 go test -run '^$' -fuzz FuzzRunCursor -fuzztime 5s ./internal/job/
 
+echo "== SSE event encoder fuzz (5s, byte-identical to encoding/json)"
+go test -run '^$' -fuzz FuzzEventJSON -fuzztime 5s ./internal/server/
+
 echo "== deterministic replay guard (same seed+spec => identical chaos report)"
 a="$(go run ./cmd/abgexp -exp chaos -scale small)"
 b="$(go run ./cmd/abgexp -exp chaos -scale small)"
