@@ -1,14 +1,11 @@
-// Command abgexp regenerates the paper's evaluation figures as text tables
-// (and optionally CSV series). One experiment per figure:
+// Command abgexp regenerates one experiment of the paper's evaluation, or
+// of this repository's ablations and extensions, as text tables (and
+// optionally its main series as CSV or an ASCII chart). `abgexp -h` lists
+// the experiments:
 //
 //	abgexp -exp fig1              # A-Greedy request instability
-//	abgexp -exp fig4              # ABG vs A-Greedy transient behaviour
-//	abgexp -exp fig5              # runtime & waste vs transition factor
-//	abgexp -exp fig6              # makespan & response time vs load
-//	abgexp -exp rsweep            # convergence-rate sensitivity (footnote 3)
-//	abgexp -exp gain              # ablation: adaptive vs fixed-gain control
-//	abgexp -exp order             # ablation: breadth-first vs other orders
-//	abgexp -exp quantum           # ablation: quantum length sweep
+//	abgexp -exp fig5 -scale full  # runtime & waste vs transition factor
+//	abgexp -exp fig6 -csv f6.csv  # makespan & response time vs load
 //
 // -scale small|medium|full trades fidelity for time (full is the paper's
 // exact setup: P=128, L=1000, 50 jobs per C_L in 2..100, 5000 job sets).
@@ -17,336 +14,120 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"abg/internal/chart"
 	"abg/internal/cli"
 	"abg/internal/experiments"
 	"abg/internal/obs"
-	"abg/internal/stats"
 	"abg/internal/trace"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its outputs injected, so usage errors and output bytes
+// are testable. It returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("abgexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "fig5", "experiment: fig1|fig4|fig5|fig6|rsweep|gain|order|quantum|adaptivel|steal|mixed|chaos")
-		scale     = flag.String("scale", "medium", "scale: small|medium|full")
-		seed      = flag.Uint64("seed", 2008, "experiment seed")
-		csvPath   = flag.String("csv", "", "optional path to write the main series as CSV")
-		showChart = flag.Bool("chart", false, "render the main series as an ASCII chart")
-		logSpec   = flag.String("log", "", `log levels, e.g. "info" or "info,experiments=debug" (default warn)`)
-		debugAddr = flag.String("debug-addr", "", "serve expvar + pprof on this address (e.g. :6060) during the run")
-		metricsOn = flag.Bool("metrics", false, "print the metrics snapshot to stderr after the run")
-		version   = cli.VersionFlag()
+		exp       = fs.String("exp", "fig5", "experiment: "+strings.Join(experiments.Names(), "|"))
+		scale     = fs.String("scale", "medium", "scale: small|medium|full")
+		seed      = fs.Uint64("seed", 2008, "experiment seed")
+		csvPath   = fs.String("csv", "", "optional path to write the main series as CSV")
+		showChart = fs.Bool("chart", false, "render the main series as an ASCII chart")
+		logSpec   = fs.String("log", "", `log levels, e.g. "info" or "info,experiments=debug" (default warn)`)
+		debugAddr = fs.String("debug-addr", "", "serve expvar + pprof on this address (e.g. :6060) during the run")
+		metricsOn = fs.Bool("metrics", false, "print the metrics snapshot to stderr after the run")
+		version   = cli.VersionFlagSet(fs)
 	)
-	flag.Parse()
-	cli.ExitIfVersion("abgexp", *version)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if *version {
+		fmt.Fprintln(stdout, cli.VersionLine("abgexp"))
+		return 0
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "abgexp: %v\n", err)
+		return code
+	}
+	e, ok := experiments.Lookup(*exp)
+	if !ok {
+		return fail(2, fmt.Errorf("unknown experiment %q", *exp))
+	}
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		return fail(2, err)
+	}
 	if err := obs.SetupDefaultLogger(*logSpec); err != nil {
-		fatalf("%v", err)
+		return fail(2, err)
 	}
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	if *debugAddr != "" {
 		srv, err := obs.StartDebugServer(*debugAddr, nil)
 		if err != nil {
-			fatalf("%v", err)
+			return fail(1, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "[debug server on http://%s]\n", srv.Addr())
+		fmt.Fprintf(stderr, "[debug server on http://%s]\n", srv.Addr())
 	}
 
 	cfg := experiments.Defaults()
 	cfg.Seed = *seed
 	start := time.Now()
-	var (
-		series []trace.Series
-		err    error
-	)
-	switch *exp {
-	case "fig1":
-		var res experiments.TransientResult
-		res, err = experiments.Fig1(cfg)
-		if err == nil {
-			err = res.Render(os.Stdout)
-			series = transientSeries(res)
-		}
-	case "fig4":
-		var res experiments.TransientResult
-		res, err = experiments.Fig4(cfg)
-		if err == nil {
-			err = res.Render(os.Stdout)
-			series = transientSeries(res)
-		}
-	case "fig5":
-		f5 := experiments.DefaultFig5Config()
-		f5.Config = cfg
-		switch *scale {
-		case "small":
-			f5.CLValues = []int{2, 5, 10, 20, 50, 100}
-			f5.JobsPerCL = 5
-			f5.Shrink = 4
-		case "medium":
-			f5.CLValues = f5.CLValues[:0]
-			for cl := 2; cl <= 100; cl += 7 {
-				f5.CLValues = append(f5.CLValues, cl)
-			}
-			f5.JobsPerCL = 15
-			f5.Shrink = 2
-		case "full":
-			// paper scale, set by DefaultFig5Config
-		default:
-			fatalf("unknown scale %q", *scale)
-		}
-		var res experiments.Fig5Result
-		res, err = experiments.Fig5(f5)
-		if err == nil {
-			err = res.Render(os.Stdout)
-			series = fig5Series(res)
-		}
-	case "fig6":
-		f6 := experiments.DefaultFig6Config()
-		f6.Config = cfg
-		switch *scale {
-		case "small":
-			f6.NumSets, f6.Shrink, f6.Bins = 40, 4, 8
-		case "medium":
-			f6.NumSets, f6.Shrink, f6.Bins = 400, 1, 12
-		case "full":
-			// paper scale
-		default:
-			fatalf("unknown scale %q", *scale)
-		}
-		var res experiments.Fig6Result
-		res, err = experiments.Fig6(f6)
-		if err == nil {
-			err = res.Render(os.Stdout)
-			series = fig6Series(res)
-		}
-	case "rsweep":
-		rs := experiments.DefaultRSweepConfig()
-		rs.Config = cfg
-		if *scale == "small" {
-			rs.JobsPerPoint, rs.Shrink = 3, 4
-		}
-		var res experiments.RSweepResult
-		res, err = experiments.RSweep(rs)
-		if err == nil {
-			err = res.Render(os.Stdout)
-		}
-	case "gain":
-		var res experiments.GainAblationResult
-		res, err = experiments.GainAblation(cfg, 2, 64, cfg.L*2, 4)
-		if err == nil {
-			err = res.Render(os.Stdout)
-		}
-	case "order":
-		var res experiments.OrderAblationResult
-		res, err = experiments.OrderAblation(cfg, []int{5, 20, 50}, 8, 2)
-		if err == nil {
-			err = res.Render(os.Stdout)
-		}
-	case "quantum":
-		var res experiments.QuantumLengthResult
-		res, err = experiments.QuantumLengthAblation(cfg,
-			[]int{125, 250, 500, 1000, 2000, 4000}, []int{10, 40}, 6, 2)
-		if err == nil {
-			err = res.Render(os.Stdout)
-		}
-	case "adaptivel":
-		var res experiments.AdaptiveLResult
-		res, err = experiments.AdaptiveQuantum(cfg, []int{5, 20, 50}, 6, 2, cfg.L/8, cfg.L*2)
-		if err == nil {
-			err = res.Render(os.Stdout)
-		}
-	case "steal":
-		var res experiments.StealResult
-		shrink := 4
-		if *scale == "full" {
-			shrink = 2
-		}
-		res, err = experiments.Steal(cfg, []int{4, 16, 64}, 5, shrink)
-		if err == nil {
-			err = res.Render(os.Stdout)
-		}
-	case "mixed":
-		var res experiments.MixedResult
-		sets := 30
-		if *scale == "full" {
-			sets = 200
-		}
-		res, err = experiments.Mixed(cfg, sets, 1.0, 2)
-		if err == nil {
-			err = res.Render(os.Stdout)
-		}
-	case "chaos":
-		cc := experiments.DefaultChaosConfig()
-		cc.Config = cfg
-		cc.Plan = experiments.DefaultChaosPlan(cfg.P, cfg.Seed)
-		switch *scale {
-		case "small":
-			cc.Jobs, cc.Shrink, cc.ProbeQuanta = 3, 4, 30
-		case "medium":
-			// DefaultChaosConfig scale
-		case "full":
-			cc.Jobs = 24
-			cc.Intensities = []float64{0, 0.125, 0.25, 0.5, 0.75, 1}
-		default:
-			fatalf("unknown scale %q", *scale)
-		}
-		var res experiments.ChaosResult
-		res, err = experiments.Chaos(cc)
-		if err == nil {
-			err = res.Render(os.Stdout)
-			series = chaosSeries(res)
-		}
-	case "ratestudy":
-		var res experiments.RateStudyResult
-		res, err = experiments.RateStudy(cfg, []int{10, 30, 60, 100}, 8, 2)
-		if err == nil {
-			err = res.Render(os.Stdout)
-		}
-	case "opensystem":
-		var res experiments.OpenSystemResult
-		jobs := 150
-		if *scale == "full" {
-			jobs = 600
-		}
-		loads := []float64{0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95}
-		res, err = experiments.OpenSystem(cfg, loads, jobs, 4)
-		if err == nil {
-			err = res.Render(os.Stdout)
-			series = []trace.Series{
-				{Name: "abg-response", X: loads, Y: res.ABGResponse},
-				{Name: "agreedy-response", X: loads, Y: res.AGResponse},
-			}
-		}
-	default:
-		fatalf("unknown experiment %q", *exp)
+	res, err := e.Run(cfg, sc)
+	if err == nil {
+		err = res.Render(stdout)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		return fail(1, err)
 	}
-	fmt.Fprintf(os.Stderr, "\n[%s %s in %v]\n", *exp, *scale, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "\n[%s %s in %v]\n", *exp, *scale, time.Since(start).Round(time.Millisecond))
 
+	series := experiments.SeriesOf(res)
 	if *showChart && len(series) > 0 {
-		fmt.Println()
-		if err := chart.Render(os.Stdout, series, chart.Options{
+		fmt.Fprintln(stdout)
+		if err := chart.Render(stdout, series, chart.Options{
 			Title: *exp, Width: 72, Height: 18,
 		}); err != nil {
-			fatalf("%v", err)
+			return fail(1, err)
 		}
 	}
 	if *csvPath != "" && len(series) > 0 {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatalf("%v", err)
+		if err := writeCSV(*csvPath, series); err != nil {
+			return fail(1, err)
 		}
-		defer f.Close()
-		if err := trace.WriteSeriesCSV(f, series); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "[series written to %s]\n", *csvPath)
+		fmt.Fprintf(stderr, "[series written to %s]\n", *csvPath)
 	}
 	if *metricsOn {
-		fmt.Fprintln(os.Stderr)
-		if err := obs.Default.WriteSnapshot(os.Stderr); err != nil {
-			fatalf("%v", err)
+		fmt.Fprintln(stderr)
+		if err := obs.Default.WriteSnapshot(stderr); err != nil {
+			return fail(1, err)
 		}
 	}
-	if cli.Interrupted(ctx, os.Stderr, "abgexp") {
-		os.Exit(1)
+	if cli.Interrupted(ctx, stderr, "abgexp") {
+		return 1
 	}
+	return 0
 }
 
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "abgexp: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func transientSeries(r experiments.TransientResult) []trace.Series {
-	xs := make([]float64, len(r.ABGRequests))
-	for i := range xs {
-		xs[i] = float64(i + 1)
+func writeCSV(path string, series []trace.Series) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	xg := make([]float64, len(r.AGreedyRequests))
-	for i := range xg {
-		xg[i] = float64(i + 1)
+	if err := trace.WriteSeriesCSV(f, series); err != nil {
+		f.Close()
+		return err
 	}
-	return []trace.Series{
-		{Name: "abg-request", X: xs, Y: r.ABGRequests},
-		{Name: "agreedy-request", X: xg, Y: r.AGreedyRequests},
-	}
-}
-
-func fig5Series(r experiments.Fig5Result) []trace.Series {
-	n := len(r.Points)
-	mk := func(f func(experiments.Fig5Point) float64) ([]float64, []float64) {
-		xs, ys := make([]float64, n), make([]float64, n)
-		for i, p := range r.Points {
-			xs[i], ys[i] = float64(p.CL), f(p)
-		}
-		return xs, ys
-	}
-	var series []trace.Series
-	for _, s := range []struct {
-		name string
-		f    func(experiments.Fig5Point) float64
-	}{
-		{"abg-runtime", func(p experiments.Fig5Point) float64 { return p.ABGRuntime }},
-		{"agreedy-runtime", func(p experiments.Fig5Point) float64 { return p.AGRuntime }},
-		{"runtime-ratio", func(p experiments.Fig5Point) float64 { return p.RuntimeRatio }},
-		{"abg-waste", func(p experiments.Fig5Point) float64 { return p.ABGWaste }},
-		{"agreedy-waste", func(p experiments.Fig5Point) float64 { return p.AGWaste }},
-		{"waste-ratio", func(p experiments.Fig5Point) float64 { return p.WasteRatio }},
-	} {
-		xs, ys := mk(s.f)
-		series = append(series, trace.Series{Name: s.name, X: xs, Y: ys})
-	}
-	return series
-}
-
-func chaosSeries(r experiments.ChaosResult) []trace.Series {
-	n := len(r.Points)
-	mk := func(f func(experiments.ChaosPoint) float64) ([]float64, []float64) {
-		xs, ys := make([]float64, n), make([]float64, n)
-		for i, p := range r.Points {
-			xs[i], ys[i] = p.Intensity, f(p)
-		}
-		return xs, ys
-	}
-	var series []trace.Series
-	for _, s := range []struct {
-		name string
-		f    func(experiments.ChaosPoint) float64
-	}{
-		{"abg-stretch", func(p experiments.ChaosPoint) float64 { return p.ABG.Stretch }},
-		{"agreedy-stretch", func(p experiments.ChaosPoint) float64 { return p.AGreedy.Stretch }},
-		{"abg-waste", func(p experiments.ChaosPoint) float64 { return p.ABG.Waste }},
-		{"agreedy-waste", func(p experiments.ChaosPoint) float64 { return p.AGreedy.Waste }},
-		{"abg-overshoot", func(p experiments.ChaosPoint) float64 { return p.ABG.Overshoot }},
-		{"agreedy-overshoot", func(p experiments.ChaosPoint) float64 { return p.AGreedy.Overshoot }},
-	} {
-		xs, ys := mk(s.f)
-		series = append(series, trace.Series{Name: s.name, X: xs, Y: ys})
-	}
-	return series
-}
-
-func fig6Series(r experiments.Fig6Result) []trace.Series {
-	var series []trace.Series
-	add := func(name string, pts []stats.Point) {
-		xs, ys := make([]float64, len(pts)), make([]float64, len(pts))
-		for i, p := range pts {
-			xs[i], ys[i] = p.X, p.Y
-		}
-		series = append(series, trace.Series{Name: name, X: xs, Y: ys})
-	}
-	add("abg-makespan", r.ABGMakespanCurve)
-	add("agreedy-makespan", r.AGMakespanCurve)
-	add("makespan-ratio", r.MakespanRatioCurve)
-	add("abg-response", r.ABGResponseCurve)
-	add("agreedy-response", r.AGResponseCurve)
-	add("response-ratio", r.ResponseRatioCurve)
-	return series
+	return f.Close()
 }

@@ -1,65 +1,71 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"abg/internal/experiments"
-	"abg/internal/stats"
 )
 
-func TestTransientSeries(t *testing.T) {
-	r := experiments.TransientResult{
-		ABGRequests:     []float64{1, 9, 11},
-		AGreedyRequests: []float64{1, 2, 4, 8},
-	}
-	series := transientSeries(r)
-	if len(series) != 2 {
-		t.Fatalf("series = %d", len(series))
-	}
-	if len(series[0].X) != 3 || series[0].X[2] != 3 {
-		t.Fatalf("abg x axis: %v", series[0].X)
-	}
-	if len(series[1].X) != 4 || series[1].Y[3] != 8 {
-		t.Fatalf("agreedy series: %+v", series[1])
-	}
+// exec runs the command with args and returns (exit code, stdout, stderr).
+func exec(args ...string) (int, string, string) {
+	var out, errb strings.Builder
+	code := run(args, &out, &errb)
+	return code, out.String(), errb.String()
 }
 
-func TestFig5Series(t *testing.T) {
-	r := experiments.Fig5Result{Points: []experiments.Fig5Point{
-		{CL: 2, ABGRuntime: 1.1, AGRuntime: 1.3, RuntimeRatio: 1.18, ABGWaste: 0.4, AGWaste: 0.8, WasteRatio: 2},
-		{CL: 50, ABGRuntime: 1.4, AGRuntime: 1.6, RuntimeRatio: 1.14, ABGWaste: 0.6, AGWaste: 0.9, WasteRatio: 1.5},
-	}}
-	series := fig5Series(r)
-	if len(series) != 6 {
-		t.Fatalf("series = %d", len(series))
-	}
-	for _, s := range series {
-		if len(s.X) != 2 || s.X[0] != 2 || s.X[1] != 50 {
-			t.Fatalf("series %s x axis: %v", s.Name, s.X)
+func TestUnknownScaleExits2(t *testing.T) {
+	for _, name := range experiments.Names() {
+		code, stdout, stderr := exec("-exp", name, "-scale", "bogus")
+		if code != 2 || stdout != "" || !strings.Contains(stderr, `unknown scale "bogus"`) {
+			t.Fatalf("-exp %s -scale bogus: code=%d stdout=%q stderr=%q", name, code, stdout, stderr)
 		}
 	}
-	if series[0].Name != "abg-runtime" || series[0].Y[1] != 1.4 {
-		t.Fatalf("first series: %+v", series[0])
-	}
-	if series[5].Name != "waste-ratio" || series[5].Y[0] != 2 {
-		t.Fatalf("last series: %+v", series[5])
+}
+
+func TestUnknownExperimentExits2(t *testing.T) {
+	code, _, stderr := exec("-exp", "fig7", "-scale", "small")
+	if code != 2 || !strings.Contains(stderr, `unknown experiment "fig7"`) {
+		t.Fatalf("code=%d stderr=%q", code, stderr)
 	}
 }
 
-func TestFig6Series(t *testing.T) {
-	r := experiments.Fig6Result{
-		ABGMakespanCurve:   []stats.Point{{X: 1, Y: 1.5}},
-		AGMakespanCurve:    []stats.Point{{X: 1, Y: 1.7}},
-		MakespanRatioCurve: []stats.Point{{X: 1, Y: 1.13}},
-		ABGResponseCurve:   []stats.Point{{X: 1, Y: 1.4}},
-		AGResponseCurve:    []stats.Point{{X: 1, Y: 1.6}},
-		ResponseRatioCurve: []stats.Point{{X: 1, Y: 1.14}},
+func TestUsageListsCatalogue(t *testing.T) {
+	code, _, stderr := exec("-h")
+	if code != 0 {
+		t.Fatalf("-h exit code %d", code)
 	}
-	series := fig6Series(r)
-	if len(series) != 6 {
-		t.Fatalf("series = %d", len(series))
+	if want := strings.Join(experiments.Names(), "|"); !strings.Contains(stderr, want) {
+		t.Fatalf("usage lacks %q:\n%s", want, stderr)
 	}
-	if series[2].Name != "makespan-ratio" || series[2].Y[0] != 1.13 {
-		t.Fatalf("ratio series: %+v", series[2])
+}
+
+// TestOutputMatchesGolden pins the command's stdout and -csv file to the
+// catalogue goldens (internal/experiments/testdata).
+func TestOutputMatchesGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens are amd64 bytes; %s may fuse multiply-adds and round differently", runtime.GOARCH)
 	}
+	csvPath := filepath.Join(t.TempDir(), "fig1.csv")
+	code, stdout, stderr := exec("-exp", "fig1", "-scale", "small", "-csv", csvPath)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr:\n%s", code, stderr)
+	}
+	for path, got := range map[string]string{"fig1.small.golden": stdout, "fig1.small.csv.golden": readFile(t, csvPath)} {
+		if want := readFile(t, filepath.Join("..", "..", "internal", "experiments", "testdata", path)); got != want {
+			t.Errorf("%s differs:\n--- got\n%s\n--- want\n%s", path, got, want)
+		}
+	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"abg/internal/cli"
+	"abg/internal/experiments"
 	"abg/internal/obs"
 	"abg/internal/report"
 )
@@ -37,11 +38,12 @@ func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	opts := report.Options{
-		Seed:  *seed,
-		Scale: report.Scale(*scale),
-		Now:   time.Now(),
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "abgreport: %v\n", err)
+		os.Exit(2)
 	}
+	opts := report.Options{Seed: *seed, Scale: sc, Now: time.Now()}
 	if *sections != "" {
 		opts.Sections = strings.Split(*sections, ",")
 	}

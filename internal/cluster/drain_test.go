@@ -92,6 +92,7 @@ func TestDrainRacesSubmissions(t *testing.T) {
 				acked := submitThroughDrain(t, fd.base)
 				var jobs []server.JobStatusDTO
 				getJSON(t, fd.base+"/api/v1/jobs", &jobs)
+				releaseConns()
 				if err := fd.wait(); err != nil {
 					t.Fatalf("round %d: Wait: %v", round, err)
 				}

@@ -191,6 +191,7 @@ func runSingle(t *testing.T, dir, faultSpec string) (jobs []server.JobStatusDTO,
 	}
 	getJSON(t, base+"/api/v1/jobs", &jobs)
 	getJSON(t, base+"/api/v1/state", &state)
+	releaseConns()
 	if err := srv.Wait(); err != nil {
 		t.Fatalf("single Wait: %v", err)
 	}
@@ -223,6 +224,7 @@ func runCluster(t *testing.T, dir, faultSpec string) (jobs []server.JobStatusDTO
 	}
 	getJSON(t, base+"/api/v1/jobs", &jobs)
 	getJSON(t, base+"/api/v1/state", &state)
+	releaseConns()
 	if err := c.Wait(); err != nil {
 		t.Fatalf("cluster Wait: %v", err)
 	}
@@ -230,6 +232,15 @@ func runCluster(t *testing.T, dir, faultSpec string) (jobs []server.JobStatusDTO
 	journal = readJournal(t, c.shards[0].srv.Recovery().JournalPath)
 	return jobs, frames, journal, state
 }
+
+// releaseConns closes the test client's pooled connections before a
+// daemon shuts down. When a pooled connection frees up while the client's
+// transport is dialling for a request, the request takes the pooled one and
+// the new connection joins the pool without ever carrying a request;
+// http.Server.Shutdown counts such a connection as active until it is 5 s
+// old, so Wait stalled for 5 s. Connections that become idle after the call
+// are closed too, until the client's next request.
+func releaseConns() { http.DefaultClient.CloseIdleConnections() }
 
 func readJournal(t *testing.T, path string) []byte {
 	t.Helper()
@@ -387,11 +398,21 @@ func TestUnknownJobMatchesDaemon(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 	daemon, front := "http://"+srv.Addr(), "http://"+c.Addr()
-	for _, path := range []string{"/api/v1/jobs/999", "/api/v1/jobs/999/timeline", "/api/v1/jobs/-1"} {
-		dCode, dBody := get(daemon + path)
-		cCode, cBody := get(front + path)
-		if dCode != http.StatusNotFound || cCode != dCode || cBody != dBody {
-			t.Errorf("GET %s: daemon %d %q, cluster %d %q; want both 404 with one body", path, dCode, dBody, cCode, cBody)
+	for _, tc := range []struct {
+		path string
+		code int
+	}{
+		{"/api/v1/jobs/999", http.StatusNotFound},
+		{"/api/v1/jobs/999/timeline", http.StatusNotFound},
+		{"/api/v1/jobs/-1", http.StatusNotFound},
+		{"/api/v1/traces/nope", http.StatusNotFound},
+		{"/api/v1/jobs/abc", http.StatusBadRequest},
+		{"/api/v1/jobs/abc/timeline", http.StatusBadRequest},
+	} {
+		dCode, dBody := get(daemon + tc.path)
+		cCode, cBody := get(front + tc.path)
+		if dCode != tc.code || cCode != dCode || cBody != dBody {
+			t.Errorf("GET %s: daemon %d %q, cluster %d %q; want both %d with one body", tc.path, dCode, dBody, cCode, cBody, tc.code)
 		}
 	}
 	for _, base := range []string{daemon, front} {
@@ -404,5 +425,76 @@ func TestUnknownJobMatchesDaemon(t *testing.T) {
 	}
 	if err := c.Wait(); err != nil {
 		t.Fatalf("cluster Wait: %v", err)
+	}
+}
+
+// TestTraceGlobalIDs: at two shards, a traced submission's trace carries the
+// ack's global job ids, in its jobs and in its Perfetto export's tracks.
+func TestTraceGlobalIDs(t *testing.T) {
+	c, err := New(Config{Addr: "127.0.0.1:0", Shards: 2, Shard: server.Config{P: 16, L: 20, Clock: server.ClockVirtual}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := c.Start(ctx); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	base := "http://" + c.Addr()
+	client := server.NewClient(base)
+	var acks []server.SubmitResponse
+	for i := 0; i < 2; i++ {
+		ack, err := client.Submit(ctx, server.JobRequest{Kind: "fullPar", Width: 4, Quanta: 2, Count: 3})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		acks = append(acks, ack)
+	}
+	if code := postJSON(t, base+"/api/v1/drain?wait=1", nil, nil); code != http.StatusOK {
+		t.Fatalf("drain: status %d", code)
+	}
+	remapped := false
+	for _, ack := range acks {
+		tr, err := client.Trace(ctx, ack.TraceID)
+		if err != nil {
+			t.Fatalf("trace %s: %v", ack.TraceID, err)
+		}
+		if !reflect.DeepEqual(tr.Jobs, ack.IDs) {
+			t.Errorf("trace %s jobs %v, want the ack's ids %v", ack.TraceID, tr.Jobs, ack.IDs)
+		}
+		remapped = remapped || !reflect.DeepEqual(ack.IDs, []int{0, 1, 2})
+		resp, err := http.Get(base + "/api/v1/traces/" + ack.TraceID + "?format=perfetto")
+		if err != nil {
+			t.Fatalf("GET perfetto: %v", err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("perfetto export of %s does not parse: %v", ack.TraceID, err)
+		}
+		var tracks, want []string
+		for _, ev := range doc.TraceEvents {
+			if ev.Name == "thread_name" {
+				tracks = append(tracks, fmt.Sprint(ev.Args["name"]))
+			}
+		}
+		for _, id := range ack.IDs {
+			want = append(want, fmt.Sprintf("job %d", id))
+		}
+		if !reflect.DeepEqual(tracks, want) {
+			t.Errorf("perfetto tracks %v, want %v", tracks, want)
+		}
+	}
+	if !remapped {
+		t.Fatal("no submission got ids that differ from shard-local ones; the test shows nothing")
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
 }

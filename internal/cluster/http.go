@@ -160,9 +160,8 @@ func (c *Cluster) handleJobs(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Cluster) jobFromPath(w http.ResponseWriter, r *http.Request) (local, shard int, ok bool) {
-	g, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorDTO{Error: "bad job id: " + r.PathValue("id")})
+	g, ok := server.PathJobID(w, r)
+	if !ok {
 		return 0, 0, false
 	}
 	local, shard, ok = c.splitID(g)
@@ -202,14 +201,14 @@ func (c *Cluster) handleTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Cluster) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	for _, sh := range c.shards {
-		if dto, ok := sh.srv.TraceByID(id); ok {
-			server.WriteJSON(w, http.StatusOK, dto)
-			return
+	server.ServeTrace(w, r, func(id string) (server.TraceDTO, bool) {
+		for k, sh := range c.shards {
+			if dto, ok := sh.srv.TraceByID(id); ok {
+				return dto.WithJobIDs(func(local int) int { return c.globalID(local, k) }), true
+			}
 		}
-	}
-	server.WriteJSON(w, http.StatusNotFound, server.ErrorDTO{Error: "no trace " + id})
+		return server.TraceDTO{}, false
+	})
 }
 
 // InfoDTO is the cluster sub-object of the aggregated state.

@@ -13,6 +13,7 @@ import (
 	"abg/internal/sched"
 	"abg/internal/sim"
 	"abg/internal/table"
+	"abg/internal/trace"
 	"abg/internal/workload"
 	"abg/internal/xrand"
 )
@@ -245,4 +246,13 @@ func (r ChaosResult) Render(w io.Writer) error {
 		)
 	}
 	return tb.Render(w)
+}
+
+// Series returns the degradation curves against the fault intensity.
+func (r ChaosResult) Series() []trace.Series {
+	return tableSeries([]string{"abg-stretch", "agreedy-stretch", "abg-waste", "agreedy-waste", "abg-overshoot", "agreedy-overshoot"},
+		len(r.Points), func(i int) (float64, []float64) {
+			p := r.Points[i]
+			return p.Intensity, []float64{p.ABG.Stretch, p.AGreedy.Stretch, p.ABG.Waste, p.AGreedy.Waste, p.ABG.Overshoot, p.AGreedy.Overshoot}
+		})
 }

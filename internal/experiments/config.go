@@ -4,10 +4,10 @@
 // config seed and returns a typed result that can be rendered as an ASCII
 // table or exported via abg/internal/trace.
 //
-// Scale note: the paper's full setup (P=128, L=1000, 50 jobs per transition
-// factor 2..100, 5000 job sets) is reproduced by the cmd/abgexp tool and the
-// benchmarks in full or reduced form; the runners take explicit size
-// parameters so tests can use small instances.
+// Catalogue fixes every experiment's parameters at each Scale (full is the
+// paper's setup: P=128, L=1000, 50 jobs per transition factor 2..100, 5000
+// job sets); cmd/abgexp and cmd/abgreport both run it. The runners take
+// explicit size parameters so tests can use small instances.
 package experiments
 
 import (

@@ -10,6 +10,7 @@ import (
 	"abg/internal/sim"
 	"abg/internal/stats"
 	"abg/internal/table"
+	"abg/internal/trace"
 	"abg/internal/workload"
 	"abg/internal/xrand"
 )
@@ -193,4 +194,13 @@ func (r Fig5Result) Render(w io.Writer) error {
 		"ABG average waste reduction over A-Greedy: %.1f%% (paper: ~50%%)\n",
 		100*r.RuntimeImprovement, 100*r.WasteReduction)
 	return err
+}
+
+// Series returns the Figure 5 curves against the transition factor.
+func (r Fig5Result) Series() []trace.Series {
+	return tableSeries([]string{"abg-runtime", "agreedy-runtime", "runtime-ratio", "abg-waste", "agreedy-waste", "waste-ratio"},
+		len(r.Points), func(i int) (float64, []float64) {
+			p := r.Points[i]
+			return float64(p.CL), []float64{p.ABGRuntime, p.AGRuntime, p.RuntimeRatio, p.ABGWaste, p.AGWaste, p.WasteRatio}
+		})
 }

@@ -11,6 +11,7 @@ import (
 	"abg/internal/sim"
 	"abg/internal/stats"
 	"abg/internal/table"
+	"abg/internal/trace"
 	"abg/internal/workload"
 	"abg/internal/xrand"
 )
@@ -264,4 +265,19 @@ func (r Fig6Result) Render(w io.Writer) error {
 		100*r.LightLoadMakespanGain, 100*r.LightLoadResponseGain,
 		100*r.HeavyLoadMakespanGain, 100*r.HeavyLoadResponseGain)
 	return err
+}
+
+// Series returns the binned Figure 6 curves against the load.
+func (r Fig6Result) Series() []trace.Series {
+	binned := func(name string, pts []stats.Point) trace.Series {
+		return curve(name, len(pts), func(i int) (float64, float64) { return pts[i].X, pts[i].Y })
+	}
+	return []trace.Series{
+		binned("abg-makespan", r.ABGMakespanCurve),
+		binned("agreedy-makespan", r.AGMakespanCurve),
+		binned("makespan-ratio", r.MakespanRatioCurve),
+		binned("abg-response", r.ABGResponseCurve),
+		binned("agreedy-response", r.AGResponseCurve),
+		binned("response-ratio", r.ResponseRatioCurve),
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"abg/internal/opensys"
 	"abg/internal/parallel"
 	"abg/internal/table"
+	"abg/internal/trace"
 )
 
 // OpenSystemResult is the extension experiment running the two schedulers
@@ -79,4 +80,11 @@ func (r OpenSystemResult) Render(w io.Writer) error {
 			r.ABGSlowdown[i], r.AGSlowdown[i])
 	}
 	return tb.Render(w)
+}
+
+// Series returns both schedulers' mean response against the offered load.
+func (r OpenSystemResult) Series() []trace.Series {
+	return tableSeries([]string{"abg-response", "agreedy-response"}, len(r.Loads), func(i int) (float64, []float64) {
+		return r.Loads[i], []float64{r.ABGResponse[i], r.AGResponse[i]}
+	})
 }

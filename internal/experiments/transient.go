@@ -9,6 +9,7 @@ import (
 	"abg/internal/job"
 	"abg/internal/sim"
 	"abg/internal/table"
+	"abg/internal/trace"
 	"abg/internal/workload"
 )
 
@@ -117,4 +118,12 @@ func (r TransientResult) Render(w io.Writer) error {
 		return err
 	}
 	return mt.Render(w)
+}
+
+// Series returns both request traces against the quantum number.
+func (r TransientResult) Series() []trace.Series {
+	requests := func(name string, ds []float64) trace.Series {
+		return curve(name, len(ds), func(i int) (float64, float64) { return float64(i + 1), ds[i] })
+	}
+	return []trace.Series{requests("abg-request", r.ABGRequests), requests("agreedy-request", r.AGreedyRequests)}
 }

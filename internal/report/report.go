@@ -1,12 +1,14 @@
 // Package report generates a self-contained Markdown reproduction report:
-// it runs the experiment suite at a chosen scale and renders every figure's
-// results with the paper's reference claims alongside — the automated
-// counterpart of this repository's hand-written EXPERIMENTS.md.
+// it runs the experiment catalogue at a chosen scale and renders each
+// entry's output, exactly as abgexp prints it, with the paper's claim
+// alongside — the automated counterpart of this repository's hand-written
+// EXPERIMENTS.md.
 package report
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -14,49 +16,30 @@ import (
 	"abg/internal/validate"
 )
 
-// Scale selects the experiment sizes.
-type Scale string
-
-// Supported scales.
-const (
-	Small  Scale = "small"  // seconds; shapes only
-	Medium Scale = "medium" // a minute; stable numbers at reduced size
-	Full   Scale = "full"   // the paper's exact setup; tens of minutes
-)
-
 // Options configures Generate.
 type Options struct {
 	Seed  uint64
-	Scale Scale
+	Scale experiments.Scale // default experiments.Small
 	// Sections lists the experiments to include; nil means all.
-	// Known names: fig1, fig4, fig5, fig6, rsweep, gain, order, quantum,
-	// adaptivel, steal, mixed, ratestudy, validate.
+	// KnownSections lists the names.
 	Sections []string
 	// Now stamps the report header; the zero value omits the timestamp.
 	Now time.Time
 }
 
-type section struct {
-	name  string
-	title string
-	ref   string // the paper's claim, quoted in the report
-	run   func(cfg experiments.Config, scale Scale, w io.Writer) error
-}
-
 // Generate runs the selected experiments and writes the Markdown report.
 func Generate(w io.Writer, opts Options) error {
 	if opts.Scale == "" {
-		opts.Scale = Small
+		opts.Scale = experiments.Small
+	}
+	if _, err := experiments.ParseScale(string(opts.Scale)); err != nil {
+		return fmt.Errorf("report: %w", err)
 	}
 	cfg := experiments.Defaults()
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
 	}
-	want := map[string]bool{}
-	for _, s := range opts.Sections {
-		want[s] = true
-	}
-	include := func(name string) bool { return len(want) == 0 || want[name] }
+	include := func(name string) bool { return len(opts.Sections) == 0 || slices.Contains(opts.Sections, name) }
 
 	fmt.Fprintf(w, "# ABG reproduction report\n\n")
 	fmt.Fprintf(w, "Scale: %s · seed %d · machine P=%d, L=%d · r=%g, ρ=%g, δ=%g\n\n",
@@ -67,16 +50,20 @@ func Generate(w io.Writer, opts Options) error {
 
 	ran := 0
 	for _, sec := range sections {
-		if !include(sec.name) {
+		if !include(sec.Name) {
 			continue
 		}
-		fmt.Fprintf(w, "## %s\n\n", sec.title)
-		if sec.ref != "" {
-			fmt.Fprintf(w, "Paper: %s\n\n", sec.ref)
+		fmt.Fprintf(w, "## %s\n\n", sec.Title)
+		if sec.Claim != "" {
+			fmt.Fprintf(w, "Paper: %s\n\n", sec.Claim)
 		}
 		fmt.Fprintf(w, "```\n")
-		if err := sec.run(cfg, opts.Scale, w); err != nil {
-			return fmt.Errorf("report: section %s: %w", sec.name, err)
+		res, err := sec.Run(cfg, opts.Scale)
+		if err == nil {
+			err = res.Render(w)
+		}
+		if err != nil {
+			return fmt.Errorf("report: section %s: %w", sec.Name, err)
 		}
 		fmt.Fprintf(w, "```\n\n")
 		ran++
@@ -91,206 +78,36 @@ func Generate(w io.Writer, opts Options) error {
 func KnownSections() []string {
 	names := make([]string, len(sections))
 	for i, s := range sections {
-		names[i] = s.name
+		names[i] = s.Name
 	}
 	return names
 }
 
-// sections defines the report in order.
-var sections = []section{
-	{
-		name: "fig1", title: "Figure 1 — request instability of A-Greedy",
-		ref: "A-Greedy's request oscillates even at constant parallelism.",
-		run: func(cfg experiments.Config, _ Scale, w io.Writer) error {
-			res, err := experiments.Fig1(cfg)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
+// sections defines the report in order: the experiment catalogue, then the
+// theorem checks, which only the report runs.
+var sections = append(slices.Clip(experiments.Catalogue), experiments.Experiment{
+	Name: "validate", Title: "Theorem margins vs simulation",
+	Run: func(cfg experiments.Config, scale experiments.Scale) (experiments.Result, error) {
+		opts := validate.DefaultOptions()
+		opts.Seed = cfg.Seed
+		if scale == experiments.Small {
+			opts.Trials = 8
+		}
+		return checks(validate.All(opts)), nil
 	},
-	{
-		name: "fig4", title: "Figure 4 — transient and steady-state behaviour",
-		ref: "ABG: no overshoot, zero steady-state error, convergence rate r.",
-		run: func(cfg experiments.Config, _ Scale, w io.Writer) error {
-			res, err := experiments.Fig4(cfg)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "fig5", title: "Figure 5 — running time and waste vs transition factor",
-		ref: "~20% running-time improvement and ~50% waste reduction on average.",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			f5 := experiments.DefaultFig5Config()
-			f5.Config = cfg
-			switch scale {
-			case Small:
-				f5.CLValues = []int{2, 10, 50, 100}
-				f5.JobsPerCL, f5.Shrink = 4, 4
-			case Medium:
-				f5.CLValues = nil
-				for cl := 2; cl <= 100; cl += 7 {
-					f5.CLValues = append(f5.CLValues, cl)
-				}
-				f5.JobsPerCL, f5.Shrink = 15, 2
-			}
-			res, err := experiments.Fig5(f5)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "fig6", title: "Figure 6 — makespan and mean response time vs load",
-		ref: "10–15% better at light load; comparable under heavy load.",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			f6 := experiments.DefaultFig6Config()
-			f6.Config = cfg
-			switch scale {
-			case Small:
-				f6.NumSets, f6.Shrink, f6.Bins = 20, 4, 6
-			case Medium:
-				f6.NumSets, f6.Bins = 150, 10
-			}
-			res, err := experiments.Fig6(f6)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "rsweep", title: "Footnote 3 — convergence-rate sensitivity",
-		ref: "results stable for r < 0.6.",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			rs := experiments.DefaultRSweepConfig()
-			rs.Config = cfg
-			if scale == Small {
-				rs.JobsPerPoint, rs.Shrink = 3, 4
-			}
-			res, err := experiments.RSweep(rs)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "gain", title: "Ablation — adaptive vs fixed-gain control",
-		run: func(cfg experiments.Config, _ Scale, w io.Writer) error {
-			res, err := experiments.GainAblation(cfg, 2, 64, cfg.L*2, 4)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "order", title: "Ablation — execution order",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			jobs := 8
-			if scale == Small {
-				jobs = 3
-			}
-			res, err := experiments.OrderAblation(cfg, []int{5, 20, 50}, jobs, 2)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "quantum", title: "Ablation — quantum length",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			jobs := 6
-			if scale == Small {
-				jobs = 2
-			}
-			res, err := experiments.QuantumLengthAblation(cfg,
-				[]int{125, 250, 500, 1000, 2000}, []int{10, 40}, jobs, 2)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "adaptivel", title: "Extension — dynamic quantum length (§9)",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			jobs := 6
-			if scale == Small {
-				jobs = 2
-			}
-			res, err := experiments.AdaptiveQuantum(cfg, []int{5, 20, 50}, jobs, 2, cfg.L/8, cfg.L*2)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "steal", title: "Extension — work-stealing executors (§8)",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			jobs := 5
-			if scale == Small {
-				jobs = 2
-			}
-			res, err := experiments.Steal(cfg, []int{4, 16, 64}, jobs, 4)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "mixed", title: "Extension — mixed scheduler populations",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			sets := 30
-			if scale == Small {
-				sets = 8
-			}
-			res, err := experiments.Mixed(cfg, sets, 1.0, 2)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "ratestudy", title: "Extension — historical convergence-rate selection (§6.2 remark)",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			jobs := 8
-			if scale == Small {
-				jobs = 3
-			}
-			res, err := experiments.RateStudy(cfg, []int{10, 30, 60, 100}, jobs, 2)
-			if err != nil {
-				return err
-			}
-			return res.Render(w)
-		},
-	},
-	{
-		name: "validate", title: "Theorem margins vs simulation",
-		run: func(cfg experiments.Config, scale Scale, w io.Writer) error {
-			opts := validate.DefaultOptions()
-			opts.Seed = cfg.Seed
-			if scale == Small {
-				opts.Trials = 8
-			}
-			var lines []string
-			for _, c := range validate.All(opts) {
-				lines = append(lines, c.String())
-				if !c.Passed {
-					lines = append(lines, "  ^^ FAILED")
-				}
-			}
-			_, err := fmt.Fprintln(w, strings.Join(lines, "\n"))
-			return err
-		},
-	},
+})
+
+// checks renders theorem checks one per line, flagging each failure.
+type checks []validate.Check
+
+func (cs checks) Render(w io.Writer) error {
+	var lines []string
+	for _, c := range cs {
+		lines = append(lines, c.String())
+		if !c.Passed {
+			lines = append(lines, "  ^^ FAILED")
+		}
+	}
+	_, err := fmt.Fprintln(w, strings.Join(lines, "\n"))
+	return err
 }

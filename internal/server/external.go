@@ -219,13 +219,6 @@ func (s *Server) IdemKeys() map[string][]int {
 	return out
 }
 
-// NextID returns the next job id this shard will assign.
-func (s *Server) NextID() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextID
-}
-
 // SSESeq returns the id of the shard's most recently published SSE event.
 func (s *Server) SSESeq() uint64 { return s.hub.Seq() }
 

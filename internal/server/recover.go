@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"path/filepath"
 
@@ -340,7 +339,7 @@ func ReferenceResult(dir string) ([]JobStatusDTO, error) {
 	eng, err := sim.NewEngine(sim.MultiConfig{
 		P: h.p, L: h.l,
 		Allocator: alloc.DynamicEquiPartition{},
-		MaxQuanta: math.MaxInt - 1,
+		MaxQuanta: engineMaxQuanta,
 		Capacity:  capacity,
 	})
 	if err != nil {

@@ -82,9 +82,6 @@ type Config struct {
 	FaultSpec string
 	// Seed is the base seed for submissions that do not carry their own.
 	Seed uint64
-	// MaxQuanta caps one job set's boundaries (effectively unlimited when
-	// zero — a service bound, unlike the batch simulator's default).
-	MaxQuanta int
 	// JournalDir enables crash safety: a write-ahead journal plus periodic
 	// engine snapshots under this directory. On boot the daemon recovers to
 	// the journaled state — same job ids, same results, same SSE sequence
@@ -206,9 +203,6 @@ func (c *Config) normalize() error {
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 4096
-	}
-	if c.MaxQuanta <= 0 {
-		c.MaxQuanta = math.MaxInt - 1
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 64
@@ -440,13 +434,19 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// engineMaxQuanta caps the daemon engine's boundaries: effectively
+// unlimited, a service bound unlike the batch simulator's default.
+// ReferenceResult replays under the same cap, so recovery matches its
+// reference.
+const engineMaxQuanta = math.MaxInt - 1
+
 // engineConfig is the configuration of the daemon's engine, whether built
 // fresh or restored from a snapshot.
 func (s *Server) engineConfig() sim.MultiConfig {
 	return sim.MultiConfig{
 		P: s.cfg.P, L: s.cfg.L,
 		Allocator: alloc.DynamicEquiPartition{},
-		MaxQuanta: s.cfg.MaxQuanta,
+		MaxQuanta: engineMaxQuanta,
 		Obs:       s.bus,
 		Capacity:  s.capacity,
 		// Observational: the ring never perturbs scheduling or snapshots.
@@ -788,9 +788,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if s.waitMinOffset(w, r) {
 		return
 	}
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad job id"})
+	id, ok := PathJobID(w, r)
+	if !ok {
 		return
 	}
 	dto, ok := s.lookupJob(id)

@@ -83,11 +83,10 @@ func (t *traceStore) register(id string, jobs []int, now int64) {
 		t.evictLocked(t.order[0])
 	}
 	rec := &traceRec{id: id, jobs: append([]int(nil), jobs...), submitted: now}
-	track := func(job int) string { return fmt.Sprintf("job %d", job) }
 	for _, j := range jobs {
 		t.byJob[j] = rec
 		rec.spans = append(rec.spans, obs.Span{
-			Name: "submit", Track: track(j), Cat: "lifecycle", Start: now,
+			Name: "submit", Track: jobTrack(j), Cat: "lifecycle", Start: now,
 		})
 	}
 	t.byID[id] = rec
@@ -134,7 +133,7 @@ func (t *traceStore) OnEvent(e obs.Event) {
 	if !ok {
 		return
 	}
-	track := fmt.Sprintf("job %d", e.Job)
+	track := jobTrack(e.Job)
 	switch e.Kind {
 	case obs.EvJobAdmitted:
 		rec.append(obs.Span{
@@ -183,9 +182,31 @@ func (t *traceStore) get(id string) (TraceDTO, bool) {
 	}, true
 }
 
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+// jobTrack names the span track of one job.
+func jobTrack(job int) string { return fmt.Sprintf("job %d", job) }
+
+// WithJobIDs maps every job id of the trace, in Jobs and in the span
+// tracks, through id: the cluster front door turns a shard's local ids into
+// global ones with it. It rewrites d's slices, which must be its own, as
+// TraceByID's copies are.
+func (d TraceDTO) WithJobIDs(id func(local int) int) TraceDTO {
+	tracks := make(map[string]string, len(d.Jobs))
+	for i, j := range d.Jobs {
+		d.Jobs[i] = id(j)
+		tracks[jobTrack(j)] = jobTrack(d.Jobs[i])
+	}
+	for i, sp := range d.Spans {
+		d.Spans[i].Track = tracks[sp.Track]
+	}
+	return d
+}
+
+// ServeTrace answers GET /api/v1/traces/{id} for the daemon and the cluster
+// front door alike. find looks the trace up; the reply is its JSON or, with
+// ?format=perfetto, its Chrome trace-event export.
+func ServeTrace(w http.ResponseWriter, r *http.Request, find func(id string) (TraceDTO, bool)) {
 	id := r.PathValue("id")
-	dto, ok := s.traces.get(id)
+	dto, ok := find(id)
 	if !ok {
 		WriteJSON(w, http.StatusNotFound, ErrorDTO{fmt.Sprintf("unknown trace %q", id)})
 		return
@@ -200,6 +221,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, dto)
+}
+
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	ServeTrace(w, r, s.traces.get)
+}
+
+// PathJobID parses a job route's {id} path value, answering 400 when it is
+// not an integer. The daemon and the cluster front door share it.
+func PathJobID(w http.ResponseWriter, r *http.Request) (int, bool) {
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad job id"})
+	}
+	return id, err == nil
 }
 
 // TimelineDTO is the JSON wire form of one job's quantum timeline, served at
@@ -217,9 +252,8 @@ type TimelineDTO struct {
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorDTO{"bad job id"})
+	id, ok := PathJobID(w, r)
+	if !ok {
 		return
 	}
 	dto, ok := s.JobTimeline(id)

@@ -59,13 +59,25 @@ go test -run '^$' -fuzz FuzzRunCursor -fuzztime 5s ./internal/job/
 echo "== SSE event encoder fuzz (5s, byte-identical to encoding/json)"
 go test -run '^$' -fuzz FuzzEventJSON -fuzztime 5s ./internal/server/
 
-echo "== deterministic replay guard (same seed+spec => identical chaos report)"
-a="$(go run ./cmd/abgexp -exp chaos -scale small)"
-b="$(go run ./cmd/abgexp -exp chaos -scale small)"
-if [ "$a" != "$b" ]; then
-    echo "chaos report is not replay-deterministic:" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
+bindir="$(mktemp -d)"
+trap 'rm -rf "$bindir"' EXIT
+
+echo "== experiment goldens (abgexp stdout, every experiment at small scale)"
+# The command-line path must print the bytes pinned in
+# internal/experiments/testdata; TestCatalogueGoldens pins the library
+# path at every scale. The goldens are amd64 bytes (arm64 may fuse
+# multiply-adds), so other architectures skip this step.
+if [ "$(go env GOARCH)" = amd64 ]; then
+    go build -o "$bindir/abgexp" ./cmd/abgexp
+    for golden in internal/experiments/testdata/*.small.golden; do
+        name="$(basename "$golden" .small.golden)"
+        if ! diff -u "$golden" <("$bindir/abgexp" -exp "$name" -scale small 2>/dev/null) >&2; then
+            echo "abgexp -exp $name -scale small differs from $golden" >&2
+            exit 1
+        fi
+    done
+else
+    echo "skipped on $(go env GOARCH)"
 fi
 
 echo "== event-bus overhead guard (<2% on idle bus)"
@@ -94,8 +106,6 @@ echo "== kill-recover smoke (SIGKILL abgd mid-run, recover from journal, compare
 # Builds the real binaries, crashes the daemon at random quanta, and asserts
 # the recovered run's per-job results DeepEqual an uninterrupted replay of
 # the journal — fault-free and under an active fault plan.
-bindir="$(mktemp -d)"
-trap 'rm -rf "$bindir"' EXIT
 go build -o "$bindir/abgd" ./cmd/abgd
 go build -o "$bindir/abgload" ./cmd/abgload
 "$bindir/abgload" -crash -abgd "$bindir/abgd" -jobs 30 -crashes 3 -timeout 3m
