@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -84,11 +85,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := experiments.Defaults()
 	cfg.Seed = *seed
 	start := time.Now()
-	res, err := e.Run(cfg, sc)
-	if err == nil {
-		err = res.Render(stdout)
+	// The table is rendered whole before any of it is printed, so a signal
+	// mid-run exits at once with nothing on stdout.
+	var res experiments.Result
+	var table bytes.Buffer
+	err = cli.Interruptible(ctx, func() error {
+		r, err := e.Run(cfg, sc)
+		if err == nil {
+			res, err = r, r.Render(&table)
+		}
+		return err
+	})
+	if cli.Interrupted(ctx, stderr, "abgexp") {
+		return 1
 	}
 	if err != nil {
+		return fail(1, err)
+	}
+	if _, err := stdout.Write(table.Bytes()); err != nil {
 		return fail(1, err)
 	}
 	fmt.Fprintf(stderr, "\n[%s %s in %v]\n", *exp, *scale, time.Since(start).Round(time.Millisecond))

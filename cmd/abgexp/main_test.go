@@ -2,10 +2,13 @@ package main
 
 import (
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"abg/internal/experiments"
 )
@@ -68,4 +71,47 @@ func readFile(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestFirstSigintStopsTheRun: an experiment that does not read the signal
+// context still ends on the first SIGINT, at once, with exit code 1 and no
+// partial table on stdout.
+func TestFirstSigintStopsTheRun(t *testing.T) {
+	code, stdout, stderr, after := runInterrupted(t, "-exp", "fig6", "-scale", "full")
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "interrupted") {
+		t.Fatalf("code=%d stdout=%q stderr=%q", code, stdout, stderr)
+	}
+	if after >= time.Second {
+		t.Fatalf("run returned %v after the first SIGINT, want under 1s", after)
+	}
+}
+
+// runInterrupted calls run(args) while sending this process SIGINT every
+// 10 ms until run returns. It reports run's results and how long run took
+// to return after the first signal.
+func runInterrupted(t *testing.T, args ...string) (code int, stdout, stderr string, after time.Duration) {
+	t.Helper()
+	// Until run registers its handler, this one keeps a signal from
+	// killing the test binary. It stays registered, for a signal still in
+	// flight when run returns.
+	signal.Notify(make(chan os.Signal, 1), os.Interrupt)
+	var out, errb strings.Builder
+	done := make(chan int, 1)
+	go func() { done <- run(args, &out, &errb) }()
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	first := time.Now()
+	for {
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case code := <-done:
+			return code, out.String(), errb.String(), time.Since(first)
+		case <-tick.C:
+		}
+		if time.Since(first) > 10*time.Second {
+			t.Fatal("run did not return within 10s of the first SIGINT")
+		}
+	}
 }

@@ -54,7 +54,27 @@ func VersionLine(cmd string) string {
 // the process with the default disposition — the escape hatch when a drain
 // hangs. Call stop to release the signal handler early.
 func SignalContext() (ctx context.Context, stop context.CancelFunc) {
-	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// NotifyContext keeps catching signals until stop is called, which
+	// would swallow the second one.
+	context.AfterFunc(ctx, stop)
+	return ctx, stop
+}
+
+// Interruptible runs f on a goroutine of its own and returns f's error, or
+// ctx's as soon as ctx is done, whichever comes first. It is how a command
+// whose work does not read ctx (an experiment, a report) still stops on the
+// first signal: the interrupted f runs on until the process exits, and the
+// caller must not use anything f writes.
+func Interruptible(ctx context.Context, f func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Interrupted reports whether the signal context was cancelled, and if so

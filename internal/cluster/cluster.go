@@ -188,7 +188,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 	}
 	c.ln = ln
 	c.started = time.Now()
-	c.hsrv = &http.Server{Handler: c.mux(), ReadHeaderTimeout: 5 * time.Second}
+	c.hsrv = server.NewHTTPServer(c.mux())
 	go func() {
 		server.Clock{
 			Mode: c.cfg.Shard.Clock, Tick: c.cfg.Shard.Tick, Wake: c.wake,

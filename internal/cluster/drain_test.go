@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,5 +200,38 @@ func checkDrainTail(t *testing.T, path string) {
 	}
 	if drains != 1 {
 		t.Fatalf("%s: %d drain records, want 1", path, drains)
+	}
+}
+
+// TestDrainDoesNotWaitForSilentConnection: a client that dialed the front
+// door and never sent a request must not hold Wait once the drain is done.
+// net/http counts such a connection as active until it is 5 s old, so
+// without the front door closing it Wait took 5 s.
+func TestDrainDoesNotWaitForSilentConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(*testing.T, string) frontDoor
+	}{
+		{"daemon", startDaemon},
+		{"cluster", startCluster},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fd := tc.start(t, t.TempDir())
+			conn, err := net.Dial("tcp", strings.TrimPrefix(fd.base, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if code := postJSON(t, fd.base+"/api/v1/drain?wait=1", nil, nil); code != http.StatusOK {
+				t.Fatalf("drain: status %d", code)
+			}
+			start := time.Now()
+			if err := fd.wait(); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			if d := time.Since(start); d >= time.Second {
+				t.Fatalf("Wait took %v after the drain with one silent connection open, want under 1s", d)
+			}
+		})
 	}
 }

@@ -18,6 +18,8 @@ import (
 
 // Options configures Generate.
 type Options struct {
+	// Seed drives every experiment, as given: 0 runs seed 0. The paper
+	// setup's seed is experiments.Defaults().Seed.
 	Seed  uint64
 	Scale experiments.Scale // default experiments.Small
 	// Sections lists the experiments to include; nil means all.
@@ -36,9 +38,7 @@ func Generate(w io.Writer, opts Options) error {
 		return fmt.Errorf("report: %w", err)
 	}
 	cfg := experiments.Defaults()
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
+	cfg.Seed = opts.Seed
 	include := func(name string) bool { return len(opts.Sections) == 0 || slices.Contains(opts.Sections, name) }
 
 	fmt.Fprintf(w, "# ABG reproduction report\n\n")

@@ -93,7 +93,8 @@ func TestSectionsMatchAbgexp(t *testing.T) {
 	for _, name := range experiments.Names() {
 		for _, scale := range experiments.Scales {
 			var sb strings.Builder
-			if err := Generate(&sb, Options{Scale: scale, Sections: []string{name}}); err != nil {
+			opts := Options{Seed: experiments.Defaults().Seed, Scale: scale, Sections: []string{name}}
+			if err := Generate(&sb, opts); err != nil {
 				t.Fatal(err)
 			}
 			_, body, ok := strings.Cut(sb.String(), "```\n")

@@ -463,7 +463,7 @@ func (s *Server) Start(ctx context.Context) error {
 	}
 	s.ln = ln
 	s.started = time.Now()
-	s.hsrv = &http.Server{Handler: s.mux(), ReadHeaderTimeout: 5 * time.Second}
+	s.hsrv = NewHTTPServer(s.mux())
 	if len(s.cfg.Group) > 0 {
 		s.super = &failover.Supervisor{
 			Node:       s,
@@ -522,6 +522,41 @@ func (s *Server) Drain() {
 	}
 	s.mu.Unlock()
 	s.notify()
+}
+
+// NewHTTPServer returns the http.Server that a daemon or a cluster front
+// door serves handler with. Its Shutdown closes every connection that has
+// not sent a request yet: net/http counts such a connection as active until
+// it is 5 s old, so one client that dialed and stayed silent would hold a
+// finished drain for that long.
+func NewHTTPServer(handler http.Handler) *http.Server {
+	hs := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	var (
+		mu       sync.Mutex
+		silent   = map[net.Conn]struct{}{}
+		shutdown bool
+	)
+	hs.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(silent, c)
+		case shutdown: // accepted just as the listener closed
+			c.Close()
+		default:
+			silent[c] = struct{}{}
+		}
+	}
+	hs.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		shutdown = true
+		for c := range silent {
+			c.Close()
+		}
+	})
+	return hs
 }
 
 // Wait blocks until the server has fully drained, then shuts the HTTP

@@ -24,8 +24,14 @@ type Engine struct {
 	maxQ int
 	L64  int64
 
-	states    []jobState
-	res       MultiResult
+	// The job tables: record i of each is job i's. They are paged (see
+	// table), so Submit never moves a record, not even while Step holds a
+	// pointer to it across an event emission.
+	specs    table[JobSpec] // the engine's own copy of each job's spec
+	states   table[jobState]
+	outcomes table[JobOutcome]
+
+	res       MultiResult // totals; Result fills Jobs from outcomes
 	remaining int
 	running   int   // started, unfinished jobs
 	respSum   int64 // Σ Response over done jobs
@@ -47,7 +53,6 @@ type Engine struct {
 
 // jobState is the engine's per-job bookkeeping.
 type jobState struct {
-	spec        *JobSpec
 	request     float64
 	started     bool
 	done        bool
@@ -160,19 +165,26 @@ func (e *Engine) Submit(spec JobSpec) (int, error) {
 		return -1, fmt.Errorf("sim: engine is draining, submission rejected")
 	}
 	if spec.Inst == nil || spec.Policy == nil {
-		return -1, fmt.Errorf("sim: job %d missing instance or policy", len(e.states))
+		return -1, fmt.Errorf("sim: job %d missing instance or policy", e.states.len())
 	}
-	sp := spec
-	id := len(e.states)
-	e.states = append(e.states, jobState{spec: &sp})
-	e.res.Jobs = append(e.res.Jobs, JobOutcome{
-		Name:         sp.Name,
-		Release:      sp.Release,
-		Work:         sp.Inst.TotalWork(),
-		CriticalPath: sp.Inst.CriticalPathLen(),
+	id := e.push(&spec, &jobState{}, &JobOutcome{
+		Name:         spec.Name,
+		Release:      spec.Release,
+		Work:         spec.Inst.TotalWork(),
+		CriticalPath: spec.Inst.CriticalPathLen(),
 	})
 	e.remaining++
 	return id, nil
+}
+
+// push appends one job's records, copied into the job tables, and returns
+// its id. Submit and RestoreEngine both add jobs through it.
+func (e *Engine) push(spec *JobSpec, s *jobState, j *JobOutcome) int {
+	id := e.states.len()
+	*e.specs.push() = *spec
+	*e.states.push() = *s
+	*e.outcomes.push() = *j
+	return id
 }
 
 // Drain stops admission: every later Submit fails, while the jobs already
@@ -186,7 +198,7 @@ func (e *Engine) Draining() bool { return e.draining }
 func (e *Engine) Done() bool { return e.remaining == 0 }
 
 // NumJobs returns the number of jobs submitted so far.
-func (e *Engine) NumJobs() int { return len(e.states) }
+func (e *Engine) NumJobs() int { return e.states.len() }
 
 // Boundary returns the index of the next quantum boundary to process.
 func (e *Engine) Boundary() int { return e.k }
@@ -215,7 +227,7 @@ func (e *Engine) Tally() Tally {
 	return Tally{
 		Pending:     e.remaining - e.running,
 		Running:     e.running,
-		Done:        len(e.states) - e.remaining,
+		Done:        e.states.len() - e.remaining,
 		ResponseSum: e.respSum,
 		Makespan:    e.res.Makespan,
 		TotalWaste:  e.res.TotalWaste,
@@ -227,7 +239,7 @@ func (e *Engine) Tally() Tally {
 // a caller advancing a watermark passes its previous value, so the scans
 // cost O(1) per job over the engine's life.
 func (e *Engine) FirstUnfinished(hint int) int {
-	for hint < len(e.states) && e.states[hint].done {
+	for hint < e.states.len() && e.states.at(hint).done {
 		hint++
 	}
 	return hint
@@ -242,10 +254,12 @@ func (e *Engine) FirstUnfinished(hint int) int {
 // pure function of engine state and reading it never perturbs the run.
 func (e *Engine) AggregateRequest() int {
 	total := 0
-	for i := range e.states {
-		s := &e.states[i]
-		if s.started && !s.done {
-			total += RoundRequest(s.request)
+	for p := range e.states.pages {
+		page := e.states.page(p)
+		for k := range page {
+			if s := &page[k]; s.started && !s.done {
+				total += RoundRequest(s.request)
+			}
 		}
 	}
 	return total
@@ -274,39 +288,51 @@ func (e *Engine) Step() (StepInfo, error) {
 	}
 	cfg := &e.cfg
 	now := info.Time
-	// Collect active jobs; fast-forward if none are released yet.
+	// Collect active jobs, page by page; fast-forward if none are released
+	// yet. The walk covers the jobs submitted before it began: one that a
+	// subscriber submits meanwhile waits for the next boundary, as if it
+	// had been submitted after Step returned.
 	e.activeIdx = e.activeIdx[:0]
 	var nextRelease int64 = -1
-	for i := range e.states {
-		s := &e.states[i]
-		if s.done {
-			continue
-		}
-		if s.spec.Release > now {
-			if nextRelease < 0 || s.spec.Release < nextRelease {
-				nextRelease = s.spec.Release
-			}
-			continue
-		}
-		if !s.started {
-			s.started = true
-			e.running++
-			s.request = s.spec.Policy.InitialRequest()
-			if cfg.Obs.Active() {
-				cfg.Obs.Emit(obs.Event{Kind: obs.EvJobAdmitted, Time: now,
-					Job: i, Name: s.spec.Name, Work: e.res.Jobs[i].Work,
-					Parallelism: avgParallelism(e.res.Jobs[i].Work, e.res.Jobs[i].CriticalPath)})
-			}
-			if s.spec.Inst.Done() {
-				// A zero-work job (nothing left to execute) completes in its
-				// arrival quantum: running it through the allocator would
-				// never raise Completed and the job would hang the set.
-				e.completeJob(i, now)
-				info.Completed = append(info.Completed, i)
+	n := e.states.len()
+	for p, states := range e.states.pages {
+		specs := e.specs.pages[p]
+		base := p << pageBits
+		for k := range min(pageLen, n-base) {
+			s := &states[k]
+			if s.done {
 				continue
 			}
+			sp := &specs[k]
+			if sp.Release > now {
+				if nextRelease < 0 || sp.Release < nextRelease {
+					nextRelease = sp.Release
+				}
+				continue
+			}
+			i := base + k
+			if !s.started {
+				s.started = true
+				e.running++
+				s.request = sp.Policy.InitialRequest()
+				if cfg.Obs.Active() {
+					j := e.outcomes.at(i)
+					cfg.Obs.Emit(obs.Event{Kind: obs.EvJobAdmitted, Time: now,
+						Job: i, Name: sp.Name, Work: j.Work,
+						Parallelism: avgParallelism(j.Work, j.CriticalPath)})
+				}
+				if sp.Inst.Done() {
+					// A zero-work job (nothing left to execute) completes in
+					// its arrival quantum: running it through the allocator
+					// would never raise Completed and the job would hang the
+					// set.
+					e.completeJob(i, now)
+					info.Completed = append(info.Completed, i)
+					continue
+				}
+			}
+			e.activeIdx = append(e.activeIdx, i)
 		}
-		e.activeIdx = append(e.activeIdx, i)
 	}
 	if len(e.activeIdx) == 0 {
 		if e.remaining == 0 {
@@ -325,12 +351,13 @@ func (e *Engine) Step() (StepInfo, error) {
 	info.Active = len(e.activeIdx)
 	e.requests = e.requests[:0]
 	for _, i := range e.activeIdx {
-		r := RoundRequest(e.states[i].request)
+		s := e.states.at(i)
+		r := RoundRequest(s.request)
 		e.requests = append(e.requests, r)
 		if cfg.Obs.Active() {
 			cfg.Obs.Emit(obs.Event{Kind: obs.EvRequest, Time: now,
-				Quantum: e.res.Jobs[i].NumQuanta + 1, Job: i, Name: e.states[i].spec.Name,
-				Request: e.states[i].request, IntRequest: r})
+				Quantum: e.outcomes.at(i).NumQuanta + 1, Job: i, Name: e.specs.at(i).Name,
+				Request: s.request, IntRequest: r})
 		}
 	}
 	pEff := cfg.P
@@ -367,25 +394,26 @@ func (e *Engine) Step() (StepInfo, error) {
 	qstats := e.qstats[:len(e.activeIdx)]
 	for pos, i := range e.activeIdx {
 		if a := allots[pos]; a > 0 {
-			s := &e.states[i]
-			qstats[pos] = sched.RunQuantumScratch(s.spec.Inst, s.spec.Sched, a, cfg.L, &e.scratch)
+			sp := e.specs.at(i)
+			qstats[pos] = sched.RunQuantumScratch(sp.Inst, sp.Sched, a, cfg.L, &e.scratch)
 		}
 	}
-	// Reduce phase, in job-index order.
+	// Reduce phase, in job-index order. An emission may run a subscriber
+	// that submits jobs; the paged tables keep s, j and sp valid across it.
 	for pos, i := range e.activeIdx {
-		s := &e.states[i]
+		s, j, sp := e.states.at(i), e.outcomes.at(i), e.specs.at(i)
 		a := allots[pos]
 		if cfg.Obs.Active() {
 			cfg.Obs.Emit(obs.Event{Kind: obs.EvAllotment, Time: now,
-				Quantum: e.res.Jobs[i].NumQuanta + 1, Job: i, Name: s.spec.Name,
+				Quantum: j.NumQuanta + 1, Job: i, Name: sp.Name,
 				IntRequest: e.requests[pos], Allotment: a, Deprived: a < e.requests[pos]})
 		}
 		if a <= 0 {
 			// No processors this quantum (|J| > P); the job stalls and
 			// its request stands.
 			if cfg.TimelineRing > 0 {
-				e.recordSample(i, QuantumSample{
-					Quantum: e.res.Jobs[i].NumQuanta + 1, Boundary: e.k, Time: now,
+				e.recordSample(s, QuantumSample{
+					Quantum: j.NumQuanta + 1, Boundary: e.k, Time: now,
 					Request: s.request, IntRequest: e.requests[pos],
 					Deprived: true,
 				})
@@ -393,20 +421,20 @@ func (e *Engine) Step() (StepInfo, error) {
 			continue
 		}
 		st := qstats[pos]
-		st.Index = e.res.Jobs[i].NumQuanta + 1
+		st.Index = j.NumQuanta + 1
 		st.Start = now
 		st.Request = s.request
 		st.Deprived = a < e.requests[pos]
 		s.last = st
-		e.res.Jobs[i].NumQuanta++
+		j.NumQuanta++
 		if st.Deprived {
-			e.res.Jobs[i].DeprivedQ++
+			j.DeprivedQ++
 		}
 		if cfg.KeepTrace {
-			e.res.Jobs[i].Quanta = append(e.res.Jobs[i].Quanta, st)
+			j.Quanta = append(j.Quanta, st)
 		}
 		if cfg.TimelineRing > 0 {
-			e.recordSample(i, QuantumSample{
+			e.recordSample(s, QuantumSample{
 				Quantum: st.Index, Boundary: e.k, Time: now,
 				Request: st.Request, IntRequest: e.requests[pos],
 				Allotment: a, Steps: st.Steps, Work: st.Work,
@@ -417,31 +445,31 @@ func (e *Engine) Step() (StepInfo, error) {
 		// The job holds its allotment until the boundary, so the whole
 		// quantum's cycles are charged.
 		waste := int64(a)*e.L64 - st.Work
-		e.res.Jobs[i].Waste += waste
+		j.Waste += waste
 		e.res.TotalWaste += waste
 		s.attemptWork += st.Work
 		if cfg.Obs.Active() {
-			emitQuantum(cfg.Obs, st, i, s.spec.Name, &s.deprived)
+			emitQuantum(cfg.Obs, st, i, sp.Name, &s.deprived)
 		}
-		if !st.Completed && s.spec.Restart.fires(st.Index, e.res.Jobs[i].Restarts) {
-			e.res.Jobs[i].Restarts++
-			e.res.Jobs[i].LostWork += s.attemptWork
+		if !st.Completed && sp.Restart.fires(st.Index, j.Restarts) {
+			j.Restarts++
+			j.LostWork += s.attemptWork
 			if cfg.Obs.Active() {
 				cfg.Obs.Emit(obs.Event{Kind: obs.EvJobRestarted,
 					Time: now + int64(st.Steps), Quantum: st.Index,
-					Job: i, Name: s.spec.Name, Work: s.attemptWork})
+					Job: i, Name: sp.Name, Work: s.attemptWork})
 			}
 			s.attemptWork = 0
-			s.spec.Inst = s.spec.Restart.New()
-			s.spec.Policy.Reset()
-			s.request = s.spec.Policy.InitialRequest()
+			sp.Inst = sp.Restart.New()
+			sp.Policy.Reset()
+			s.request = sp.Policy.InitialRequest()
 			continue
 		}
 		if st.Completed {
 			e.completeJob(i, now+int64(st.Steps))
 			info.Completed = append(info.Completed, i)
 		} else {
-			s.request = s.spec.Policy.NextRequest(st)
+			s.request = sp.Policy.NextRequest(st)
 		}
 	}
 	e.k++
@@ -451,27 +479,30 @@ func (e *Engine) Step() (StepInfo, error) {
 
 // completeJob marks job i done as of step t and emits its completion event.
 func (e *Engine) completeJob(i int, t int64) {
-	s := &e.states[i]
-	s.done = true
+	e.states.at(i).done = true
 	e.remaining--
 	e.running--
-	j := &e.res.Jobs[i]
+	sp, j := e.specs.at(i), e.outcomes.at(i)
 	j.Completion = t
-	j.Response = j.Completion - s.spec.Release
+	j.Response = j.Completion - sp.Release
 	e.respSum += j.Response
 	if j.Completion > e.res.Makespan {
 		e.res.Makespan = j.Completion
 	}
 	if e.cfg.Obs.Active() {
 		e.cfg.Obs.Emit(obs.Event{Kind: obs.EvJobCompleted,
-			Time: j.Completion, Job: i, Name: s.spec.Name,
+			Time: j.Completion, Job: i, Name: sp.Name,
 			Work: j.Work, Response: j.Response})
 	}
 }
 
 // Run steps the engine until every submitted job has completed and returns
 // the result — RunMulti's tail. Jobs submitted while Run executes (from the
-// same goroutine, e.g. via an obs subscriber) extend the run.
+// same goroutine, e.g. via an obs subscriber) extend the run. A job that a
+// subscriber submits during a Step becomes schedulable exactly as if it had
+// been submitted right after that Step returned: the walk over released
+// jobs does not see it, and since appending never moves a stored record,
+// every write Step makes after the emission lands.
 func (e *Engine) Run() (MultiResult, error) {
 	for e.remaining > 0 {
 		if _, err := e.Step(); err != nil {
@@ -485,18 +516,17 @@ func (e *Engine) Run() (MultiResult, error) {
 // copied, so the snapshot stays stable while the engine keeps stepping.
 func (e *Engine) Result() MultiResult {
 	out := e.res
-	out.Jobs = append([]JobOutcome(nil), e.res.Jobs...)
+	out.Jobs = e.outcomes.appendTo(nil)
 	return out
 }
 
 // JobStatus returns the live snapshot of one job; ok is false for an
 // unknown id.
 func (e *Engine) JobStatus(id int) (JobStatus, bool) {
-	if id < 0 || id >= len(e.states) {
+	if id < 0 || id >= e.states.len() {
 		return JobStatus{}, false
 	}
-	s := &e.states[id]
-	j := &e.res.Jobs[id]
+	s, j := e.states.at(id), e.outcomes.at(id)
 	st := JobStatus{
 		ID:           id,
 		Name:         j.Name,
@@ -536,11 +566,12 @@ func (e *Engine) JobStatus(id int) (JobStatus, bool) {
 // per-call allocation; copy the elements before releasing the lock if they
 // must outlive the next engine call.
 func (e *Engine) Statuses() []JobStatus {
-	if cap(e.statusBuf) < len(e.states) {
-		e.statusBuf = make([]JobStatus, len(e.states))
+	n := e.states.len()
+	if cap(e.statusBuf) < n {
+		e.statusBuf = make([]JobStatus, n)
 	}
-	out := e.statusBuf[:len(e.states)]
-	for i := range e.states {
+	out := e.statusBuf[:n]
+	for i := range out {
 		out[i], _ = e.JobStatus(i)
 	}
 	return out

@@ -58,8 +58,8 @@ func (e *Engine) MarshalBinary() ([]byte, error) {
 // that was not done when the chain's previous snapshot was written (0 for
 // the first); FoldSnapshots turns the chain back into MarshalBinary's bytes.
 func (e *Engine) MarshalDelta(from int) ([]byte, error) {
-	if from < 0 || from > len(e.states) {
-		return nil, fmt.Errorf("sim: delta snapshot from %d outside [0, %d]", from, len(e.states))
+	if n := e.states.len(); from < 0 || from > n {
+		return nil, fmt.Errorf("sim: delta snapshot from %d outside [0, %d]", from, n)
 	}
 	return e.marshal(snapDeltaVersion, from)
 }
@@ -78,13 +78,12 @@ func (e *Engine) marshal(version byte, from int) ([]byte, error) {
 	enc.Varint(e.res.Makespan)
 	enc.Varint(e.res.TotalWaste)
 	enc.Int(e.res.QuantaElapsed)
-	enc.Int(len(e.states))
+	enc.Int(e.states.len())
 	if version == snapDeltaVersion {
 		enc.Int(from)
 	}
-	for i := from; i < len(e.states); i++ {
-		s := &e.states[i]
-		j := &e.res.Jobs[i]
+	for i := from; i < e.states.len(); i++ {
+		s, j, sp := e.states.at(i), e.outcomes.at(i), e.specs.at(i)
 		enc.String(j.Name)
 		enc.Varint(j.Release)
 		enc.Varint(j.Completion)
@@ -104,16 +103,16 @@ func (e *Engine) marshal(version byte, from int) ([]byte, error) {
 		enc.Varint(s.attemptWork)
 		encodeQuantumStats(&enc, s.last)
 
-		st, ok := s.spec.Inst.(job.Stateful)
+		st, ok := sp.Inst.(job.Stateful)
 		if !ok {
-			return nil, fmt.Errorf("sim: job %d instance %T does not support state snapshots", i, s.spec.Inst)
+			return nil, fmt.Errorf("sim: job %d instance %T does not support state snapshots", i, sp.Inst)
 		}
 		inst, err := st.MarshalState()
 		if err != nil {
 			return nil, fmt.Errorf("sim: job %d instance: %w", i, err)
 		}
 		enc.BytesField(inst)
-		pol, err := feedback.MarshalState(s.spec.Policy)
+		pol, err := feedback.MarshalState(sp.Policy)
 		if err != nil {
 			return nil, fmt.Errorf("sim: job %d: %w", i, err)
 		}
@@ -216,7 +215,8 @@ func FoldSnapshots(chain [][]byte) ([]byte, error) {
 // the *same* jobs (same profile, same policy configuration, same restart
 // hook) — total work and critical path are cross-checked. Each spec's
 // instance and policy receive the snapshotted cursor and controller state;
-// spec.Release is overwritten from the snapshot.
+// the engine's copy of spec.Release is overwritten from the snapshot. The
+// jobs enter the engine's tables through the same push as Submit.
 func RestoreEngine(cfg MultiConfig, data []byte, specs []JobSpec) (*Engine, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -273,9 +273,7 @@ func RestoreEngine(cfg MultiConfig, data []byte, specs []JobSpec) (*Engine, erro
 			return nil, fmt.Errorf("sim: job %d: %w", i, err)
 		}
 		sp.Release = j.Release
-		s.spec = &sp
-		e.states = append(e.states, s)
-		e.res.Jobs = append(e.res.Jobs, j)
+		e.push(&sp, &s, &j)
 		switch {
 		case s.done:
 			e.respSum += j.Response
@@ -374,9 +372,9 @@ type ResumeState struct {
 
 // ResumeStates returns the per-job resume state, by job id.
 func (e *Engine) ResumeStates() []ResumeState {
-	out := make([]ResumeState, len(e.states))
-	for i := range e.states {
-		s := &e.states[i]
+	out := make([]ResumeState, e.states.len())
+	for i := range out {
+		s := e.states.at(i)
 		out[i] = ResumeState{
 			Started:     s.started,
 			Done:        s.done,

@@ -108,7 +108,7 @@ func checkChainPoint(t *testing.T, eng *Engine, chain *[][]byte, from *int, tall
 		tally.lagging++
 	}
 	for i := next + 1; i < eng.NumJobs(); i++ {
-		if eng.states[i].done {
+		if eng.states.at(i).done {
 			tally.outOfOrder++
 			break
 		}
@@ -247,7 +247,7 @@ func newFoldBlobs(t *testing.T) foldBlobs {
 	if b.full, err = eng.MarshalBinary(); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.states[0].done || eng.states[1].done || eng.states[2].done {
+	if !eng.states.at(0).done || eng.states.at(1).done || eng.states.at(2).done {
 		t.Fatal("the rejection table needs job 0 done and jobs 1, 2 running")
 	}
 	return b

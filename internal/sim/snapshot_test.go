@@ -232,7 +232,7 @@ func TestEngineResumeStates(t *testing.T) {
 	if rs[1].Started || rs[1].Done || rs[1].AttemptWork != 0 {
 		t.Fatalf("pending job b resume state: %+v", rs[1])
 	}
-	for !eng.states[0].done {
+	for !eng.states.at(0).done {
 		if _, err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}

@@ -70,14 +70,13 @@ func (r *timelineRing) samples() []QuantumSample {
 	return append(out, r.buf[:r.next]...)
 }
 
-// recordSample stores one quantum sample on job i's ring, allocating the
+// recordSample stores one quantum sample on job s's ring, allocating the
 // ring lazily so jobs that never run (pending, zero-work) carry no buffer.
-func (e *Engine) recordSample(i int, s QuantumSample) {
-	st := &e.states[i]
-	if st.timeline == nil {
-		st.timeline = newTimelineRing(e.cfg.TimelineRing)
+func (e *Engine) recordSample(s *jobState, q QuantumSample) {
+	if s.timeline == nil {
+		s.timeline = newTimelineRing(e.cfg.TimelineRing)
 	}
-	st.timeline.record(s)
+	s.timeline.record(q)
 }
 
 // Timeline returns job id's retained quantum samples in chronological order
@@ -86,10 +85,10 @@ func (e *Engine) recordSample(i int, s QuantumSample) {
 // stalled on any quantum, it returns an empty timeline. ok is false only
 // for an unknown id.
 func (e *Engine) Timeline(id int) (samples []QuantumSample, evicted int, ok bool) {
-	if id < 0 || id >= len(e.states) {
+	if id < 0 || id >= e.states.len() {
 		return nil, 0, false
 	}
-	r := e.states[id].timeline
+	r := e.states.at(id).timeline
 	if r == nil {
 		return nil, 0, true
 	}

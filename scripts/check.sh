@@ -62,13 +62,15 @@ go test -run '^$' -fuzz FuzzEventJSON -fuzztime 5s ./internal/server/
 bindir="$(mktemp -d)"
 trap 'rm -rf "$bindir"' EXIT
 
-echo "== experiment goldens (abgexp stdout, every experiment at small scale)"
+echo "== output goldens (abgexp at small scale; abgvalidate, abgsim, examples)"
 # The command-line path must print the bytes pinned in
 # internal/experiments/testdata; TestCatalogueGoldens pins the library
-# path at every scale. The goldens are amd64 bytes (arm64 may fuse
-# multiply-adds), so other architectures skip this step.
+# path at every scale. testdata/commands/commands.txt lists the other
+# commands' lines, each pinned in testdata/commands/<name>.golden. The
+# goldens are amd64 bytes (arm64 may fuse multiply-adds), so other
+# architectures skip this step.
 if [ "$(go env GOARCH)" = amd64 ]; then
-    go build -o "$bindir/abgexp" ./cmd/abgexp
+    go build -o "$bindir/" ./cmd/abgexp ./cmd/abgvalidate ./cmd/abgsim ./examples/...
     for golden in internal/experiments/testdata/*.small.golden; do
         name="$(basename "$golden" .small.golden)"
         if ! diff -u "$golden" <("$bindir/abgexp" -exp "$name" -scale small 2>/dev/null) >&2; then
@@ -76,6 +78,15 @@ if [ "$(go env GOARCH)" = amd64 ]; then
             exit 1
         fi
     done
+    while read -r name bin args; do
+        case "$name" in ''|'#'*) continue ;; esac
+        golden="testdata/commands/$name.golden"
+        # $args is split on purpose: the manifest's arguments hold no spaces.
+        if ! diff -u "$golden" <("$bindir/$bin" $args </dev/null 2>/dev/null) >&2; then
+            echo "$bin $args differs from $golden" >&2
+            exit 1
+        fi
+    done < testdata/commands/commands.txt
 else
     echo "skipped on $(go env GOARCH)"
 fi
