@@ -153,7 +153,10 @@ func New(cfg Config) (*Cluster, error) {
 		sh := &shard{srv: srv, bus: scfg.Bus}
 		// The tap attaches after New, so recovery's replayed events — already
 		// renumbered exactly by the shard's own hub — are not re-merged; the
-		// merged stream resumes from the shard's recovered position.
+		// merged stream resumes from the shard's recovered position. From
+		// here the front door renders the shard's events and the shard's hub
+		// only numbers them.
+		srv.RelayEvents()
 		sh.tap = newShardTap(k, cfg.Shards)
 		c.hub.SetSeq(k, srv.SSESeq())
 		scfg.Bus.Subscribe(sh.tap)

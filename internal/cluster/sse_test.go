@@ -178,3 +178,28 @@ func parseIDVector(t *testing.T, id string) []uint64 {
 	}
 	return out
 }
+
+// TestShardHubsHoldNoFrames: a cluster's clients read the front door's
+// merged stream only, so after a run on a 2-shard cluster each shard's own
+// hub has numbered its events but holds no frame, while the front door's
+// stream still serves them.
+func TestShardHubsHoldNoFrames(t *testing.T) {
+	c, base := startStreamCluster(t, 0, 0)
+	for k, sh := range c.shards {
+		sh.srv.SampleMetrics()
+		reg := sh.srv.MetricsRegistry()
+		events := reg.Gauge("abgd_sse_ring_events").Value()
+		bytes := reg.Gauge("abgd_sse_ring_bytes").Value()
+		if sh.srv.SSESeq() == 0 {
+			t.Errorf("shard %d numbered no events", k)
+		}
+		if events != 0 || bytes != 0 {
+			t.Errorf("shard %d's hub holds %d frames (%d bytes), want none", k, events, bytes)
+		}
+	}
+	resp := openStream(t, base, "")
+	defer resp.Body.Close()
+	if frames := scanFrames(resp.Body, 1); len(frames) != 1 {
+		t.Fatalf("front door replayed %d frames, want its ring's first", len(frames))
+	}
+}

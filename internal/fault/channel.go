@@ -50,6 +50,11 @@ type faultPolicy struct {
 	q         int       // quanta seen since the last (re)start
 	delivered float64   // last request the allocator received
 	pending   []message // in-flight messages, in send order
+
+	// noisy is the perturbed copy of a quantum's stats handed to the inner
+	// policy when noise changes them; the caller's record stays as
+	// measured. It is scratch, not state: snapshots leave it out.
+	noisy sched.QuantumStats
 }
 
 // InitialRequest implements Policy. The admission handshake is assumed
@@ -62,7 +67,7 @@ func (f *faultPolicy) InitialRequest() float64 {
 }
 
 // NextRequest implements Policy.
-func (f *faultPolicy) NextRequest(prev sched.QuantumStats) float64 {
+func (f *faultPolicy) NextRequest(prev *sched.QuantumStats) float64 {
 	f.q++
 	q := f.q
 	fresh := f.inner.NextRequest(f.perturb(prev, q))
@@ -110,11 +115,13 @@ func (f *faultPolicy) NextRequest(prev sched.QuantumStats) float64 {
 	return f.delivered
 }
 
-// perturb applies the plan's measurement noise to the quantum's stats. The
-// noisy parallelism is expressed through the critical-path term (the inner
-// policies derive A(q) = Work/CPL), so a reading pushed to zero or below
-// surfaces as the non-finite/negative sample the policy guards must absorb.
-func (f *faultPolicy) perturb(st sched.QuantumStats, q int) sched.QuantumStats {
+// perturb applies the plan's measurement noise to the quantum's stats,
+// returning st itself when the reading is unchanged and f.noisy otherwise.
+// The noisy parallelism is expressed through the critical-path term (the
+// inner policies derive A(q) = Work/CPL), so a reading pushed to zero or
+// below surfaces as the non-finite/negative sample the policy guards must
+// absorb.
+func (f *faultPolicy) perturb(st *sched.QuantumStats, q int) *sched.QuantumStats {
 	if f.plan.NoiseMul == 0 && f.plan.NoiseAdd == 0 {
 		return st
 	}
@@ -134,9 +141,10 @@ func (f *faultPolicy) perturb(st sched.QuantumStats, q int) sched.QuantumStats {
 	if noisy == a {
 		return st
 	}
-	st.CPL = float64(st.Work) / noisy
+	f.noisy = *st
+	f.noisy.CPL = float64(st.Work) / noisy
 	f.emit("noise", q, noisy)
-	return st
+	return &f.noisy
 }
 
 // emit reports an injected fault on the bus.

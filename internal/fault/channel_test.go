@@ -17,17 +17,17 @@ type seqPolicy struct {
 }
 
 func (s *seqPolicy) InitialRequest() float64 { s.q = 0; return 100 }
-func (s *seqPolicy) NextRequest(st sched.QuantumStats) float64 {
+func (s *seqPolicy) NextRequest(st *sched.QuantumStats) float64 {
 	s.q++
-	s.seen = append(s.seen, st)
+	s.seen = append(s.seen, *st)
 	return float64(s.q)
 }
 func (s *seqPolicy) Name() string { return "seq" }
 func (s *seqPolicy) Reset()       { s.q = 0; s.reset++ }
 
 // cleanStats is a full quantum with parallelism 8.
-func cleanStats() sched.QuantumStats {
-	return sched.QuantumStats{Length: 100, Steps: 100, Allotment: 8, Work: 800, CPL: 100}
+func cleanStats() *sched.QuantumStats {
+	return &sched.QuantumStats{Length: 100, Steps: 100, Allotment: 8, Work: 800, CPL: 100}
 }
 
 func TestPolicyPassthroughWhenChannelInactive(t *testing.T) {

@@ -121,7 +121,7 @@ func TestCheckerFailFastPanics(t *testing.T) {
 type maliciousPolicy struct{ q int }
 
 func (m *maliciousPolicy) InitialRequest() float64 { return 1 }
-func (m *maliciousPolicy) NextRequest(sched.QuantumStats) float64 {
+func (m *maliciousPolicy) NextRequest(*sched.QuantumStats) float64 {
 	m.q++
 	if m.q == 3 {
 		return -4

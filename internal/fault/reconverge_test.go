@@ -26,8 +26,8 @@ func reconvergeQuanta(e0, eps, r float64) int {
 // Theorem 3, for responsiveness settings across the whole range.
 func TestAControlGeometricReconvergence(t *testing.T) {
 	const a1, a2 = 8.0, 40.0
-	stats := func(a float64) sched.QuantumStats {
-		return sched.QuantumStats{Length: 100, Steps: 100, Allotment: 64,
+	stats := func(a float64) *sched.QuantumStats {
+		return &sched.QuantumStats{Length: 100, Steps: 100, Allotment: 64,
 			Work: int64(a * 100), CPL: 100}
 	}
 	for _, r := range []float64{0.05, 0.2, 0.5, 0.8} {

@@ -34,7 +34,7 @@ func TestLossyChannelStateRoundTrip(t *testing.T) {
 		orig := plan.Policy(feedback.NewAControl(0.2), 3, nil)
 		_ = orig.InitialRequest()
 		for _, st := range stats[:cut] {
-			_ = orig.NextRequest(st)
+			_ = orig.NextRequest(&st)
 		}
 		blob, err := feedback.MarshalState(orig)
 		if err != nil {
@@ -47,8 +47,8 @@ func TestLossyChannelStateRoundTrip(t *testing.T) {
 			t.Fatalf("cut %d: unmarshal: %v", cut, err)
 		}
 		for i, st := range stats[cut:] {
-			want := orig.NextRequest(st)
-			got := restored.NextRequest(st)
+			want := orig.NextRequest(&st)
+			got := restored.NextRequest(&st)
 			if math.Float64bits(want) != math.Float64bits(got) {
 				t.Fatalf("cut %d: request %d diverges: %v != %v", cut, i, got, want)
 			}

@@ -76,7 +76,7 @@ func (a *AutoRate) InitialRequest() float64 {
 // NextRequest implements Policy. Corrupt measurements are sanitised to the
 // previous request (see Observable): folding a NaN into either the request
 // or the Ĉ_L estimate would poison the rate schedule permanently.
-func (a *AutoRate) NextRequest(prev sched.QuantumStats) float64 {
+func (a *AutoRate) NextRequest(prev *sched.QuantumStats) float64 {
 	A, poisoned := measuredA(prev)
 	if poisoned {
 		warnHeld(a.bus, a.Name(), prev)

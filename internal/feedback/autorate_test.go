@@ -61,7 +61,7 @@ func TestAutoRateIgnoresPartialQuanta(t *testing.T) {
 	// Partial (non-full) quantum with extreme parallelism must not poison
 	// the Ĉ_L estimate (the definition uses full quanta only).
 	partial := sched.QuantumStats{Allotment: 4, Length: 100, Steps: 10, Work: 1000, CPL: 10}
-	a.NextRequest(partial)
+	a.NextRequest(&partial)
 	if a.ObservedTransitionFactor() != 1 {
 		t.Fatalf("partial quantum changed Ĉ_L: %v", a.ObservedTransitionFactor())
 	}
@@ -82,7 +82,7 @@ func TestAutoRateEmptyQuantumHolds(t *testing.T) {
 	a := DefaultAutoRate()
 	a.InitialRequest()
 	before := a.NextRequest(quantum(10, 4, 100, 400, false))
-	after := a.NextRequest(sched.QuantumStats{})
+	after := a.NextRequest(&sched.QuantumStats{})
 	if after != before {
 		t.Fatal("empty quantum changed request")
 	}

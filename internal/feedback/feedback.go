@@ -32,8 +32,14 @@ import (
 type Policy interface {
 	// InitialRequest returns d(1), the request for the first quantum.
 	InitialRequest() float64
-	// NextRequest returns the request for the quantum after prev.
-	NextRequest(prev sched.QuantumStats) float64
+	// NextRequest returns the request for the quantum after *prev. prev
+	// points at the caller's record of that quantum — the engine passes
+	// the job's own last-quantum record, so the hot path copies no
+	// QuantumStats. A policy reads *prev during the call only: it must not
+	// modify it (the record is engine state, snapshotted and shown in job
+	// status) and must not keep the pointer, whose record the next quantum
+	// overwrites.
+	NextRequest(prev *sched.QuantumStats) float64
 	// Name identifies the policy in traces and tables.
 	Name() string
 	// Reset rewinds internal state so the policy can drive a new job.
@@ -67,7 +73,7 @@ func AttachObs(pol Policy, bus *obs.Bus) {
 // zero-length quantum — as opposed to a merely empty one (a == 0): a
 // poisoned sample must not touch controller state, because the integral
 // update d ← r·d + (1−r)·A would propagate a single NaN forever.
-func measuredA(prev sched.QuantumStats) (a float64, poisoned bool) {
+func measuredA(prev *sched.QuantumStats) (a float64, poisoned bool) {
 	if prev.Length <= 0 || prev.Work < 0 || prev.Allotment < 0 ||
 		math.IsNaN(prev.CPL) || math.IsInf(prev.CPL, 0) || prev.CPL < 0 {
 		return 0, true
@@ -81,7 +87,7 @@ func measuredA(prev sched.QuantumStats) (a float64, poisoned bool) {
 
 // warnHeld emits the sanitised-input warning for a policy holding its
 // previous request. No-op without an active bus.
-func warnHeld(bus *obs.Bus, policy string, prev sched.QuantumStats) {
+func warnHeld(bus *obs.Bus, policy string, prev *sched.QuantumStats) {
 	if !bus.Active() {
 		return
 	}
@@ -130,7 +136,7 @@ func (c *AControl) InitialRequest() float64 {
 // quantum (no work done, A undefined) leaves the request unchanged, and a
 // corrupt measurement (NaN/Inf/negative, zero-length quantum) is sanitised
 // to the previous request with an obs warning.
-func (c *AControl) NextRequest(prev sched.QuantumStats) float64 {
+func (c *AControl) NextRequest(prev *sched.QuantumStats) float64 {
 	a, poisoned := measuredA(prev)
 	if poisoned {
 		warnHeld(c.bus, c.Name(), prev)
@@ -209,7 +215,7 @@ func (g *AGreedy) InitialRequest() float64 {
 // allotment, zero-length quantum) is sanitised to the previous request with
 // an obs warning — the utilization test would otherwise misclassify the
 // quantum as inefficient and halve the request on garbage input.
-func (g *AGreedy) NextRequest(prev sched.QuantumStats) float64 {
+func (g *AGreedy) NextRequest(prev *sched.QuantumStats) float64 {
 	if prev.Length <= 0 || prev.Work < 0 || prev.Allotment < 0 {
 		warnHeld(g.bus, g.Name(), prev)
 		return g.d
@@ -275,7 +281,7 @@ func (f *FixedGain) InitialRequest() float64 {
 }
 
 // NextRequest implements Policy.
-func (f *FixedGain) NextRequest(prev sched.QuantumStats) float64 {
+func (f *FixedGain) NextRequest(prev *sched.QuantumStats) float64 {
 	a, poisoned := measuredA(prev)
 	if poisoned {
 		warnHeld(f.bus, f.Name(), prev)
@@ -331,7 +337,7 @@ func StaticFactory(n int) Factory {
 func (s *Static) InitialRequest() float64 { return s.n }
 
 // NextRequest implements Policy.
-func (s *Static) NextRequest(sched.QuantumStats) float64 { return s.n }
+func (s *Static) NextRequest(*sched.QuantumStats) float64 { return s.n }
 
 // Name implements Policy.
 func (s *Static) Name() string { return fmt.Sprintf("Static(%g)", s.n) }

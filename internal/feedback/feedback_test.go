@@ -12,9 +12,9 @@ import (
 
 // quantum builds a full-quantum stats record with the given measured
 // parallelism A and request/allotment relationship.
-func quantum(a float64, allot, length int, work int64, deprived bool) sched.QuantumStats {
+func quantum(a float64, allot, length int, work int64, deprived bool) *sched.QuantumStats {
 	cpl := float64(work) / a
-	return sched.QuantumStats{
+	return &sched.QuantumStats{
 		Allotment: allot, Length: length, Steps: length,
 		Work: work, CPL: cpl, Deprived: deprived,
 	}
@@ -86,7 +86,7 @@ func TestAControlEmptyQuantumHoldsRequest(t *testing.T) {
 	c.InitialRequest()
 	c.NextRequest(quantum(10, 4, 100, 400, false))
 	before := c.NextRequest(quantum(10, 4, 100, 400, false))
-	after := c.NextRequest(sched.QuantumStats{Allotment: 4, Length: 100})
+	after := c.NextRequest(&sched.QuantumStats{Allotment: 4, Length: 100})
 	if after != before {
 		t.Fatalf("empty quantum changed request: %v -> %v", before, after)
 	}
@@ -138,7 +138,7 @@ func TestAGreedyMultiplicativeDecrease(t *testing.T) {
 	g.NextRequest(quantum(100, 1, 100, 100, false)) // -> 2
 	g.NextRequest(quantum(100, 2, 100, 200, false)) // -> 4
 	// Inefficient quantum: only 50% of allotted cycles used (< δ=0.8).
-	d := g.NextRequest(sched.QuantumStats{Allotment: 4, Length: 100, Steps: 100, Work: 200, CPL: 50})
+	d := g.NextRequest(&sched.QuantumStats{Allotment: 4, Length: 100, Steps: 100, Work: 200, CPL: 50})
 	if d != 2 {
 		t.Fatalf("inefficient quantum should halve: %v", d)
 	}
@@ -159,7 +159,7 @@ func TestAGreedyFloorAtOne(t *testing.T) {
 	g := DefaultAGreedy()
 	g.InitialRequest()
 	// Inefficient from the start: request must not drop below 1.
-	d := g.NextRequest(sched.QuantumStats{Allotment: 1, Length: 100, Steps: 100, Work: 10, CPL: 10})
+	d := g.NextRequest(&sched.QuantumStats{Allotment: 1, Length: 100, Steps: 100, Work: 10, CPL: 10})
 	if d != 1 {
 		t.Fatalf("request below 1: %v", d)
 	}
@@ -182,7 +182,7 @@ func TestAGreedyOscillatesOnConstantParallelism(t *testing.T) {
 			Allotment: alloc, Length: L, Steps: L,
 			Work: work, CPL: float64(work) / A,
 		}
-		d = g.NextRequest(st)
+		d = g.NextRequest(&st)
 		ds = append(ds, d)
 	}
 	// Requests in the steady regime must keep changing (no fixed point).
@@ -278,7 +278,7 @@ func TestFixedGainValidationAndIdentity(t *testing.T) {
 	if f.InitialRequest() != 1 {
 		t.Fatal("reset failed")
 	}
-	if f.NextRequest(sched.QuantumStats{}) != 1 {
+	if f.NextRequest(&sched.QuantumStats{}) != 1 {
 		t.Fatal("empty quantum should hold request")
 	}
 	NewFixedGain(0)
@@ -286,7 +286,7 @@ func TestFixedGainValidationAndIdentity(t *testing.T) {
 
 func TestStatic(t *testing.T) {
 	s := NewStatic(64)
-	if s.InitialRequest() != 64 || s.NextRequest(sched.QuantumStats{}) != 64 {
+	if s.InitialRequest() != 64 || s.NextRequest(&sched.QuantumStats{}) != 64 {
 		t.Fatal("static request wrong")
 	}
 	s.Reset()
@@ -358,7 +358,7 @@ func TestAGreedyRequestsArePowersOfRho(t *testing.T) {
 				Allotment: int(d), Length: 100, Steps: 100,
 				Work: work, CPL: math.Max(1, float64(work)/8), Deprived: rng.Float64() < 0.3,
 			}
-			d = g.NextRequest(st)
+			d = g.NextRequest(&st)
 			log2 := math.Log2(d)
 			if math.Abs(log2-math.Round(log2)) > 1e-9 {
 				return false

@@ -11,8 +11,8 @@ import (
 
 // goodStats returns a clean full quantum with parallelism `width` on
 // `allot` processors.
-func goodStats(width, allot int) sched.QuantumStats {
-	return sched.QuantumStats{
+func goodStats(width, allot int) *sched.QuantumStats {
+	return &sched.QuantumStats{
 		Index: 1, Length: 100, Steps: 100, Allotment: allot,
 		Work: int64(width) * 100, CPL: 100,
 	}
@@ -76,7 +76,7 @@ func TestGuardsHoldRequestOnCorruptInput(t *testing.T) {
 					twin.NextRequest(goodStats(8, 8))
 				}
 
-				got := pol.NextRequest(gc.stats)
+				got := pol.NextRequest(&gc.stats)
 				if got != before {
 					t.Fatalf("corrupt input moved request: %v -> %v", before, got)
 				}
@@ -115,7 +115,7 @@ func TestGuardsNoWarningWithoutBus(t *testing.T) {
 	pol := NewAControl(0.2)
 	pol.InitialRequest()
 	d := pol.NextRequest(goodStats(8, 8))
-	if got := pol.NextRequest(sched.QuantumStats{Length: 0}); got != d {
+	if got := pol.NextRequest(&sched.QuantumStats{Length: 0}); got != d {
 		t.Fatalf("corrupt input moved request without bus: %v -> %v", d, got)
 	}
 	// Empty quantum (valid, no work): held, but NOT a warning case.
@@ -123,7 +123,7 @@ func TestGuardsNoWarningWithoutBus(t *testing.T) {
 	rec := &obs.Recorder{}
 	defer bus.Subscribe(rec)()
 	pol.Observe(bus)
-	if got := pol.NextRequest(sched.QuantumStats{Length: 100}); got != d {
+	if got := pol.NextRequest(&sched.QuantumStats{Length: 100}); got != d {
 		t.Fatalf("empty quantum moved request: %v -> %v", d, got)
 	}
 	for _, e := range rec.Events() {
@@ -146,7 +146,7 @@ func TestAGreedyGuardBeforeUtilization(t *testing.T) {
 	if d <= 1 {
 		t.Fatalf("warm-up did not grow request: %v", d)
 	}
-	if got := g.NextRequest(sched.QuantumStats{Length: 0, Allotment: 4}); got != d {
+	if got := g.NextRequest(&sched.QuantumStats{Length: 0, Allotment: 4}); got != d {
 		t.Fatalf("zero-length quantum halved request: %v -> %v", d, got)
 	}
 }

@@ -71,7 +71,7 @@ func TestStateRoundTripEquivalence(t *testing.T) {
 			orig := tc.make()
 			_ = orig.InitialRequest()
 			for _, st := range stats[:cut] {
-				_ = orig.NextRequest(st)
+				_ = orig.NextRequest(&st)
 			}
 
 			blob, err := MarshalState(orig)
@@ -85,8 +85,8 @@ func TestStateRoundTripEquivalence(t *testing.T) {
 			}
 
 			for i, st := range stats[cut:] {
-				want := orig.NextRequest(st)
-				got := restored.NextRequest(st)
+				want := orig.NextRequest(&st)
+				got := restored.NextRequest(&st)
 				if math.Float64bits(want) != math.Float64bits(got) {
 					t.Fatalf("%s: cut %d: request %d diverges: %v != %v",
 						tc.name, cut, i, got, want)
@@ -128,7 +128,7 @@ func TestStateUnsupportedPolicy(t *testing.T) {
 
 type opaquePolicy struct{}
 
-func (opaquePolicy) InitialRequest() float64                { return 1 }
-func (opaquePolicy) NextRequest(sched.QuantumStats) float64 { return 1 }
-func (opaquePolicy) Name() string                           { return "opaque" }
-func (opaquePolicy) Reset()                                 {}
+func (opaquePolicy) InitialRequest() float64                 { return 1 }
+func (opaquePolicy) NextRequest(*sched.QuantumStats) float64 { return 1 }
+func (opaquePolicy) Name() string                            { return "opaque" }
+func (opaquePolicy) Reset()                                  {}

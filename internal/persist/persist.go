@@ -121,6 +121,11 @@ type Enc struct {
 	buf []byte
 }
 
+// NewEnc returns an encoder that appends to buf. A caller that knows the
+// payload's leading bytes or its rough size passes them in buf, so neither
+// prepending them nor growing the buffer copies the payload.
+func NewEnc(buf []byte) *Enc { return &Enc{buf: buf} }
+
 // Bytes returns the encoded buffer.
 func (e *Enc) Bytes() []byte { return e.buf }
 

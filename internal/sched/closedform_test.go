@@ -194,8 +194,9 @@ func checkQuantumCase(t testing.TB, c quantumCase, tally *quantumTally) {
 		if from < c.profile.CriticalPathLen() && fast.CompletedAt(from) > 0 {
 			from, midLevel = from+1, true
 		}
-		got := RunQuantumScratch(fast, pl.sched, pl.allotment, pl.length, &fastScr)
-		want := RunQuantumScratch(stepwise{ref}, pl.sched, pl.allotment, pl.length, &refScr)
+		var got, want QuantumStats
+		RunQuantumScratch(&got, fast, pl.sched, pl.allotment, pl.length, &fastScr)
+		RunQuantumScratch(&want, stepwise{ref}, pl.sched, pl.allotment, pl.length, &refScr)
 		if !reflect.DeepEqual(got, want) || math.Float64bits(got.CPL) != math.Float64bits(want.CPL) {
 			t.Fatalf("quantum %d (%s a=%d L=%d) of segments %v:\n got  %+v\n want %+v",
 				q, pl.sched.Name(), pl.allotment, pl.length, c.profile.Segments(), got, want)

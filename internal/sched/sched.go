@@ -132,16 +132,20 @@ type Scratch struct {
 
 // RunQuantum executes one scheduling quantum: up to length steps of inst
 // with the given allotment, selecting tasks per the scheduler's order, and
-// returns the measured statistics. The Index, Request and Deprived fields
-// are left for the caller (the engine) to fill in. It allocates fresh
-// scratch; hot loops should hold a Scratch and call RunQuantumScratch.
+// returns the measured statistics. The Index, Start, Request and Deprived
+// fields are left for the caller (the engine) to fill in. It allocates
+// fresh scratch; hot loops should hold a Scratch and call
+// RunQuantumScratch.
 func RunQuantum(inst job.Instance, sc Scheduler, allotment, length int) QuantumStats {
-	var scr Scratch
-	return RunQuantumScratch(inst, sc, allotment, length, &scr)
+	var st QuantumStats
+	RunQuantumScratch(&st, inst, sc, allotment, length, &Scratch{})
+	return st
 }
 
-// RunQuantumScratch is RunQuantum with caller-owned scratch buffers, the
-// allocation-free form the engine's hot path uses. The measurement is
+// RunQuantumScratch is RunQuantum with caller-owned scratch buffers and a
+// caller-owned record, the allocation- and copy-free form the engine's hot
+// path uses: it overwrites every field of *st, so the engine measures
+// straight into a job's last-quantum record. The measurement is
 // bit-identical to RunQuantum's: per-level fractions are summed in
 // ascending level order (float addition is not associative, and replay
 // determinism must not hinge on accumulation order), which the dense
@@ -153,17 +157,17 @@ func RunQuantum(inst job.Instance, sc Scheduler, allotment, length int) QuantumS
 // additions bit for bit, so the stats are identical to the step loop
 // below, which serves every other case and is the reference the closed
 // form is tested against.
-func RunQuantumScratch(inst job.Instance, sc Scheduler, allotment, length int, scr *Scratch) QuantumStats {
-	st := QuantumStats{Allotment: allotment, Length: length}
+func RunQuantumScratch(st *QuantumStats, inst job.Instance, sc Scheduler, allotment, length int, scr *Scratch) {
+	*st = QuantumStats{Allotment: allotment, Length: length}
 	if length <= 0 {
-		return st
+		return
 	}
 	if r, ok := inst.(*job.Run); ok && (sc.order == job.BreadthFirst || sc.order == job.FIFO) {
 		if s, ok := r.StepsBreadthFirst(allotment, length); ok {
 			st.Steps, st.PartialSteps, st.Work = s.Steps, s.Partial, s.Work
 			st.LevelsTouched, st.CPL = s.Levels, s.CPL
 			st.Completed = s.Steps > 0 && r.Done()
-			return st
+			return
 		}
 	}
 	lo, hi := int(^uint(0)>>1), -1 // touched level window [lo, hi]
@@ -207,5 +211,4 @@ func RunQuantumScratch(inst job.Instance, sc Scheduler, allotment, length int, s
 			scr.levelDone[l] = 0
 		}
 	}
-	return st
 }

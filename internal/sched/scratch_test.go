@@ -33,7 +33,8 @@ func TestRunQuantumScratchMatchesFresh(t *testing.T) {
 					}
 					for q := 0; !instA.Done(); q++ {
 						want := RunQuantum(instA, sc, a, 9)
-						got := RunQuantumScratch(instB, sc, a, 9, &reused)
+						var got QuantumStats
+						RunQuantumScratch(&got, instB, sc, a, 9, &reused)
 						if !reflect.DeepEqual(want, got) {
 							t.Fatalf("hidden %v profile %d sched %d a=%d quantum %d:\nfresh:  %+v\nreused: %+v",
 								hide, pi, si, a, q, want, got)
@@ -62,7 +63,8 @@ func TestRunQuantumScratchMatchesFresh(t *testing.T) {
 // quantum lengths execute nothing.
 func TestRunQuantumScratchZeroLength(t *testing.T) {
 	var scr Scratch
-	st := RunQuantumScratch(job.NewRun(job.Constant(2, 2)), BGreedy(), 2, 0, &scr)
+	var st QuantumStats
+	RunQuantumScratch(&st, job.NewRun(job.Constant(2, 2)), BGreedy(), 2, 0, &scr)
 	if st.Steps != 0 || st.Work != 0 || st.CPL != 0 {
 		t.Fatalf("zero-length quantum executed work: %+v", st)
 	}
@@ -72,6 +74,7 @@ func BenchmarkRunQuantumScratch(b *testing.B) {
 	p := job.Constant(8, 1<<20)
 	inst := job.NewRun(p)
 	var scr Scratch
+	var st QuantumStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -80,6 +83,6 @@ func BenchmarkRunQuantumScratch(b *testing.B) {
 			inst.Reset()
 			b.StartTimer()
 		}
-		RunQuantumScratch(inst, BGreedy(), 8, 100, &scr)
+		RunQuantumScratch(&st, inst, BGreedy(), 8, 100, &scr)
 	}
 }

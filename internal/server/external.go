@@ -222,6 +222,14 @@ func (s *Server) IdemKeys() map[string][]int {
 // SSESeq returns the id of the shard's most recently published SSE event.
 func (s *Server) SSESeq() uint64 { return s.hub.Seq() }
 
+// RelayEvents hands the shard's event stream to the cluster front door,
+// which taps the shard's bus and renders every event into its own merged
+// hub. Nothing serves the shard's own stream — a shard is never Start()ed —
+// so from now on the shard's hub only numbers events (SSESeq and snapshot
+// records need the count): it renders and keeps no frames, and it releases
+// those that recovery's replay left in its ring.
+func (s *Server) RelayEvents() { s.hub.dropFrames() }
+
 // Health returns the shard's health verdict and its HTTP status code.
 func (s *Server) Health() (HealthDTO, int) { return s.health() }
 

@@ -24,6 +24,8 @@ import (
 //	abgd_sse_subscribers                         gauge   (sampled at scrape)
 //	abgd_sse_dropped_total                       counter (slow-client drops)
 //	abgd_sse_ring_evictions_total                counter
+//	abgd_sse_ring_events                         gauge   (sampled at scrape)
+//	abgd_sse_ring_bytes                          gauge   (sampled at scrape)
 //	abgd_journal_appends_total{kind}             counter
 //	abgd_journal_append_bytes_total              counter
 //	abgd_journal_append_seconds                  histogram
@@ -58,6 +60,8 @@ type serverMetrics struct {
 	sseSubs    *obs.Gauge
 	sseDropped *obs.Counter
 	sseEvicted *obs.Counter
+	ringEvents *obs.Gauge
+	ringBytes  *obs.Gauge
 	lag        *obs.Gauge
 	snapAge    *obs.Gauge
 	snapshots  *obs.Counter
@@ -80,6 +84,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		sseSubs:    reg.Gauge("abgd_sse_subscribers"),
 		sseDropped: reg.Counter("abgd_sse_dropped_total"),
 		sseEvicted: reg.Counter("abgd_sse_ring_evictions_total"),
+		ringEvents: reg.Gauge("abgd_sse_ring_events"),
+		ringBytes:  reg.Gauge("abgd_sse_ring_bytes"),
 		lag:        reg.Gauge("abgd_journal_lag_records"),
 		snapAge:    reg.Gauge("abgd_snapshot_age_quanta"),
 		snapshots:  reg.Counter("abgd_snapshots_total"),
@@ -264,6 +270,9 @@ func (s *Server) sampleMetrics() {
 	}
 	m.epochG.Set(int64(s.epoch.Load()))
 	m.sseSubs.Set(s.hub.n.Load())
+	events, bytes := s.hub.retained()
+	m.ringEvents.Set(int64(events))
+	m.ringBytes.Set(int64(bytes))
 	m.mu.Lock()
 	if d := s.hub.dropped.Load(); d > m.droppedSeen {
 		m.sseDropped.Add(d - m.droppedSeen)

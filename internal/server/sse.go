@@ -209,6 +209,10 @@ type EventHub struct {
 	dropped   atomic.Int64
 	evicted   atomic.Int64 // events pushed out of the replay ring
 	closed    bool
+	// frameless hubs number events but render and keep no frames: a
+	// cluster shard's, whose events reach clients through the front door
+	// (see dropFrames).
+	frameless atomic.Bool
 }
 
 // NewEventHub builds a hub with the given number of sequence components and
@@ -230,10 +234,37 @@ func NewEventHub(components, ringCap, byteCap int) *EventHub {
 }
 
 // OnEvent implements obs.Subscriber for a daemon's one-component hub. The
-// JSON is rendered on the stack: Publish copies it into the frame.
+// JSON is rendered on the stack: Publish copies it into the frame. A
+// frameless hub only numbers the event.
 func (h *EventHub) OnEvent(e obs.Event) {
+	if h.frameless.Load() {
+		h.mu.Lock()
+		h.seqs[0]++
+		h.base[0] = h.seqs[0]
+		h.mu.Unlock()
+		return
+	}
 	var buf [eventBufLen]byte
 	h.Publish(0, appendEvent(buf[:0], e))
+}
+
+// dropFrames makes the hub frameless: from now on it keeps numbering
+// events — the count is the stream's position, which snapshot records and
+// SSESeq carry — but renders no frame and keeps none, and it releases the
+// frames its replay ring holds.
+func (h *EventHub) dropFrames() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.frameless.Store(true)
+	h.ring, h.ringHead, h.ringLen, h.ringBytes = nil, 0, 0, 0
+	copy(h.base, h.seqs)
+}
+
+// retained returns the events and frame bytes the replay ring holds.
+func (h *EventHub) retained() (events, bytes int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.ringLen, h.ringBytes
 }
 
 // Publish appends one marshalled event to component comp's stream.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"abg/internal/alloc"
 	"abg/internal/obs"
@@ -17,6 +18,14 @@ import (
 // thin wrapper over the Engine, and stepped execution reproduces its event
 // stream and MultiResult bit-identically.
 //
+// Costs. Beside its job tables the engine keeps two indexes of job ids in
+// ascending order: waiting (submitted, not started) and live (started,
+// unfinished). A Step walks waiting and live only, so a boundary costs
+// O(waiting + live jobs) however many jobs the engine has finished, and
+// AggregateRequest O(live). Submit is O(1) and touches no index. Job
+// listings (Statuses, Result, ResumeStates) and snapshots still cost
+// O(jobs submitted).
+//
 // An Engine is not safe for concurrent use; callers that drive it from
 // multiple goroutines (e.g. abg/internal/server) must serialise access.
 type Engine struct {
@@ -31,6 +40,16 @@ type Engine struct {
 	states   table[jobState]
 	outcomes table[JobOutcome]
 
+	// The job indexes, ids in ascending order (see Step for why the order
+	// matters). Every unfinished job is in exactly one of them; done jobs
+	// are in neither. The waiting index is the waiting list, whose ids are
+	// all below unseen, followed by every id from unseen on: Submit adds a
+	// job to it by adding the job to the tables, and admission moves the
+	// jobs it looked at but found released in the future into the list.
+	waiting []int // not started, released after the boundary that last looked
+	unseen  int   // jobs [unseen, NumJobs()) are waiting and not yet looked at
+	live    []int // started, unfinished: the jobs a quantum executes
+
 	res       MultiResult // totals; Result fills Jobs from outcomes
 	remaining int
 	running   int   // started, unfinished jobs
@@ -39,14 +58,13 @@ type Engine struct {
 	capNow    int   // last emitted effective capacity
 	draining  bool
 
-	// Reusable per-boundary scratch. allot wraps the configured allocator
-	// with buffer reuse; qstats holds the execute phase's per-position
-	// measurements; scratch is the quantum loop's buffers; statusBuf backs
-	// Statuses.
-	activeIdx []int
+	// Reusable per-boundary scratch. admitted holds the ids a Step's
+	// admission started, to be merged into live; allot wraps the configured
+	// allocator with buffer reuse; scratch is the quantum loop's buffers;
+	// statusBuf backs Statuses.
+	admitted  []int
 	requests  []int
 	allot     *alloc.Allotter
-	qstats    []sched.QuantumStats
 	scratch   sched.Scratch
 	statusBuf []JobStatus
 }
@@ -58,7 +76,10 @@ type jobState struct {
 	done        bool
 	deprived    bool
 	attemptWork int64 // work completed since the job's last (re)start
-	last        sched.QuantumStats
+	// last is the job's last executed quantum. Step's execute loop measures
+	// into it and its reduce loop fills in the engine's fields (Index,
+	// Start, Request, Deprived) in place; the policy reads it by pointer.
+	last sched.QuantumStats
 	// timeline is the bounded quantum-sample ring (MultiConfig.TimelineRing);
 	// observational only, excluded from snapshots.
 	timeline *timelineRing
@@ -251,13 +272,16 @@ func (e *Engine) FirstUnfinished(hint int) int {
 // reports a desire d(q) to its engine, an engine reports Σ d(q) to a
 // cluster-level allocator, which partitions the machine across engine shards
 // by the same desire/allotment rules (see internal/cluster). The value is a
-// pure function of engine state and reading it never perturbs the run.
+// pure function of engine state and reading it never perturbs the run. It
+// sums the live index, so it costs O(live jobs), not O(jobs served); read
+// from a subscriber during Step, it also counts the jobs admission has
+// started but not yet merged into live, and skips those the reduce loop
+// has completed but not yet dropped.
 func (e *Engine) AggregateRequest() int {
 	total := 0
-	for p := range e.states.pages {
-		page := e.states.page(p)
-		for k := range page {
-			if s := &page[k]; s.started && !s.done {
+	for _, ids := range [2][]int{e.live, e.admitted} {
+		for _, i := range ids {
+			if s := e.states.at(i); !s.done {
 				total += RoundRequest(s.request)
 			}
 		}
@@ -272,6 +296,22 @@ func (e *Engine) AggregateRequest() int {
 // RunMulti's loop. When every unfinished job is released in the future the
 // clock jumps to the earliest release boundary instead (FastForwarded); with
 // no unfinished jobs at all it advances one idle quantum (Idle).
+//
+// A Step costs O(waiting + live jobs): admission walks the waiting index,
+// the quantum walks the live index, and jobs finished earlier cost
+// nothing. Both indexes hold ids in ascending order, the order in which
+// the allocator sees requests (DEQ hands its remainder out by position)
+// and in which events are emitted, so the schedule is the one a walk over
+// every job id would give. A job a subscriber submits during a Step's
+// emissions waits for the next boundary, as if it had been submitted after
+// Step returned.
+//
+// The execute loop measures each granted job's quantum straight into the
+// job's last-quantum record, and the reduce loop completes the record in
+// place. So to a subscriber of the reduce loop's events, a job whose
+// reduce has not yet run shows in JobStatus the Allotment and Parallelism
+// of the quantum just executed, with Deprived false; its NumQuanta,
+// DeprivedQ, Waste and Request catch up when its reduce runs.
 func (e *Engine) Step() (StepInfo, error) {
 	info := StepInfo{Boundary: e.k, Time: int64(e.k) * e.L64,
 		QuantaElapsed: e.res.QuantaElapsed}
@@ -288,55 +328,12 @@ func (e *Engine) Step() (StepInfo, error) {
 	}
 	cfg := &e.cfg
 	now := info.Time
-	// Collect active jobs, page by page; fast-forward if none are released
-	// yet. The walk covers the jobs submitted before it began: one that a
-	// subscriber submits meanwhile waits for the next boundary, as if it
-	// had been submitted after Step returned.
-	e.activeIdx = e.activeIdx[:0]
-	var nextRelease int64 = -1
-	n := e.states.len()
-	for p, states := range e.states.pages {
-		specs := e.specs.pages[p]
-		base := p << pageBits
-		for k := range min(pageLen, n-base) {
-			s := &states[k]
-			if s.done {
-				continue
-			}
-			sp := &specs[k]
-			if sp.Release > now {
-				if nextRelease < 0 || sp.Release < nextRelease {
-					nextRelease = sp.Release
-				}
-				continue
-			}
-			i := base + k
-			if !s.started {
-				s.started = true
-				e.running++
-				s.request = sp.Policy.InitialRequest()
-				if cfg.Obs.Active() {
-					j := e.outcomes.at(i)
-					cfg.Obs.Emit(obs.Event{Kind: obs.EvJobAdmitted, Time: now,
-						Job: i, Name: sp.Name, Work: j.Work,
-						Parallelism: avgParallelism(j.Work, j.CriticalPath)})
-				}
-				if sp.Inst.Done() {
-					// A zero-work job (nothing left to execute) completes in
-					// its arrival quantum: running it through the allocator
-					// would never raise Completed and the job would hang the
-					// set.
-					e.completeJob(i, now)
-					info.Completed = append(info.Completed, i)
-					continue
-				}
-			}
-			e.activeIdx = append(e.activeIdx, i)
-		}
-	}
-	if len(e.activeIdx) == 0 {
-		if e.remaining == 0 {
-			// Zero-work admissions emptied the system at this boundary.
+	nextRelease := e.admit(now, &info)
+	if len(e.live) == 0 {
+		if e.remaining == 0 || nextRelease < 0 {
+			// Zero-work admissions emptied the system at this boundary, or
+			// left only jobs a subscriber submitted during them, which wait
+			// for the next boundary.
 			e.k++
 			info.QuantaElapsed = e.res.QuantaElapsed
 			return info, nil
@@ -348,9 +345,9 @@ func (e *Engine) Step() (StepInfo, error) {
 	}
 	e.res.QuantaElapsed++
 	info.Executed = true
-	info.Active = len(e.activeIdx)
+	info.Active = len(e.live)
 	e.requests = e.requests[:0]
-	for _, i := range e.activeIdx {
+	for _, i := range e.live {
 		s := e.states.at(i)
 		r := RoundRequest(s.request)
 		e.requests = append(e.requests, r)
@@ -383,24 +380,22 @@ func (e *Engine) Step() (StepInfo, error) {
 			Quantum: e.res.QuantaElapsed, Job: -1, Name: cfg.Allocator.Name(),
 			P: pEff, IntRequest: totalReq, Allotment: totalAllot})
 	}
-	// Execute phase: run every granted job's quantum into its position's
-	// slot. Every read or write of shared engine state (events, traces,
-	// waste, restarts, completions, feedback) happens in the reduce loop
-	// below, in job-index order. The phases stay two loops so the first
-	// EvAllotment marks where execute ends.
-	if cap(e.qstats) < len(e.activeIdx) {
-		e.qstats = make([]sched.QuantumStats, len(e.activeIdx))
-	}
-	qstats := e.qstats[:len(e.activeIdx)]
-	for pos, i := range e.activeIdx {
+	// Execute phase: run every granted job's quantum, measured straight
+	// into the job's last-quantum record. Every read or write of shared
+	// engine state (events, traces, waste, restarts, completions, feedback)
+	// happens in the reduce loop below, in job-index order. The phases stay
+	// two loops so the first EvAllotment marks where execute ends.
+	for pos, i := range e.live {
 		if a := allots[pos]; a > 0 {
 			sp := e.specs.at(i)
-			qstats[pos] = sched.RunQuantumScratch(sp.Inst, sp.Sched, a, cfg.L, &e.scratch)
+			sched.RunQuantumScratch(&e.states.at(i).last, sp.Inst, sp.Sched, a, cfg.L, &e.scratch)
 		}
 	}
 	// Reduce phase, in job-index order. An emission may run a subscriber
-	// that submits jobs; the paged tables keep s, j and sp valid across it.
-	for pos, i := range e.activeIdx {
+	// that submits jobs: Submit only appends to the tables, which keep s, j
+	// and sp valid, and never touches live.
+	finished := false
+	for pos, i := range e.live {
 		s, j, sp := e.states.at(i), e.outcomes.at(i), e.specs.at(i)
 		a := allots[pos]
 		if cfg.Obs.Active() {
@@ -420,18 +415,17 @@ func (e *Engine) Step() (StepInfo, error) {
 			}
 			continue
 		}
-		st := qstats[pos]
+		st := &s.last
 		st.Index = j.NumQuanta + 1
 		st.Start = now
 		st.Request = s.request
 		st.Deprived = a < e.requests[pos]
-		s.last = st
 		j.NumQuanta++
 		if st.Deprived {
 			j.DeprivedQ++
 		}
 		if cfg.KeepTrace {
-			j.Quanta = append(j.Quanta, st)
+			j.Quanta = append(j.Quanta, *st)
 		}
 		if cfg.TimelineRing > 0 {
 			e.recordSample(s, QuantumSample{
@@ -468,13 +462,105 @@ func (e *Engine) Step() (StepInfo, error) {
 		if st.Completed {
 			e.completeJob(i, now+int64(st.Steps))
 			info.Completed = append(info.Completed, i)
+			finished = true
 		} else {
 			s.request = sp.Policy.NextRequest(st)
 		}
 	}
+	if finished {
+		e.live = slices.DeleteFunc(e.live, func(i int) bool { return e.states.at(i).done })
+	}
 	e.k++
 	info.QuantaElapsed = e.res.QuantaElapsed
 	return info, nil
+}
+
+// admit is Step's admission phase. It looks at every waiting job in
+// ascending id order — the waiting list, then the ids from unseen on —
+// starts those released by now, completes those with no work left, merges
+// the rest into live, and returns the earliest release still in the future
+// (-1 if none). The walk covers the jobs submitted before it began: one
+// that a subscriber submits meanwhile gets an id from end on and waits for
+// the next boundary.
+func (e *Engine) admit(now int64, info *StepInfo) (nextRelease int64) {
+	nextRelease = -1
+	end, keep := e.states.len(), 0
+	for _, i := range e.waiting {
+		if release, waits := e.consider(i, now, info); waits {
+			nextRelease = earliest(nextRelease, release)
+			e.waiting[keep] = i
+			keep++
+		}
+	}
+	e.waiting = e.waiting[:keep]
+	for i := e.unseen; i < end; i++ {
+		if release, waits := e.consider(i, now, info); waits {
+			nextRelease = earliest(nextRelease, release)
+			e.waiting = append(e.waiting, i)
+		}
+	}
+	e.unseen = end
+	if len(e.admitted) > 0 {
+		e.live = mergeAscending(e.live, e.admitted)
+		e.admitted = e.admitted[:0]
+	}
+	return nextRelease
+}
+
+// consider is admission's look at waiting job i. A job released after now
+// keeps waiting, and consider returns its release. Otherwise the job
+// starts: it joins admitted, or, with no work left, completes at once.
+func (e *Engine) consider(i int, now int64, info *StepInfo) (release int64, waits bool) {
+	sp := e.specs.at(i)
+	if sp.Release > now {
+		return sp.Release, true
+	}
+	s := e.states.at(i)
+	s.started = true
+	e.running++
+	s.request = sp.Policy.InitialRequest()
+	e.admitted = append(e.admitted, i)
+	if e.cfg.Obs.Active() {
+		j := e.outcomes.at(i)
+		e.cfg.Obs.Emit(obs.Event{Kind: obs.EvJobAdmitted, Time: now,
+			Job: i, Name: sp.Name, Work: j.Work,
+			Parallelism: avgParallelism(j.Work, j.CriticalPath)})
+	}
+	if sp.Inst.Done() {
+		// A zero-work job (nothing left to execute) completes in its arrival
+		// quantum: running it through the allocator would never raise
+		// Completed and the job would hang the set.
+		e.completeJob(i, now)
+		info.Completed = append(info.Completed, i)
+		e.admitted = e.admitted[:len(e.admitted)-1]
+	}
+	return 0, false
+}
+
+// earliest returns the earlier of two releases, where -1 means none.
+func earliest(a, b int64) int64 {
+	if a < 0 || b < a {
+		return b
+	}
+	return a
+}
+
+// mergeAscending merges add into dst, both in ascending order, and returns
+// the merged slice. It merges from the back, in place, so it moves only the
+// ids of dst above add's smallest.
+func mergeAscending(dst, add []int) []int {
+	i := len(dst) - 1
+	dst = append(dst, add...)
+	for k, j := len(dst)-1, len(add)-1; j >= 0; k-- {
+		if i >= 0 && dst[i] > add[j] {
+			dst[k] = dst[i]
+			i--
+		} else {
+			dst[k] = add[j]
+			j--
+		}
+	}
+	return dst
 }
 
 // completeJob marks job i done as of step t and emits its completion event.
@@ -500,9 +586,9 @@ func (e *Engine) completeJob(i int, t int64) {
 // the result — RunMulti's tail. Jobs submitted while Run executes (from the
 // same goroutine, e.g. via an obs subscriber) extend the run. A job that a
 // subscriber submits during a Step becomes schedulable exactly as if it had
-// been submitted right after that Step returned: the walk over released
-// jobs does not see it, and since appending never moves a stored record,
-// every write Step makes after the emission lands.
+// been submitted right after that Step returned: admission does not see it,
+// and since appending never moves a stored record, every write Step makes
+// after the emission lands.
 func (e *Engine) Run() (MultiResult, error) {
 	for e.remaining > 0 {
 		if _, err := e.Step(); err != nil {

@@ -189,9 +189,10 @@ func runSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 	l := cfg.L
 	d := pol.InitialRequest()
 	deprived := false
-	capNow := -1          // last emitted effective capacity
-	var attemptWork int64 // work completed since the last (re)start
-	var scr sched.Scratch // reused across quanta; measurements are identical
+	capNow := -1              // last emitted effective capacity
+	var attemptWork int64     // work completed since the last (re)start
+	var scr sched.Scratch     // reused across quanta; measurements are identical
+	var st sched.QuantumStats // the quantum's record, measured into in place
 	for q := 1; !inst.Done(); q++ {
 		if q > cfg.MaxQuanta {
 			return res, fmt.Errorf("sim: job did not finish within %d quanta", cfg.MaxQuanta)
@@ -223,7 +224,7 @@ func runSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 			bus.Emit(obs.Event{Kind: obs.EvAllotment, Time: start, Quantum: q,
 				IntRequest: req, Allotment: a, Deprived: a < req})
 		}
-		st := sched.RunQuantumScratch(inst, sc, a, l, &scr)
+		sched.RunQuantumScratch(&st, inst, sc, a, l, &scr)
 		st.Index = q
 		st.Start = start
 		st.Request = d
@@ -240,7 +241,7 @@ func runSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 			res.Quanta = append(res.Quanta, st)
 		}
 		if bus.Active() {
-			emitQuantum(bus, st, 0, "", &deprived)
+			emitQuantum(bus, &st, 0, "", &deprived)
 			if st.Completed {
 				bus.Emit(obs.Event{Kind: obs.EvJobCompleted, Time: res.Runtime,
 					Work: res.Work, Response: res.Runtime})
@@ -262,7 +263,7 @@ func runSingle(inst job.Instance, pol feedback.Policy, sc sched.Scheduler,
 			continue
 		}
 		prevD := d
-		d = pol.NextRequest(st)
+		d = pol.NextRequest(&st)
 		if adapt != nil {
 			l = adapt.nextLength(l, prevD, d)
 		}
@@ -281,7 +282,7 @@ func avgParallelism(work int64, cpl int) float64 {
 // emitQuantum emits the measured-quantum event plus a deprivation
 // transition when the state stored in *wasDeprived flipped. The caller has
 // already checked bus.Active().
-func emitQuantum(bus *obs.Bus, st sched.QuantumStats, jobIdx int, name string, wasDeprived *bool) {
+func emitQuantum(bus *obs.Bus, st *sched.QuantumStats, jobIdx int, name string, wasDeprived *bool) {
 	bus.Emit(obs.Event{Kind: obs.EvQuantumEnd, Time: st.Start + int64(st.Steps),
 		Quantum: st.Index, Job: jobIdx, Name: name,
 		Request: st.Request, Allotment: st.Allotment, Steps: st.Steps,

@@ -45,6 +45,16 @@ const (
 	snapDeltaVersion byte = 2
 )
 
+// The encoder's buffer is sized up front for a header and entries of
+// these sizes, so a snapshot of typical jobs is written into one
+// allocation instead of append's ~1.25× growth steps, whose copies add up
+// to several times the snapshot. An entry of a constant-width job under
+// A-Control takes about 90 B; larger entries grow the buffer as before.
+const (
+	snapHeaderHint = 64
+	snapEntryHint  = 96
+)
+
 // MarshalBinary encodes the engine's mutable state as a full (version 1)
 // snapshot. It fails when the engine records per-quantum traces
 // (KeepTrace) — snapshots do not carry traces — or when a job's instance or
@@ -70,7 +80,8 @@ func (e *Engine) marshal(version byte, from int) ([]byte, error) {
 	if e.cfg.KeepTrace {
 		return nil, fmt.Errorf("sim: snapshot does not support KeepTrace engines")
 	}
-	enc := persist.Enc{}
+	buf := make([]byte, 0, len(snapMagic)+1+snapHeaderHint+snapEntryHint*(e.states.len()-from))
+	enc := persist.NewEnc(append(append(buf, snapMagic...), version))
 	enc.Int(e.k)
 	enc.Int(e.capNow)
 	enc.Bool(e.draining)
@@ -101,7 +112,7 @@ func (e *Engine) marshal(version byte, from int) ([]byte, error) {
 		enc.Bool(s.done)
 		enc.Bool(s.deprived)
 		enc.Varint(s.attemptWork)
-		encodeQuantumStats(&enc, s.last)
+		encodeQuantumStats(enc, &s.last)
 
 		st, ok := sp.Inst.(job.Stateful)
 		if !ok {
@@ -118,9 +129,7 @@ func (e *Engine) marshal(version byte, from int) ([]byte, error) {
 		}
 		enc.BytesField(pol)
 	}
-	out := append([]byte{}, snapMagic...)
-	out = append(out, version)
-	return append(out, enc.Bytes()...), nil
+	return enc.Bytes(), nil
 }
 
 // FoldSnapshots folds an ordered chain of snapshot blobs into the full
@@ -216,7 +225,8 @@ func FoldSnapshots(chain [][]byte) ([]byte, error) {
 // hook) — total work and critical path are cross-checked. Each spec's
 // instance and policy receive the snapshotted cursor and controller state;
 // the engine's copy of spec.Release is overwritten from the snapshot. The
-// jobs enter the engine's tables through the same push as Submit.
+// jobs enter the engine's tables through the same push as Submit, and the
+// waiting and live indexes are rebuilt from their lifecycle flags.
 func RestoreEngine(cfg MultiConfig, data []byte, specs []JobSpec) (*Engine, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -273,14 +283,16 @@ func RestoreEngine(cfg MultiConfig, data []byte, specs []JobSpec) (*Engine, erro
 			return nil, fmt.Errorf("sim: job %d: %w", i, err)
 		}
 		sp.Release = j.Release
-		e.push(&sp, &s, &j)
+		id := e.push(&sp, &s, &j)
 		switch {
 		case s.done:
 			e.respSum += j.Response
 		case s.started:
+			e.live = append(e.live, id)
 			e.running++
 			unfinished++
 		default:
+			e.waiting = append(e.waiting, id)
 			unfinished++
 		}
 	}
@@ -290,6 +302,7 @@ func RestoreEngine(cfg MultiConfig, data []byte, specs []JobSpec) (*Engine, erro
 	if unfinished != remaining {
 		return nil, fmt.Errorf("sim: snapshot remaining %d != %d unfinished jobs", remaining, unfinished)
 	}
+	e.unseen = n
 	e.remaining = remaining
 	return e, nil
 }
@@ -321,7 +334,7 @@ func decodeJobEntry(d *persist.Dec) (j JobOutcome, s jobState, inst, pol []byte)
 }
 
 // encodeQuantumStats appends every QuantumStats field.
-func encodeQuantumStats(e *persist.Enc, st sched.QuantumStats) {
+func encodeQuantumStats(e *persist.Enc, st *sched.QuantumStats) {
 	e.Int(st.Index)
 	e.Varint(st.Start)
 	e.Float(st.Request)

@@ -98,9 +98,38 @@ func TestSubmitFromSubscriberMatchesSubmitBetweenSteps(t *testing.T) {
 	}
 }
 
-// pageEdgeSizes are job counts around the job tables' page edges: empty,
-// one job, a page less one, a page, a page and one, and several pages.
-var pageEdgeSizes = []int{0, 1, pageLen - 1, pageLen, pageLen + 1, 3*pageLen + 7}
+// pageEdgeSizes are job counts around the job tables' block edges: empty,
+// one job, a page less one, a page, a page and one, and several pages;
+// then either side of each head block's first record (16, 32, 64, 128).
+var pageEdgeSizes = []int{0, 1, pageLen - 1, pageLen, pageLen + 1, 3*pageLen + 7,
+	15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129}
+
+// TestTableRecordsNeverMove pushes records across every head block and
+// into the pages, and requires each record to keep its address and value
+// through the later pushes, and appendTo to return them in order.
+func TestTableRecordsNeverMove(t *testing.T) {
+	var tb table[int]
+	var addrs []*int
+	for i := range 3*pageLen + 5 {
+		r := tb.push()
+		*r = i
+		addrs = append(addrs, r)
+	}
+	for i, r := range addrs {
+		if tb.at(i) != r || *r != i {
+			t.Fatalf("record %d moved or changed: at %p holds %d, pushed at %p", i, tb.at(i), *tb.at(i), r)
+		}
+	}
+	all := tb.appendTo(nil)
+	for i, v := range all {
+		if v != i {
+			t.Fatalf("appendTo()[%d] = %d", i, v)
+		}
+	}
+	if len(all) != tb.len() {
+		t.Fatalf("appendTo returned %d records, table holds %d", len(all), tb.len())
+	}
+}
 
 // pageEdgeSpec is job i of the page-edge tests. Names, widths, lengths and
 // releases all vary with i, so a record read from the wrong slot shows.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: vet, build, full tests, race-checked tests for the
 # concurrency-sensitive packages, and the observability overhead guard
-# (asserts an idle event bus adds <2% to a RunSingle-class benchmark).
+# (asserts an idle event bus adds <2% to RunSingle and to Engine.Step).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
