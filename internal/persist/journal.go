@@ -285,16 +285,16 @@ func (j *Journal) appendLocked(kind byte, epoch uint32, body []byte) error {
 	if j.f == nil {
 		return fmt.Errorf("persist: journal closed")
 	}
-	payload := make([]byte, 0, 5+len(body))
-	payload = append(payload, kind)
-	payload = binary.LittleEndian.AppendUint32(payload, epoch)
-	payload = append(payload, body...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	// One write call for header+payload keeps the torn-write window to a
-	// single record.
-	rec := append(hdr[:], payload...)
+	// The record is framed in one buffer: the 8-byte header (payload
+	// length and CRC), then the payload (kind, epoch, body). One write call
+	// for header+payload keeps the torn-write window to a single record.
+	rec := make([]byte, 8, 8+5+len(body))
+	rec = append(rec, kind)
+	rec = binary.LittleEndian.AppendUint32(rec, epoch)
+	rec = append(rec, body...)
+	payload := rec[8:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
 	var start time.Time
 	if j.metrics != nil {
 		start = time.Now()

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -130,6 +131,42 @@ func TestJournalAppendScan(t *testing.T) {
 	}
 	if n := len(scan3.Records); n != len(records)+1 {
 		t.Fatalf("final scan found %d records, want %d", n, len(records)+1)
+	}
+}
+
+// TestJournalAppendFramesInOneBuffer pins a record's bytes — length and
+// CRC-32C of the payload, then kind, epoch and body — and Append's
+// allocations: the framed record and the channel that replaces the one it
+// closes to wake tailing readers, nothing else.
+func TestJournalAppendFramesInOneBuffer(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	body := []byte("a step record body")
+	if err := j.Append(KindStep, body); err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.LittleEndian.AppendUint32([]byte{KindStep}, 1)
+	payload = append(payload, body...)
+	want := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(payload, castagnoli))
+	want = append(want, payload...)
+	got, err := os.ReadFile(filepath.Join(dir, JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("record bytes\n got %x\nwant %x", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := j.Append(KindStep, body); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 2 {
+		t.Fatalf("Append allocates %v times per record, want 2", allocs)
 	}
 }
 

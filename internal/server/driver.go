@@ -179,7 +179,9 @@ func (s *Server) admitLocked() {
 // recovery's) both end here. Queue order is submission order, and the
 // engine assigns ids sequentially, so the engine's id for each job must
 // equal the id the submission promised; any divergence is a server bug
-// worth dying loudly over.
+// worth dying loudly over. The handed-over slots are cleared, so the
+// queue's backing array does not keep their profiles reachable once the
+// engine releases them.
 func (s *Server) admitQueueLocked() error {
 	for _, p := range s.queue {
 		id, err := s.eng.Submit(jobSpec(p, s.eng.Now(), s.plan, s.sched, s.bus))
@@ -190,6 +192,7 @@ func (s *Server) admitQueueLocked() error {
 			return fmt.Errorf("job id skew: engine assigned %d, promised %d", id, p.id)
 		}
 	}
+	clear(s.queue)
 	s.queue = s.queue[:0]
 	return nil
 }

@@ -242,9 +242,9 @@ func decodeEpoch(body []byte) (epochRecord, error) {
 }
 
 // snapshotRecord carries one engine snapshot plus the server-side counters
-// that must survive with it. The engine blob is opaque here: a delta
-// (sim.Engine.MarshalDelta), or a full snapshot in journals written before
-// deltas; sim.FoldSnapshots reads both.
+// that must survive with it. The engine blob is opaque here: a version-3
+// delta (sim.Engine.MarshalDelta), or in older journals a version-2 delta
+// or version-1 full snapshot; sim.FoldSnapshots reads all three.
 type snapshotRecord struct {
 	boundary int
 	quanta   int

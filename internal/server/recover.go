@@ -231,27 +231,43 @@ func (s *Server) recoverRecords(records []persist.Record) error {
 	if err := s.applyHeaderLocked(records[0].Body); err != nil {
 		return err
 	}
-	for _, sub := range lg.submits {
-		s.enqueueLocked(sub.req, sub.req.profiles(s.cfg.L))
-	}
+	// The snapshotted engine holds exactly the jobs admitted before it; the
+	// prefix's later submissions are still queued. Profiles are rebuilt only
+	// for the queued jobs and for those the folded snapshot records as
+	// unfinished: RestoreEngine takes a done job's outcome, name included,
+	// from the snapshot, and the release and every cursor of the others.
+	var full []byte
+	var done []bool
 	if lg.snap != nil {
-		// The snapshotted engine holds exactly the jobs admitted before it,
-		// the head of the queue. Each spec is rebuilt from its queued
-		// profile; RestoreEngine takes the release and every cursor from the
-		// folded snapshot.
-		full, err := sim.FoldSnapshots(lg.chain)
-		if err != nil {
+		if full, err = sim.FoldSnapshots(lg.chain); err != nil {
 			return err
 		}
-		n := len(lg.admitted)
-		specs := make([]sim.JobSpec, n)
-		for i, p := range s.queue[:n] {
-			specs[i] = jobSpec(p, 0, s.plan, s.sched, s.bus)
+		if done, err = sim.SnapshotDone(full); err != nil {
+			return err
 		}
+	}
+	n := len(lg.admitted)
+	if len(done) != n {
+		return fmt.Errorf("snapshot holds %d jobs, the journal admitted %d before it", len(done), n)
+	}
+	specs := make([]sim.JobSpec, n)
+	for _, sub := range lg.submits {
+		for i, id := range s.promiseLocked(sub.req) {
+			if id < n && done[id] {
+				continue
+			}
+			p := pendingJob{id: id, name: sub.req.jobName(i, id), profile: sub.req.BuildProfile(i, s.cfg.L)}
+			if id < n {
+				specs[id] = jobSpec(p, 0, s.plan, s.sched, s.bus)
+			} else {
+				s.queue = append(s.queue, p)
+			}
+		}
+	}
+	if lg.snap != nil {
 		if s.eng, err = sim.RestoreEngine(s.engineConfig(), full, specs); err != nil {
 			return err
 		}
-		s.queue = s.queue[n:]
 		// The next delta continues the chain from the jobs unfinished at the
 		// snapshot. It must be read now, before the tail replays: a job that
 		// finishes during the replay is in no record as done.

@@ -746,15 +746,23 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 
 // enqueueLocked puts one journaled submission's jobs on the admission queue
 // under the next dense ids and records its idempotency key. SubmitLocal and
-// an applied submit record (a follower's, or recovery's) both enqueue here.
-// Caller holds s.mu.
+// an applied submit record (a follower's, or recovery's tail) both enqueue
+// here. Caller holds s.mu.
 func (s *Server) enqueueLocked(req JobRequest, profiles []*job.Profile) []int {
-	ids := make([]int, len(profiles))
-	for i, profile := range profiles {
-		id := s.nextID
+	ids := s.promiseLocked(req)
+	for i, id := range ids {
+		s.queue = append(s.queue, pendingJob{id: id, name: req.jobName(i, id), profile: profiles[i]})
+	}
+	return ids
+}
+
+// promiseLocked assigns one journaled submission's jobs the next dense ids
+// and records its idempotency key. Caller holds s.mu.
+func (s *Server) promiseLocked(req JobRequest) []int {
+	ids := make([]int, req.Count)
+	for i := range ids {
+		ids[i] = s.nextID
 		s.nextID++
-		ids[i] = id
-		s.queue = append(s.queue, pendingJob{id: id, name: req.jobName(i, id), profile: profile})
 	}
 	if req.Key != "" {
 		s.keys[req.Key] = ids

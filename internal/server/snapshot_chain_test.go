@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -98,13 +100,38 @@ func TestSnapshotRecordsStayFlat(t *testing.T) {
 	}
 }
 
+// snapshotVersion returns an engine snapshot blob's version byte, which
+// follows the 7-byte magic.
+func snapshotVersion(blob []byte) byte { return blob[len("ABGSNAP")] }
+
+// readChainFixture reads a chain of engine snapshot blobs, framed as
+// length-prefixed byte fields (see testdata/README.md).
+func readChainFixture(t *testing.T, name string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain [][]byte
+	for d := persist.NewDec(data); d.Len() > 0; {
+		chain = append(chain, d.BytesField())
+		if err := d.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	return chain
+}
+
 // TestRecoveryFoldsFullThenDeltaChain recovers a journal written before
 // delta snapshots and extended after them: the first half of a real run's
-// snapshot records is rewritten as the full snapshots they stand for, the
-// rest stay deltas. The recovered daemon, in which a job finished during
-// the tail replay, serves more jobs under more deltas and crashes again;
-// the second recovery folds the whole mixed chain. The final results must
-// DeepEqual the uninterrupted reference replay.
+// snapshot records is rewritten as the version-1 full snapshots they stand
+// for, as the engine wrote them before snapshot version 3
+// (testdata/seq-v1.chain); the rest stay version-3 deltas. Each version-1
+// blob must fold to the same bytes as the run's own chain up to its record.
+// The recovered daemon, in which a job finished during the tail replay,
+// serves more jobs under more deltas and crashes again; the second recovery
+// folds the whole mixed chain. The final results must DeepEqual the
+// uninterrupted reference replay.
 func TestRecoveryFoldsFullThenDeltaChain(t *testing.T) {
 	dir := t.TempDir()
 	cfg := seqCfg(dir)
@@ -117,9 +144,9 @@ func TestRecoveryFoldsFullThenDeltaChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nsnaps := len(snapshotRecords(t, dir))
-	if nsnaps < 6 {
-		t.Fatalf("only %d snapshot records", nsnaps)
+	v1 := readChainFixture(t, "seq-v1.chain")
+	if nsnaps := len(snapshotRecords(t, dir)); nsnaps != 2*len(v1) {
+		t.Fatalf("%d snapshot records for %d version-1 blobs: the run no longer matches the fixture", nsnaps, len(v1))
 	}
 	dir2 := t.TempDir()
 	j, _, err := persist.Open(dir2, persist.SyncNever)
@@ -139,8 +166,15 @@ func TestRecoveryFoldsFullThenDeltaChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(chain) <= nsnaps/2 {
-				snap.engine = folded
+			if k := len(chain) - 1; k < len(v1) {
+				if snapshotVersion(v1[k]) != 1 {
+					t.Fatalf("seq-v1.chain blob %d is version %d", k, snapshotVersion(v1[k]))
+				}
+				if f, err := sim.FoldSnapshots(v1[k : k+1]); err != nil || !bytes.Equal(f, folded) {
+					t.Fatalf("snapshot record %d: the version-1 blob folds to %d bytes (%v), the run's chain to %d",
+						k, len(f), err, len(folded))
+				}
+				snap.engine = v1[k]
 				r.Body = encodeSnapshot(snap)
 				full++
 			} else if len(snap.engine) < len(folded) {
@@ -247,5 +281,101 @@ func TestPromotedFollowerContinuesDeltaChain(t *testing.T) {
 	}
 	if live := liveStatuses(s3); len(ref) != 14 || !reflect.DeepEqual(live, ref) {
 		t.Fatalf("recovered run diverged from the reference:\n live %+v\n ref  %+v", live, ref)
+	}
+}
+
+// TestRecoveryFromPreV3Journal recovers daemons from journals written and
+// cut by a daemon of snapshot version 2 (testdata/v2-clean.wal and
+// v2-faulted.wal): every snapshot record is a version-2 delta, and at the
+// cut some jobs are done, one is running and later submissions are still
+// queued. The recovered daemon must run on to ReferenceResult's statuses;
+// it then serves more jobs under version-3 deltas, crashes, and recovers
+// from the mixed chain to the reference again.
+func TestRecoveryFromPreV3Journal(t *testing.T) {
+	for _, tc := range []struct{ name, fault string }{
+		{"clean", ""},
+		{"faulted", "restart=0.3,restartat=1,maxrestarts=2,drop=0.2,cap=churn:0.5:4,seed=5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			wal, err := os.ReadFile(filepath.Join("testdata", "v2-"+tc.name+".wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lg, err := parseJournal(persist.ScanBytes(wal).Records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, blob := range lg.chain {
+				if v := snapshotVersion(blob); v != 2 {
+					t.Fatalf("fixture snapshot record %d is version %d", i, v)
+				}
+			}
+			full, err := sim.FoldSnapshots(lg.chain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, err := sim.SnapshotDone(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ndone, submitted := 0, 0
+			for _, d := range done {
+				if d {
+					ndone++
+				}
+			}
+			for _, sub := range lg.submits {
+				submitted += sub.count
+			}
+			if ndone == 0 || ndone == len(done) || submitted == len(lg.admitted) {
+				t.Fatalf("fixture cut: %d of %d snapshotted jobs done, %d of %d submitted admitted; want some done, some not, some queued",
+					ndone, len(done), len(lg.admitted), submitted)
+			}
+
+			cfg := replCfg(t.TempDir(), tc.fault)
+			cfg.SnapshotEvery = 3
+			if err := os.WriteFile(filepath.Join(cfg.JournalDir, persist.JournalFile), wal, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			s2, base := startCrashable(t, cfg)
+			var rec RecoveryDTO
+			getJSON(t, base+"/api/v1/recovery", &rec)
+			if !rec.Recovered || rec.SnapshotQuantum == 0 || rec.RequeuedJobs == 0 {
+				t.Fatalf("recovery = %+v, want a restored snapshot and requeued jobs", rec)
+			}
+			for deadline := time.Now().Add(10 * time.Second); s2.NeedsSteps(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("recovered daemon never ran out of work")
+				}
+			}
+			ref, err := ReferenceResult(cfg.JournalDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live := s2.JobStatuses(); len(ref) != submitted || !reflect.DeepEqual(live, ref) {
+				t.Fatalf("recovered run diverged from the reference:\n live %+v\n ref  %+v", live, ref)
+			}
+			serveSequential(t, s2, submitted, 4)
+			crash(t, s2)
+			versions := map[byte]int{}
+			for _, snap := range snapshotRecords(t, cfg.JournalDir) {
+				versions[snapshotVersion(snap.engine)]++
+			}
+			if versions[2] != len(lg.chain) || versions[3] == 0 || len(versions) != 2 {
+				t.Fatalf("snapshot records by version %v, want the fixture's %d of version 2 and some of version 3",
+					versions, len(lg.chain))
+			}
+
+			s3, _ := startCrashable(t, cfg)
+			serveSequential(t, s3, submitted+4, 2)
+			live := finishRun(t, s3)
+			if ref, err = ReferenceResult(cfg.JournalDir); err != nil {
+				t.Fatal(err)
+			}
+			if len(ref) != submitted+6 || !reflect.DeepEqual(live, ref) {
+				t.Fatalf("run recovered from the mixed chain diverged from the reference:\n live %+v\n ref  %+v", live, ref)
+			}
+		})
 	}
 }

@@ -26,6 +26,15 @@ import (
 // listings (Statuses, Result, ResumeStates) and snapshots still cost
 // O(jobs submitted).
 //
+// A done job keeps only its outcome. When a job completes, the engine
+// drops its instance, policy and restart hook (and with them the job's
+// profile, unless the caller holds it) and keeps, beside the outcome, what
+// JobStatus reports of the final quantum: request, allotment, A(q) and the
+// deprived flag. A snapshot's done entry holds just that. Timeline rings
+// (MultiConfig.TimelineRing) are kept for the maxDoneTimelines most
+// recently completed jobs only. What a done job still costs is its three
+// table records, about 340 B.
+//
 // An Engine is not safe for concurrent use; callers that drive it from
 // multiple goroutines (e.g. abg/internal/server) must serialise access.
 type Engine struct {
@@ -58,6 +67,12 @@ type Engine struct {
 	capNow    int   // last emitted effective capacity
 	draining  bool
 
+	// doneTimelines is a ring of the ids of the newest completed jobs,
+	// whose timeline rings are kept; once it is full, doneTimelines[doneNext]
+	// is the oldest, whose ring the next completion releases.
+	doneTimelines []int
+	doneNext      int
+
 	// Reusable per-boundary scratch. admitted holds the ids a Step's
 	// admission started, to be merged into live; allot wraps the configured
 	// allocator with buffer reuse; scratch is the quantum loop's buffers;
@@ -71,10 +86,14 @@ type Engine struct {
 
 // jobState is the engine's per-job bookkeeping.
 type jobState struct {
-	request     float64
-	started     bool
-	done        bool
-	deprived    bool
+	request  float64
+	started  bool
+	done     bool
+	deprived bool
+	// dropped counts the samples of a released timeline ring (a done job
+	// older than the maxDoneTimelines newest); it fits the padding before
+	// attemptWork.
+	dropped     uint32
 	attemptWork int64 // work completed since the job's last (re)start
 	// last is the job's last executed quantum. Step's execute loop measures
 	// into it and its reduce loop fills in the engine's fields (Index,
@@ -83,6 +102,15 @@ type jobState struct {
 	// timeline is the bounded quantum-sample ring (MultiConfig.TimelineRing);
 	// observational only, excluded from snapshots.
 	timeline *timelineRing
+}
+
+// finish marks the job done and clears what it no longer tracks: the
+// deprivation tracker and the attempt work. What a done snapshot entry
+// holds of it is its request and, of last, what JobStatus reports of the
+// final quantum: allotment, the work and critical path whose ratio is A(q),
+// and the deprived flag.
+func (s *jobState) finish() {
+	s.done, s.deprived, s.attemptWork = true, false, 0
 }
 
 // StepInfo reports what one Step processed.
@@ -563,17 +591,23 @@ func mergeAscending(dst, add []int) []int {
 	return dst
 }
 
-// completeJob marks job i done as of step t and emits its completion event.
+// completeJob marks job i done as of step t, releases what only its
+// remaining quanta needed — its instance, policy and restart hook — and
+// emits its completion event.
 func (e *Engine) completeJob(i int, t int64) {
-	e.states.at(i).done = true
+	e.states.at(i).finish()
 	e.remaining--
 	e.running--
 	sp, j := e.specs.at(i), e.outcomes.at(i)
+	sp.Inst, sp.Policy, sp.Restart = nil, nil, nil
 	j.Completion = t
 	j.Response = j.Completion - sp.Release
 	e.respSum += j.Response
 	if j.Completion > e.res.Makespan {
 		e.res.Makespan = j.Completion
+	}
+	if e.cfg.TimelineRing > 0 {
+		e.retireTimeline(i)
 	}
 	if e.cfg.Obs.Active() {
 		e.cfg.Obs.Emit(obs.Event{Kind: obs.EvJobCompleted,

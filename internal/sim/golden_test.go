@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"abg/internal/alloc"
@@ -84,6 +86,10 @@ type mixRun struct {
 	out       bytes.Buffer
 	submitted int // by the subscriber, rejected ones included
 
+	// restores, when set, collects the engines restored from each Step's
+	// snapshot and run on to the end (see checkRestore).
+	restores *[]mixRestore
+
 	// What the schedule exercised, so the golden cannot lose its teeth.
 	kinds               map[obs.Kind]int
 	stalls, rejected    int
@@ -140,6 +146,73 @@ func (m *mixRun) step(k int) {
 	}
 	fmt.Fprintf(&m.out, "step %d %+v aggregate=%d remaining=%d tally=%+v snapshot=%x\n",
 		k, info, m.eng.AggregateRequest(), m.eng.Remaining(), m.eng.Tally(), sha256.Sum256(blob))
+	if m.restores != nil {
+		m.checkRestore(k, blob)
+	}
+}
+
+// run drives the schedule from Step k until every job is done and returns
+// the index of the next Step.
+func (m *mixRun) run(k int) int {
+	for ; !m.eng.Done(); k++ {
+		if k > 10_000 {
+			m.t.Fatal("engine-mix run did not finish")
+		}
+		m.step(k)
+		m.after(k)
+	}
+	return k
+}
+
+// after applies the schedule's between-step action following Step k.
+func (m *mixRun) after(k int) {
+	switch k {
+	case mixHandOver:
+		m.handOver()
+		sp := mixSpec(m.plan, m.eng.NumJobs(), m.eng.cfg.Obs)
+		sp.Release = m.eng.Now() - 30
+		id, err := m.eng.Submit(sp)
+		fmt.Fprintf(&m.out, "submit release=%d id=%d err=%v\n", sp.Release, id, err)
+	case mixDrainAfter:
+		m.eng.Drain()
+		fmt.Fprintf(&m.out, "drain\n")
+	}
+}
+
+// mixRestore is the end of a run restored from the snapshot after Step k.
+type mixRestore struct {
+	k        int
+	result   MultiResult
+	statuses []JobStatus
+}
+
+// checkRestore restores blob, the snapshot taken after Step k, onto freshly
+// built specs — zero specs for the jobs already done after every even
+// Step, so both ways of restoring a done job are covered — and requires
+// the restored engine to match the original on everything a service reads
+// of it. The restored engine then runs through the rest of the schedule on
+// its own subscriber; TestEngineMixGolden compares where it ends with the
+// original run.
+func (m *mixRun) checkRestore(k int, blob []byte) {
+	r := &mixRun{t: m.t, plan: m.plan, cfg: m.cfg, submitted: m.submitted,
+		kinds: map[obs.Kind]int{}, submitsByKind: map[obs.Kind]int{}}
+	cfg := m.cfg
+	cfg.Obs = r.subscribe()
+	specs := make([]JobSpec, m.eng.NumJobs())
+	for i := range specs {
+		if st, _ := m.eng.JobStatus(i); st.State != JobDone || k%2 == 1 {
+			specs[i] = mixSpec(m.plan, i, cfg.Obs)
+		}
+	}
+	var err error
+	if r.eng, err = RestoreEngine(cfg, blob, specs); err != nil {
+		m.t.Fatalf("step %d: restore: %v", k, err)
+	}
+	requireSameEngine(m.t, fmt.Sprintf("restored after step %d", k), r.eng, m.eng)
+	r.after(k)
+	r.step(r.run(k + 1)) // and the idle Step the original ends with
+	*m.restores = append(*m.restores, mixRestore{k: k, result: r.eng.Result(),
+		statuses: slices.Clone(r.eng.Statuses())})
 }
 
 // handOver snapshots the engine and continues on an engine restored from
@@ -171,7 +244,9 @@ func (m *mixRun) handOver() {
 // more jobs than processors, capacity churn, seeded restarts and a lossy
 // channel, a subscriber that submits during emissions, a submission between
 // Steps with a release in the past, a snapshot hand-over mid-run, Drain and
-// an idle Step. -update rewrites the file.
+// an idle Step. The engine restored from the snapshot after every Step
+// must match the original and run on to the same end. -update rewrites the
+// file.
 func TestEngineMixGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("goldens are amd64 bytes; %s may fuse multiply-adds and round differently", runtime.GOARCH)
@@ -193,26 +268,20 @@ func TestEngineMixGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	k := 0
-	for ; !m.eng.Done(); k++ {
-		if k > 10_000 {
-			t.Fatal("engine-mix run did not finish")
-		}
-		m.step(k)
-		switch k {
-		case mixHandOver:
-			m.handOver()
-			sp := mixSpec(plan, m.eng.NumJobs(), m.eng.cfg.Obs)
-			sp.Release = m.eng.Now() - 30
-			id, err := m.eng.Submit(sp)
-			fmt.Fprintf(&m.out, "submit release=%d id=%d err=%v\n", sp.Release, id, err)
-		case mixDrainAfter:
-			m.eng.Drain()
-			fmt.Fprintf(&m.out, "drain\n")
-		}
-	}
+	var restores []mixRestore
+	m.restores = &restores
+	k := m.run(0)
 	m.step(k) // idle: nothing left
 	res := m.eng.Result()
+	for _, r := range restores {
+		if !reflect.DeepEqual(r.result, res) || !reflect.DeepEqual(r.statuses, m.eng.Statuses()) {
+			t.Fatalf("the engine restored after step %d ran on to a different end:\n got %+v\nwant %+v",
+				r.k, r.result, res)
+		}
+	}
+	if len(restores) != k+1 {
+		t.Fatalf("%d restores checked over %d steps", len(restores), k+1)
+	}
 	fmt.Fprintf(&m.out, "result makespan=%d waste=%d quanta=%d\n", res.Makespan, res.TotalWaste, res.QuantaElapsed)
 	for _, j := range res.Jobs {
 		fmt.Fprintf(&m.out, "outcome %+v\n", j)

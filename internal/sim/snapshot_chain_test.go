@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -120,12 +122,34 @@ func checkChainPoint(t *testing.T, eng *Engine, chain *[][]byte, from *int, tall
 	return folded
 }
 
+// requireSameEngine fails unless got matches want on everything a service
+// reads of an engine: Statuses, Result, Tally, ResumeStates and
+// AggregateRequest.
+func requireSameEngine(t testing.TB, what string, got, want *Engine) {
+	t.Helper()
+	if g, w := got.Statuses(), want.Statuses(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: statuses differ:\n got %+v\nwant %+v", what, g, w)
+	}
+	if g, w := got.Result(), want.Result(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: results differ:\n got %+v\nwant %+v", what, g, w)
+	}
+	if g, w := got.Tally(), want.Tally(); g != w {
+		t.Fatalf("%s: tally %+v, want %+v", what, g, w)
+	}
+	if g, w := got.ResumeStates(), want.ResumeStates(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: resume states differ:\n got %+v\nwant %+v", what, g, w)
+	}
+	if g, w := got.AggregateRequest(), want.AggregateRequest(); g != w {
+		t.Fatalf("%s: aggregate request %d, want %d", what, g, w)
+	}
+}
+
 // TestSnapshotChainFoldsToFull writes a delta chain at cadences 1–7 over a
 // run with mid-run submissions, fault-free and under restarts, capacity
 // churn and a lossy (drop/delay/dup) control channel. At every snapshot
 // point the fold of the deltas so far must equal MarshalBinary byte for
-// byte, and an engine restored from the fold must run on to the
-// uninterrupted reference result. The chain ends with a point where every
+// byte, and an engine restored from the fold must match the original and
+// run on to the uninterrupted reference result. The chain ends with a point where every
 // job is done and one an idle boundary later, whose delta holds no job.
 func TestSnapshotChainFoldsToFull(t *testing.T) {
 	faulty, err := fault.ParseSpec(fullFaultSpec, 16)
@@ -165,15 +189,19 @@ func TestSnapshotChainFoldsToFull(t *testing.T) {
 						return
 					}
 					folded := checkChainPoint(t, eng, &chain, &from, &total)
-					// Restore the fold onto fresh specs and finish the run.
+					// Restore the fold onto fresh specs (zero ones for the
+					// done jobs at odd cadences) and finish the run.
 					specs := make([]JobSpec, eng.NumJobs())
 					for i := range specs {
-						specs[i] = chainSpec(pc.plan, i)
+						if every%2 == 0 || !eng.states.at(i).done {
+							specs[i] = chainSpec(pc.plan, i)
+						}
 					}
 					restored, err := RestoreEngine(snapCfg(pc.plan), folded, specs)
 					if err != nil {
 						t.Fatalf("step %d: restore the fold: %v", steps, err)
 					}
+					requireSameEngine(t, fmt.Sprintf("step %d: restored from the fold", steps), restored, eng)
 					chainSteps(t, restored, pc.plan, steps, nil)
 					if got := restored.Result(); !reflect.DeepEqual(got, refRes) {
 						t.Fatalf("step %d: restored from the fold, the run diverges:\n got %+v\nwant %+v",
@@ -203,14 +231,16 @@ func TestSnapshotChainFoldsToFull(t *testing.T) {
 
 // foldBlobs are snapshots of one small engine at two points: job 0 done
 // at the first, job 1 and the later-submitted job 2 still running at the
-// second.
+// second. newFoldBlobs writes them in the version-3 layout; oldFoldBlobs
+// reads the same snapshots as the engine wrote them before it (versions 2
+// and 1) from testdata.
 type foldBlobs struct {
 	d0a  []byte // first point: from 0, two jobs
 	d0b  []byte // second point: from 0, three jobs
 	d1   []byte // second point: from 1
 	d2   []byte // second point: from 2 (drops the unfinished job 1)
 	d3   []byte // second point: from 3 (no entries)
-	full []byte // second point: version 1
+	full []byte // second point: MarshalBinary
 }
 
 func newFoldBlobs(t *testing.T) foldBlobs {
@@ -253,12 +283,45 @@ func newFoldBlobs(t *testing.T) foldBlobs {
 	return b
 }
 
+// readChainFixture reads a chain of blobs that an engine of the version-2
+// snapshot format wrote (see testdata/README.md).
+func readChainFixture(t testing.TB, name string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeChain(data)
+}
+
+// oldFoldBlobs returns newFoldBlobs' snapshots as the engine wrote them in
+// versions 2 (the deltas) and 1 (full).
+func oldFoldBlobs(t *testing.T) foldBlobs {
+	t.Helper()
+	c := readChainFixture(t, "fold-v1v2.chain")
+	if len(c) != 6 {
+		t.Fatalf("fold-v1v2.chain holds %d blobs, want 6", len(c))
+	}
+	b := foldBlobs{d0a: c[0], d0b: c[1], d1: c[2], d2: c[3], d3: c[4], full: c[5]}
+	for _, d := range [][]byte{b.d0a, b.d0b, b.d1, b.d2, b.d3} {
+		if d[len(snapMagic)] != snapV2Delta {
+			t.Fatal("fold-v1v2.chain: a delta is not version 2")
+		}
+	}
+	if b.full[len(snapMagic)] != snapV1Full {
+		t.Fatal("fold-v1v2.chain: the full snapshot is not version 1")
+	}
+	return b
+}
+
 // TestFoldSnapshotsRejects pins the chains the fold must refuse, each for
-// its reason, and the mixed chains it must accept.
+// its reason, and the chains mixing versions 1 to 3 it must accept: each
+// folds to MarshalBinary's version-3 bytes.
 func TestFoldSnapshotsRejects(t *testing.T) {
-	b := newFoldBlobs(t)
+	b, old := newFoldBlobs(t), oldFoldBlobs(t)
 	badVersion := append([]byte(nil), b.d0b...)
-	badVersion[len(snapMagic)] = 3
+	badVersion[len(snapMagic)] = 4
+	trailing := func(blob []byte) []byte { return append(append([]byte(nil), blob...), 0) }
 	for _, tc := range []struct {
 		name  string
 		chain [][]byte
@@ -266,14 +329,22 @@ func TestFoldSnapshotsRejects(t *testing.T) {
 	}{
 		{"empty chain", nil, "empty"},
 		{"not a snapshot", [][]byte{[]byte("ABGSNA")}, "not an engine snapshot"},
-		{"bad version", [][]byte{b.d0a, badVersion}, "version 3"},
-		{"from moves backwards", [][]byte{b.d0a, b.d1, b.d0b}, "moves back"},
+		{"bad version", [][]byte{b.d0a, badVersion}, "version 4"},
+		{"from moves backwards", [][]byte{old.d0a, old.d1, old.d0b}, "moves back"},
 		{"first delta skips jobs", [][]byte{b.d1}, "skips past"},
+		{"first delta skips jobs, v2", [][]byte{old.d1}, "skips past"},
 		{"gap", [][]byte{b.d0a, b.d3}, "skips past"},
-		{"job count shrinks", [][]byte{b.d0b, b.d0a}, "shrinks"},
+		{"gap, v2 then v3", [][]byte{old.d0a, b.d3}, "skips past"},
+		{"job count shrinks", [][]byte{old.d0b, old.d0a}, "shrinks"},
+		{"job count shrinks, v3 then v2", [][]byte{b.d0b, old.d0a}, "shrinks"},
 		{"unfinished job dropped", [][]byte{b.d0a, b.d2}, "drops job 1"},
-		{"trailing bytes", [][]byte{b.d0a, append(append([]byte(nil), b.d0b...), 0)}, "trailing"},
+		{"unfinished job dropped, v2 then v3", [][]byte{old.d0a, b.d2}, "drops job 1"},
+		{"unfinished job dropped, v3 then v2", [][]byte{b.d0a, old.d2}, "drops job 1"},
+		{"trailing bytes", [][]byte{b.d0a, trailing(b.d0b)}, "trailing"},
+		{"trailing bytes, v2", [][]byte{old.d0a, trailing(old.d0b)}, "trailing"},
+		{"trailing bytes, v1", [][]byte{trailing(old.full)}, "trailing"},
 		{"truncated entry", [][]byte{b.d0a, b.d0b[:len(b.d0b)-3]}, "job 2"},
+		{"truncated entry, v2", [][]byte{old.d0a, old.d0b[:len(old.d0b)-3]}, "job 2"},
 	} {
 		if _, err := FoldSnapshots(tc.chain); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
@@ -284,10 +355,20 @@ func TestFoldSnapshotsRejects(t *testing.T) {
 		chain [][]byte
 	}{
 		{"full snapshot alone", [][]byte{b.full}},
+		{"v1 full snapshot alone", [][]byte{old.full}},
 		{"deltas from 0", [][]byte{b.d0a, b.d0b}},
+		{"v2 deltas from 0", [][]byte{old.d0a, old.d0b}},
+		{"v2 then v3 delta from 0", [][]byte{old.d0a, b.d0b}},
 		{"done job carried from the first delta", [][]byte{b.d0a, b.d1}},
+		{"done job carried from a v2 delta", [][]byte{old.d0a, b.d1}},
+		{"done job carried to a v2 delta", [][]byte{b.d0a, old.d1}},
+		{"v2 deltas", [][]byte{old.d0a, old.d1}},
 		{"full snapshot resets the chain", [][]byte{b.d0a, b.full}},
+		{"v1 full snapshot resets the chain", [][]byte{b.d0a, old.full}},
+		{"v3 full snapshot resets a v2 chain", [][]byte{old.d0a, old.d1, b.full}},
 		{"delta after a full snapshot", [][]byte{b.full, b.d1}},
+		{"v3 delta after a v1 full snapshot", [][]byte{old.full, b.d1}},
+		{"v2 delta after a v3 full snapshot", [][]byte{b.full, old.d1}},
 	} {
 		got, err := FoldSnapshots(tc.chain)
 		if err != nil || !bytes.Equal(got, b.full) {
@@ -321,8 +402,11 @@ func decodeChain(data []byte) [][]byte {
 // FuzzFoldSnapshots feeds the fold arbitrary chains. The seed corpus is
 // the delta chain of a small run at every quantum boundary — six jobs of
 // mixed length, submitted one per boundary, so from lags the newest job —
-// each of which must fold to MarshalBinary's bytes at that boundary. (The
-// run is kept small because the fuzzer minimises every new input it finds.)
+// each of which must fold to MarshalBinary's bytes at that boundary. Mixed
+// seeds take the chain's head from testdata/fuzz-v1v2.chain, the same run
+// as the engine wrote it in versions 2 (a delta per boundary) and 1 (a full
+// snapshot per boundary), and its tail from the version-3 chain. (The run
+// is kept small because the fuzzer minimises every new input it finds.)
 // No chain may panic the fold, and whatever it accepts must be a full
 // snapshot that folds to itself.
 func FuzzFoldSnapshots(f *testing.F) {
@@ -355,6 +439,26 @@ func FuzzFoldSnapshots(f *testing.F) {
 		in := encodeChain(chain)
 		want[string(in)] = full
 		f.Add(in)
+	}
+	old := readChainFixture(f, "fuzz-v1v2.chain") // per boundary: v2 delta, v1 full
+	if len(old) != 2*len(chain) {
+		f.Fatalf("fuzz-v1v2.chain holds %d blobs for %d boundaries", len(old), len(chain))
+	}
+	for i := range chain {
+		full := want[string(encodeChain(chain[:i+1]))]
+		for c := 0; c <= i; c++ {
+			// Boundaries up to c as version 2 deltas, or as c's version 1
+			// full snapshot; the rest as version 3 deltas.
+			var v2 [][]byte
+			for k := 0; k <= c; k++ {
+				v2 = append(v2, old[2*k])
+			}
+			for _, head := range [][][]byte{v2, {old[2*c+1]}} {
+				in := encodeChain(append(append([][]byte(nil), head...), chain[c+1:i+1]...))
+				want[string(in)] = full
+				f.Add(in)
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := FoldSnapshots(decodeChain(data))

@@ -207,13 +207,14 @@ func TestRestoreEngineRejects(t *testing.T) {
 
 // TestEngineResumeStates pins the accessor a recovering service uses to
 // re-prime run-scoped subscribers: started/done/deprivation/attempt-work
-// must mirror the engine's own bookkeeping.
+// must mirror the engine's own bookkeeping, and a done job has nothing
+// left to resume.
 func TestEngineResumeStates(t *testing.T) {
 	eng, err := NewEngine(engCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Submit(constSpec("a", 2, 4, 0)); err != nil {
+	if _, err := eng.Submit(constSpec("a", 2, 400, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Submit(constSpec("b", 2, 400, 10_000)); err != nil {
@@ -226,7 +227,7 @@ func TestEngineResumeStates(t *testing.T) {
 	if len(rs) != 2 {
 		t.Fatalf("ResumeStates len %d, want 2", len(rs))
 	}
-	if !rs[0].Started || rs[0].AttemptWork == 0 {
+	if !rs[0].Started || rs[0].Done || rs[0].AttemptWork == 0 {
 		t.Fatalf("job a resume state after one quantum: %+v", rs[0])
 	}
 	if rs[1].Started || rs[1].Done || rs[1].AttemptWork != 0 {
@@ -237,7 +238,7 @@ func TestEngineResumeStates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rs = eng.ResumeStates(); !rs[0].Done {
+	if rs = eng.ResumeStates(); rs[0] != (ResumeState{Started: true, Done: true}) {
 		t.Fatalf("job a resume state after completion: %+v", rs[0])
 	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // QuantumSample is one recorded quantum of a job's in-engine timeline: the
 // desire d(q) the job presented, the allotment a(q) the allocator granted,
 // the measured parallelism A(q) the quantum achieved, and the resulting
@@ -32,6 +34,12 @@ type QuantumSample struct {
 	Deprived  bool `json:"deprived"`
 	Completed bool `json:"completed"`
 }
+
+// maxDoneTimelines is how many of the most recently completed jobs keep
+// their timeline ring: as many as the daemon's lifecycle history keeps
+// (internal/server). An older done job's ring is released, and its
+// Timeline is empty with every sample it recorded counted as evicted.
+const maxDoneTimelines = 4096
 
 // timelineRing is a bounded per-job ring of QuantumSamples. It is purely
 // observational state: snapshots exclude it (a recovered engine rebuilds
@@ -79,18 +87,36 @@ func (e *Engine) recordSample(s *jobState, q QuantumSample) {
 	s.timeline.record(q)
 }
 
+// retireTimeline records that job i completed. Once maxDoneTimelines
+// completed jobs keep their rings, it releases the oldest one's ring,
+// keeping only its sample count.
+func (e *Engine) retireTimeline(i int) {
+	if len(e.doneTimelines) < maxDoneTimelines {
+		e.doneTimelines = append(e.doneTimelines, i)
+		return
+	}
+	if old := e.states.at(e.doneTimelines[e.doneNext]); old.timeline != nil {
+		old.dropped = uint32(min(uint64(old.timeline.total), math.MaxUint32))
+		old.timeline = nil
+	}
+	e.doneTimelines[e.doneNext] = i
+	e.doneNext = (e.doneNext + 1) % maxDoneTimelines
+}
+
 // Timeline returns job id's retained quantum samples in chronological order
 // plus the number of older samples the bounded ring has evicted. With
 // MultiConfig.TimelineRing unset, or for a job that has not yet executed or
-// stalled on any quantum, it returns an empty timeline. ok is false only
-// for an unknown id.
+// stalled on any quantum, it returns an empty timeline; for a done job
+// older than the maxDoneTimelines newest, an empty one with every sample
+// the job recorded evicted. ok is false only for an unknown id.
 func (e *Engine) Timeline(id int) (samples []QuantumSample, evicted int, ok bool) {
 	if id < 0 || id >= e.states.len() {
 		return nil, 0, false
 	}
-	r := e.states.at(id).timeline
+	s := e.states.at(id)
+	r := s.timeline
 	if r == nil {
-		return nil, 0, true
+		return nil, int(s.dropped), true
 	}
 	return r.samples(), r.total - len(r.buf), true
 }
