@@ -104,7 +104,7 @@ func main() {
 		fsync     = flag.String("fsync", "always", "journal durability: always (fsync per record) | snapshot | never")
 		logSpec   = flag.String("log", "info", `log levels: "info" or "info,server=debug,events=debug"`)
 		debugAddr = flag.String("debug-addr", "", "serve expvar + pprof on this address (e.g. :6060)")
-		ring      = flag.Int("timeline-ring", 0, "per-job quantum-timeline ring depth behind /api/v1/jobs/{id}/timeline (0 = default 256, negative disables)")
+		ring      = flag.Int("timeline-ring", 0, "per-job quantum-timeline ring depth behind /api/v1/jobs/{id}/timeline, job history and traces (0 = default 256, negative disables)")
 		lagMax    = flag.Int("healthz-lag-max", 0, "journal-lag ceiling before /healthz degrades (0 = default 1024)")
 		ageMax    = flag.Int("healthz-snapshot-age-max", 0, "snapshot-age ceiling in quanta before /healthz degrades (0 = 8× -snapshot-every)")
 		follow    = flag.String("follow", "", "run as a hot standby tailing this leader URL (requires -journal); serves reads, redirects writes")

@@ -448,7 +448,32 @@ func (s *Supervisor) ManualPromote(ctx context.Context) error {
 	}
 	views := s.probeAll(ctx, st)
 	s.noteEpochs(st, views)
+	if v, ok := s.betterClaimant(st, views); ok {
+		// The peer would deny this claim by the longest-prefix rule, and a
+		// self-promise at a higher epoch would supersede its own: both
+		// claims would lose. Stand back and name it instead.
+		return &ElectionLost{Epoch: s.maxSeen + 1, Winner: v.Addr,
+			Reason: fmt.Sprintf("%s holds a longer journal and claims epoch %d", v.Addr, v.PromisedEpoch)}
+	}
 	return s.claim(ctx, s.maxSeen+1, "manual promote")
+}
+
+// betterClaimant finds a reachable, unfenced group follower with a claim in
+// flight that this node's claim would only defeat, not win against: it
+// holds a longer journal (or an equal one at a smaller address) and a
+// promise above its epoch outstanding.
+func (s *Supervisor) betterClaimant(st NodeStatus, views []peerView) (peerView, bool) {
+	for _, v := range views {
+		if v.Err != nil || v.Fenced || v.Role != "follower" || !s.inGroup(v.Addr) {
+			continue
+		}
+		longer := v.JournalBytes > st.JournalBytes ||
+			(v.JournalBytes == st.JournalBytes && v.Addr < s.Self)
+		if longer && v.PromisedEpoch > v.Epoch {
+			return v, true
+		}
+	}
+	return peerView{}, false
 }
 
 // claim asks every member to promise epoch to this node. A strict majority

@@ -443,6 +443,57 @@ func TestManualPromoteLostNamesWinner(t *testing.T) {
 	}
 }
 
+// TestManualPromoteDefersToLongerClaimant: a manual promote that finds a
+// group follower with a longer journal and a claim of its own in flight
+// (a promise above its epoch) stands back and names it, without promising
+// itself or asking anyone for a promise: its claim would supersede the
+// peer's, which denies it as shorter, and both would lose. A longer peer
+// with no claim in flight, or a shorter one with a claim, does not stop it.
+func TestManualPromoteDefersToLongerClaimant(t *testing.T) {
+	self := "http://127.0.0.1:60001"
+	cases := []struct {
+		name   string
+		peer   probeDTO
+		defers bool
+	}{
+		{"longer and claiming", probeDTO{Role: "follower", JournalBytes: 900, Epoch: 1, PromisedEpoch: 2}, true},
+		{"longer, no claim", probeDTO{Role: "follower", JournalBytes: 900, Epoch: 1, PromisedEpoch: 1}, false},
+		{"shorter and claiming", probeDTO{Role: "follower", JournalBytes: 50, Epoch: 1, PromisedEpoch: 2}, false},
+		{"longer and claiming, fenced", probeDTO{Role: "follower", JournalBytes: 900, Epoch: 1, PromisedEpoch: 2, Fenced: true}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := newPeer(t, tc.peer, false, "")
+			var selfPromises int
+			node := &fakeNode{st: NodeStatus{Role: "follower", Epoch: 1, JournalBytes: 100}}
+			node.promise = func(uint32, string, int64) FenceResponse {
+				selfPromises++
+				return FenceResponse{Granted: true, Epoch: 1, JournalBytes: 100}
+			}
+			sup := newSup(node, self, []string{self, peer.srv.URL, deadURL(t)})
+
+			err := sup.ManualPromote(context.Background())
+			var lost *ElectionLost
+			if !errors.As(err, &lost) {
+				t.Fatalf("ManualPromote = %v, want *ElectionLost", err)
+			}
+			_, claimed := peer.lastClaim()
+			if !tc.defers {
+				if selfPromises != 1 || !claimed {
+					t.Fatalf("promised itself %d times, asked the peer: %v; want a claim", selfPromises, claimed)
+				}
+				return
+			}
+			if lost.Winner != peer.srv.URL {
+				t.Fatalf("Winner = %q, want the claiming peer %q", lost.Winner, peer.srv.URL)
+			}
+			if selfPromises != 0 || claimed {
+				t.Fatalf("promised itself %d times, asked the peer: %v; want neither", selfPromises, claimed)
+			}
+		})
+	}
+}
+
 // TestClaimFoldsDenialEpochs: even a failed claim advances the epoch floor,
 // so the next claim does not reuse a term the group has moved past.
 func TestClaimFoldsDenialEpochs(t *testing.T) {

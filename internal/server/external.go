@@ -155,9 +155,6 @@ func (s *Server) Snapshot() StateDTO { return s.snapshot() }
 // LookupJob resolves a shard-local job id to its status DTO.
 func (s *Server) LookupJob(id int) (JobStatusDTO, bool) { return s.lookupJob(id) }
 
-// JobHistory returns a job's lifecycle transitions.
-func (s *Server) JobHistory(id int) []HistoryEntry { return s.hist.get(id) }
-
 // JobStatuses returns every job's status — engine-held jobs in ascending id
 // order, then still-queued ones (the GET /api/v1/jobs body).
 func (s *Server) JobStatuses() []JobStatusDTO {
@@ -169,10 +166,7 @@ func (s *Server) JobStatuses() []JobStatusDTO {
 		out = append(out, statusDTO(st))
 	}
 	for _, p := range s.queue {
-		out = append(out, JobStatusDTO{
-			ID: p.id, Name: p.name, State: "queued",
-			Work: p.profile.Work(), CriticalPath: p.profile.CriticalPathLen(),
-		})
+		out = append(out, p.status())
 	}
 	return out
 }
@@ -181,30 +175,15 @@ func (s *Server) JobStatuses() []JobStatusDTO {
 // GET /api/v1/jobs/{id}/timeline body), or false for an unknown job.
 func (s *Server) JobTimeline(id int) (TimelineDTO, bool) {
 	s.mu.Lock()
-	samples, evicted, known := s.eng.Timeline(id)
-	st, _ := s.eng.JobStatus(id)
+	st, ok := s.lookupJobLocked(id)
+	samples, evicted, _ := s.eng.Timeline(id)
 	s.mu.Unlock()
-	if !known {
-		dto, ok := s.lookupJob(id)
-		if !ok {
-			return TimelineDTO{}, false
-		}
-		return TimelineDTO{
-			ID: id, Name: dto.Name, State: dto.State,
-			Ring: s.cfg.TimelineRing, Samples: []sim.QuantumSample{},
-		}, true
-	}
 	if samples == nil {
 		samples = []sim.QuantumSample{}
 	}
-	return TimelineDTO{
-		ID: id, Name: st.Name, State: st.State.String(),
-		Ring: s.cfg.TimelineRing, Evicted: evicted, Samples: samples,
-	}, true
+	return TimelineDTO{ID: id, Name: st.Name, State: st.State,
+		Ring: s.cfg.TimelineRing, Evicted: evicted, Samples: samples}, ok
 }
-
-// TraceByID returns a registered request trace.
-func (s *Server) TraceByID(id string) (TraceDTO, bool) { return s.traces.get(id) }
 
 // IdemKeys returns a copy of the idempotency-key table (key → promised ids).
 // The cluster front end rebuilds its key → shard routing from this at boot,

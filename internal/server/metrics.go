@@ -172,6 +172,14 @@ func NewHTTPMetrics(reg *obs.Registry) *HTTPMetrics {
 func (m *HTTPMetrics) Instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	hist := m.reg.Histogram(
 		promexport.Name("abgd_http_request_seconds", "route", route), httpBuckets)
+	// The request counters, by method and status code, are named and
+	// registered on their first request only.
+	type methodCode struct {
+		method string
+		code   int
+	}
+	var mu sync.Mutex
+	requests := make(map[methodCode]*obs.Counter)
 	return func(w http.ResponseWriter, r *http.Request) {
 		m.inflight.Add(1)
 		start := time.Now()
@@ -183,8 +191,15 @@ func (m *HTTPMetrics) Instrument(route string, h http.HandlerFunc) http.HandlerF
 		if code == 0 { // handler wrote nothing: net/http sends 200
 			code = http.StatusOK
 		}
-		m.reg.Counter(promexport.Name("abgd_http_requests_total",
-			"route", route, "method", r.Method, "code", strconv.Itoa(code))).Inc()
+		mu.Lock()
+		c, ok := requests[methodCode{r.Method, code}]
+		if !ok {
+			c = m.reg.Counter(promexport.Name("abgd_http_requests_total",
+				"route", route, "method", r.Method, "code", strconv.Itoa(code)))
+			requests[methodCode{r.Method, code}] = c
+		}
+		mu.Unlock()
+		c.Inc()
 		hist.Observe(sec)
 		m.agg.Observe(sec)
 	}

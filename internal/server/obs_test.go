@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
@@ -585,5 +586,20 @@ func TestObservabilityDoesNotPerturbRecovery(t *testing.T) {
 		if !reflect.DeepEqual(live[i], ref[i]) {
 			t.Errorf("job %d diverged:\n live %+v\n ref  %+v", i, live[i], ref[i])
 		}
+	}
+}
+
+// TestInstrumentAllocations: the HTTP metrics wrapper adds at most one
+// allocation per request to the handler it wraps (the status recorder);
+// the request counter's series is named once, on its first request.
+func TestInstrumentAllocations(t *testing.T) {
+	bare := func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusNoContent) }
+	wrapped := NewHTTPMetrics(obs.NewRegistry()).Instrument("/api/v1/x", bare)
+	w, r := httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/api/v1/x", nil)
+	wrapped(w, r)
+	base := testing.AllocsPerRun(100, func() { bare(w, r) })
+	got := testing.AllocsPerRun(100, func() { wrapped(w, r) })
+	if got > base+1 {
+		t.Fatalf("the wrapper makes %.0f allocations per request, the bare handler %.0f; want at most one more", got, base)
 	}
 }

@@ -16,10 +16,10 @@
 // fast-forward speed, then shuts the listener down.
 //
 // The existing observability and robustness layers plug straight in: the
-// run's obs.Bus feeds the SSE hub, the per-job history recorder, optional
-// metrics, and — when a fault spec is configured — the invariant checker,
-// while the fault plan's capacity model, lossy control channel, and restart
-// schedules perturb the live engine the same way they perturb batch runs.
+// run's obs.Bus feeds the SSE hub, the metrics, and — when a fault spec is
+// configured — the invariant checker, while the fault plan's capacity
+// model, lossy control channel, and restart schedules perturb the live
+// engine the same way they perturb batch runs.
 package server
 
 import (
@@ -99,7 +99,7 @@ type Config struct {
 	// (default 4096).
 	EventRing int
 	// Bus receives the run's instrumentation events; one is created when
-	// nil. The server always attaches its own subscribers (SSE, history).
+	// nil. The server always attaches its own subscribers (SSE, metrics).
 	Bus *obs.Bus
 	// Metrics receives the daemon's metric families — HTTP, admission, SSE,
 	// journal, snapshot, and recovery, plus the engine's sim_* families via
@@ -118,8 +118,9 @@ type Config struct {
 	// with JournalDir set.
 	SnapshotAgeMax int
 	// TimelineRing bounds the per-job quantum-timeline ring behind
-	// GET /api/v1/jobs/{id}/timeline (sim.MultiConfig.TimelineRing).
-	// Default 256; negative disables the timeline.
+	// GET /api/v1/jobs/{id}/timeline, job histories and traces
+	// (sim.MultiConfig.TimelineRing). Default 256; negative disables the
+	// timeline, and histories and traces then hold lifecycle entries only.
 	TimelineRing int
 	// Capacity overrides the engine's capacity model (the fault plan's model
 	// is used when nil). The cluster layer (internal/cluster) injects a
@@ -283,8 +284,6 @@ type Server struct {
 
 	bus     *obs.Bus
 	hub     *EventHub
-	hist    *history
-	traces  *traceStore
 	checker *fault.Checker
 	metrics *serverMetrics
 	log     *slog.Logger
@@ -294,6 +293,7 @@ type Server struct {
 	queue         []pendingJob
 	nextID        int
 	keys          map[string][]int // idempotency key → promised ids
+	traces        traceIndex       // trace id → traced submission
 	fatal         error
 	recovery      RecoveryDTO
 	lastSnapQ     int    // QuantaElapsed at the last written snapshot
@@ -366,10 +366,9 @@ func New(cfg Config) (*Server, error) {
 		capacity: capacity,
 		bus:      cfg.Bus,
 		hub:      NewEventHub(1, cfg.EventRing, cfg.EventRingBytes),
-		hist:     newHistory(256),
-		traces:   newTraceStore(),
 		log:      obs.Component("server"),
 		keys:     make(map[string][]int),
+		traces:   traceIndex{byID: make(map[string]traceRef)},
 		wake:     make(chan struct{}, 1),
 		drained:  make(chan struct{}),
 		stopped:  make(chan struct{}),
@@ -380,8 +379,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics = newServerMetrics(cfg.Metrics)
 	s.bus.Subscribe(s.hub)
-	s.bus.Subscribe(s.hist)
-	s.bus.Subscribe(s.traces)
 	// Engine-level sim_* families land in the same registry; AttachMetrics
 	// dedupes, so an external site attaching the same (bus, registry) pair
 	// cannot double-count.
@@ -732,12 +729,11 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 		off = s.journal.Size()
 	}
 	ids := s.enqueueLocked(req, profiles)
-	depth := len(s.queue)
-	now := s.eng.Now()
-	s.mu.Unlock()
 	if traceID != "" {
-		s.traces.register(traceID, ids, now)
+		s.traces.add(traceID, traceRef{first: ids[0], count: len(ids), submitted: s.eng.Now()})
 	}
+	depth := len(s.queue)
+	s.mu.Unlock()
 	s.notify()
 	return SubmitResponse{
 		IDs: ids, State: "queued", Queued: depth, TraceID: traceID, Offset: off,
@@ -807,21 +803,28 @@ func statusDTO(st sim.JobStatus) JobStatusDTO {
 	}
 }
 
+// status is the wire form of a job still in the admission queue.
+func (p pendingJob) status() JobStatusDTO {
+	return JobStatusDTO{ID: p.id, Name: p.name, State: "queued",
+		Work: p.profile.Work(), CriticalPath: p.profile.CriticalPathLen()}
+}
+
 // lookupJob resolves a job id to its status: engine-owned, still queued, or
 // unknown.
 func (s *Server) lookupJob(id int) (JobStatusDTO, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.lookupJobLocked(id)
+}
+
+// lookupJobLocked is lookupJob for a caller that holds s.mu.
+func (s *Server) lookupJobLocked(id int) (JobStatusDTO, bool) {
 	if st, ok := s.eng.JobStatus(id); ok {
 		return statusDTO(st), true
 	}
 	for _, p := range s.queue {
 		if p.id == id {
-			return JobStatusDTO{
-				ID: id, Name: p.name, State: "queued",
-				Work:         p.profile.Work(),
-				CriticalPath: p.profile.CriticalPathLen(),
-			}, true
+			return p.status(), true
 		}
 	}
 	return JobStatusDTO{}, false
@@ -840,7 +843,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusNotFound, ErrorDTO{fmt.Sprintf("unknown job %d", id)})
 		return
 	}
-	dto.History = s.hist.get(id)
+	dto.History = s.JobHistory(id)
 	WriteJSON(w, http.StatusOK, dto)
 }
 

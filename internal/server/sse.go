@@ -529,68 +529,3 @@ func parseVector(s string, n int) ([]uint64, bool) {
 	}
 	return out, true
 }
-
-// history records each job's lifecycle transitions — admitted,
-// deprived↔satisfied flips, restarts, completion — from the event stream.
-// It keeps at most max entries per job, and the entries of every unfinished
-// job plus the maxDoneHistories most recently completed ones, so a
-// long-lived daemon's history does not grow with the jobs it has served.
-type history struct {
-	mu    sync.Mutex
-	max   int
-	byJob map[int][]HistoryEntry
-	// done is a ring of the newest completed job ids; once it is full,
-	// done[next] is the oldest, whose entries the next completion drops.
-	done []int
-	next int
-}
-
-// HistoryEntry is one lifecycle transition of a job.
-type HistoryEntry struct {
-	Quantum int    `json:"quantum,omitempty"`
-	Time    int64  `json:"time"`
-	Event   string `json:"event"`
-}
-
-func newHistory(maxPerJob int) *history {
-	return &history{max: maxPerJob, byJob: make(map[int][]HistoryEntry)}
-}
-
-// OnEvent implements obs.Subscriber.
-func (h *history) OnEvent(e obs.Event) {
-	switch e.Kind {
-	case obs.EvJobAdmitted, obs.EvDeprived, obs.EvSatisfied,
-		obs.EvJobRestarted, obs.EvJobCompleted:
-	default:
-		return
-	}
-	if e.Job < 0 {
-		return
-	}
-	h.mu.Lock()
-	entries := h.byJob[e.Job]
-	if len(entries) >= h.max { // keep the newest transitions
-		copy(entries, entries[1:])
-		entries = entries[:len(entries)-1]
-	}
-	h.byJob[e.Job] = append(entries, HistoryEntry{
-		Quantum: e.Quantum, Time: e.Time, Event: e.Kind.String(),
-	})
-	if e.Kind == obs.EvJobCompleted {
-		if len(h.done) < maxDoneHistories {
-			h.done = append(h.done, e.Job)
-		} else {
-			delete(h.byJob, h.done[h.next])
-			h.done[h.next] = e.Job
-			h.next = (h.next + 1) % maxDoneHistories
-		}
-	}
-	h.mu.Unlock()
-}
-
-// get returns a copy of the job's transition history.
-func (h *history) get(job int) []HistoryEntry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]HistoryEntry(nil), h.byJob[job]...)
-}

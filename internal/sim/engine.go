@@ -31,7 +31,7 @@ import (
 // profile, unless the caller holds it) and keeps, beside the outcome, what
 // JobStatus reports of the final quantum: request, allotment, A(q) and the
 // deprived flag. A snapshot's done entry holds just that. Timeline rings
-// (MultiConfig.TimelineRing) are kept for the maxDoneTimelines most
+// (MultiConfig.TimelineRing) are kept for the MaxDoneTimelines most
 // recently completed jobs only. What a done job still costs is its three
 // table records, about 340 B.
 //
@@ -91,7 +91,7 @@ type jobState struct {
 	done     bool
 	deprived bool
 	// dropped counts the samples of a released timeline ring (a done job
-	// older than the maxDoneTimelines newest); it fits the padding before
+	// older than the MaxDoneTimelines newest); it fits the padding before
 	// attemptWork.
 	dropped     uint32
 	attemptWork int64 // work completed since the job's last (re)start
@@ -476,6 +476,9 @@ func (e *Engine) Step() (StepInfo, error) {
 		if !st.Completed && sp.Restart.fires(st.Index, j.Restarts) {
 			j.Restarts++
 			j.LostWork += s.attemptWork
+			if cfg.TimelineRing > 0 {
+				s.timeline.markRestart()
+			}
 			if cfg.Obs.Active() {
 				cfg.Obs.Emit(obs.Event{Kind: obs.EvJobRestarted,
 					Time: now + int64(st.Steps), Quantum: st.Index,

@@ -75,7 +75,7 @@ func TestDoneJobsReleased(t *testing.T) {
 }
 
 // TestTimelinesBoundedByCompletedJobs: the engine keeps the timeline ring
-// of every unfinished job and of the maxDoneTimelines most recently
+// of every unfinished job and of the MaxDoneTimelines most recently
 // completed ones, so the rings do not grow with the jobs it has served. An
 // older done job's timeline is empty, with every sample it recorded (one
 // per allotment event) counted as evicted.
@@ -98,7 +98,7 @@ func TestTimelinesBoundedByCompletedJobs(t *testing.T) {
 	if _, err := eng.Submit(constSpec("long", 1, 1<<30, 0)); err != nil {
 		t.Fatal(err)
 	}
-	const total = maxDoneTimelines + 1000
+	const total = MaxDoneTimelines + 1000
 	for id := 1; id <= total; id++ {
 		if _, err := eng.Submit(constSpec(fmt.Sprint(id), 2, 10+id%20, eng.Now())); err != nil {
 			t.Fatal(err)
@@ -116,8 +116,8 @@ func TestTimelinesBoundedByCompletedJobs(t *testing.T) {
 			kept++
 		}
 	}
-	if kept != maxDoneTimelines {
-		t.Fatalf("%d done jobs keep a timeline ring after %d completions, want %d", kept, total, maxDoneTimelines)
+	if kept != MaxDoneTimelines {
+		t.Fatalf("%d done jobs keep a timeline ring after %d completions, want %d", kept, total, MaxDoneTimelines)
 	}
 	check := func(id int, wantSamples bool) {
 		t.Helper()
@@ -133,7 +133,7 @@ func TestTimelinesBoundedByCompletedJobs(t *testing.T) {
 			t.Fatalf("job %d: %d samples, %d evicted, want none and %d", id, len(samples), evicted, n)
 		}
 	}
-	oldestKept := total - maxDoneTimelines + 1
+	oldestKept := total - MaxDoneTimelines + 1
 	check(total, true)
 	check(oldestKept, true)
 	check(oldestKept-1, false)

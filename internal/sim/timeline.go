@@ -33,13 +33,18 @@ type QuantumSample struct {
 	// stalled quantum). Completed marks the job's final quantum.
 	Deprived  bool `json:"deprived"`
 	Completed bool `json:"completed"`
+	// Restarted marks a quantum after which the job failed and restarted
+	// from a fresh instance (RestartPlan), losing the attempt's work. It
+	// sits in the padding after the two verdicts, so a sample stays 80 B.
+	Restarted bool `json:"restarted,omitempty"`
 }
 
-// maxDoneTimelines is how many of the most recently completed jobs keep
-// their timeline ring: as many as the daemon's lifecycle history keeps
-// (internal/server). An older done job's ring is released, and its
-// Timeline is empty with every sample it recorded counted as evicted.
-const maxDoneTimelines = 4096
+// MaxDoneTimelines is how many of the most recently completed jobs keep
+// their timeline ring. An older done job's ring is released, and its
+// Timeline is empty with every sample it recorded counted as evicted; the
+// daemon's trace and lifecycle history of the job, built from the ring
+// (internal/server), go with it.
+const MaxDoneTimelines = 4096
 
 // timelineRing is a bounded per-job ring of QuantumSamples. It is purely
 // observational state: snapshots exclude it (a recovered engine rebuilds
@@ -71,6 +76,21 @@ func (r *timelineRing) record(s QuantumSample) {
 	r.total++
 }
 
+// markRestart sets Restarted on the newest sample.
+func (r *timelineRing) markRestart() {
+	r.buf[(r.next+len(r.buf)-1)%len(r.buf)].Restarted = true
+}
+
+// clip moves a finished job's samples, in chronological order, into a
+// buffer of exactly their size: append's growth leaves up to twice the
+// samples' room, which a done job would otherwise hold until its ring is
+// released.
+func (r *timelineRing) clip() {
+	if cap(r.buf) > len(r.buf) {
+		r.buf, r.next = r.samples(), 0
+	}
+}
+
 // samples returns the retained samples in chronological order (a copy).
 func (r *timelineRing) samples() []QuantumSample {
 	out := make([]QuantumSample, 0, len(r.buf))
@@ -87,11 +107,14 @@ func (e *Engine) recordSample(s *jobState, q QuantumSample) {
 	s.timeline.record(q)
 }
 
-// retireTimeline records that job i completed. Once maxDoneTimelines
-// completed jobs keep their rings, it releases the oldest one's ring,
-// keeping only its sample count.
+// retireTimeline records that job i completed and clips its ring. Once
+// MaxDoneTimelines completed jobs keep their rings, it releases the oldest
+// one's ring, keeping only its sample count.
 func (e *Engine) retireTimeline(i int) {
-	if len(e.doneTimelines) < maxDoneTimelines {
+	if r := e.states.at(i).timeline; r != nil {
+		r.clip()
+	}
+	if len(e.doneTimelines) < MaxDoneTimelines {
 		e.doneTimelines = append(e.doneTimelines, i)
 		return
 	}
@@ -100,14 +123,14 @@ func (e *Engine) retireTimeline(i int) {
 		old.timeline = nil
 	}
 	e.doneTimelines[e.doneNext] = i
-	e.doneNext = (e.doneNext + 1) % maxDoneTimelines
+	e.doneNext = (e.doneNext + 1) % MaxDoneTimelines
 }
 
 // Timeline returns job id's retained quantum samples in chronological order
 // plus the number of older samples the bounded ring has evicted. With
 // MultiConfig.TimelineRing unset, or for a job that has not yet executed or
 // stalled on any quantum, it returns an empty timeline; for a done job
-// older than the maxDoneTimelines newest, an empty one with every sample
+// older than the MaxDoneTimelines newest, an empty one with every sample
 // the job recorded evicted. ok is false only for an unknown id.
 func (e *Engine) Timeline(id int) (samples []QuantumSample, evicted int, ok bool) {
 	if id < 0 || id >= e.states.len() {

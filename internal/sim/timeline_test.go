@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"abg/internal/alloc"
 	"abg/internal/fault"
@@ -165,5 +166,120 @@ func TestTimelineDisabledAndUnknown(t *testing.T) {
 	}
 	if _, _, ok := eng.Timeline(99); ok {
 		t.Fatal("unknown id reported ok")
+	}
+}
+
+// TestTimelineRestartMarkers: with restarts armed, the sample of every
+// quantum after which a job restarted carries Restarted, and no other
+// does; the marker keeps a sample at 80 B.
+func TestTimelineRestartMarkers(t *testing.T) {
+	if size := unsafe.Sizeof(QuantumSample{}); size != 80 {
+		t.Fatalf("QuantumSample is %d B, want 80", size)
+	}
+	plan, err := fault.ParseSpec("restart=0.5,restartat=1,maxrestarts=3,seed=7", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := obs.NewBus()
+	rec := &obs.Recorder{}
+	defer bus.Subscribe(rec)()
+	eng, err := NewEngine(MultiConfig{
+		P: 16, L: 50, Allocator: alloc.DynamicEquiPartition{},
+		Obs: bus, TimelineRing: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range equivSpecs(t, plan, bus) {
+		if _, err := eng.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]int]bool{} // (job, quantum) of every restart event
+	for _, e := range rec.Events() {
+		if e.Kind == obs.EvJobRestarted {
+			want[[2]int{e.Job, e.Quantum}] = true
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no job restarted; the test shows nothing")
+	}
+	marked := 0
+	for id, j := range res.Jobs {
+		samples, _, _ := eng.Timeline(id)
+		n := 0
+		for _, q := range samples {
+			if q.Restarted {
+				n++
+				if q.Allotment == 0 || !want[[2]int{id, q.Quantum}] {
+					t.Fatalf("job %d: sample %+v is marked, but no restart followed it", id, q)
+				}
+			}
+		}
+		if n != j.Restarts {
+			t.Fatalf("job %d: %d samples marked restarted, outcome counts %d restarts", id, n, j.Restarts)
+		}
+		marked += n
+	}
+	if marked != len(want) {
+		t.Fatalf("%d samples marked, %d restart events", marked, len(want))
+	}
+}
+
+// TestDoneTimelinesExactSize: a finished job's samples sit in a buffer of
+// exactly their size, in the order Timeline returned while the job ran.
+func TestDoneTimelinesExactSize(t *testing.T) {
+	for _, ring := range []int{4, 256} {
+		bus := obs.NewBus()
+		eng, err := NewEngine(MultiConfig{
+			P: 16, L: 50, Allocator: alloc.DynamicEquiPartition{},
+			Obs: bus, TimelineRing: ring,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The last Timeline each job showed while it ran, read before
+		// every Step.
+		running := map[int][]QuantumSample{}
+		for _, spec := range equivSpecs(t, fault.Plan{}, bus) {
+			if _, err := eng.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for !eng.Done() {
+			if _, err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+			for id := range eng.NumJobs() {
+				samples, _, _ := eng.Timeline(id)
+				if st, _ := eng.JobStatus(id); st.State != JobDone {
+					running[id] = samples
+				} else if last, ok := running[id]; ok && len(samples) > 0 {
+					// Done now: the ring holds the running samples plus
+					// the final quantum, which evicted at most one.
+					grown := append(append([]QuantumSample(nil), last...), samples[len(samples)-1])
+					if len(grown) > ring {
+						grown = grown[1:]
+					}
+					if !reflect.DeepEqual(samples, grown) {
+						t.Fatalf("ring %d job %d: done timeline %+v, want %+v", ring, id, samples, grown)
+					}
+					delete(running, id)
+				}
+			}
+		}
+		for id := range eng.NumJobs() {
+			r := eng.states.at(id).timeline
+			if r == nil || len(r.buf) == 0 {
+				t.Fatalf("ring %d job %d: no samples", ring, id)
+			}
+			if cap(r.buf) != len(r.buf) {
+				t.Fatalf("ring %d job %d: done buffer has room for %d samples, holds %d", ring, id, cap(r.buf), len(r.buf))
+			}
+		}
 	}
 }

@@ -34,6 +34,18 @@ go test -race ./internal/obs/... ./internal/sim/... ./internal/fault/... \
     ./internal/persist/... ./internal/cli/... ./internal/parallel/... \
     ./internal/replica/... ./internal/cluster/... ./internal/failover/...
 
+echo "== observation reads under -race (traces, timelines, job history while the quantum clock steps; x10)"
+# Traces and job histories are built on read from engine state under the
+# daemon's lock; this test reads them from several goroutines while the
+# daemon's quantum clock steps the engine.
+go test -race -run '^TestObservationReadsWhileStepping$' -count=10 ./internal/server/
+
+echo "== concurrent manual promotes serialize (x200)"
+# Two followers promoted at once: the longer journal must win every time.
+# A claim that superseded the longer follower's own claim once made both
+# lose, in a few runs per hundred.
+go test -run '^TestConcurrentPromoteSerializes$' -count=200 ./internal/server/
+
 echo "== bench schema smoke (abgbench -quick, validates BENCH format)"
 # The /metrics-scrape-vs-SSE-vs-stepping race test itself runs in the -race
 # block above (TestMetricsConcurrentWithStreamAndStepping, internal/server).
