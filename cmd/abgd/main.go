@@ -105,7 +105,7 @@ func main() {
 		logSpec   = flag.String("log", "info", `log levels: "info" or "info,server=debug,events=debug"`)
 		debugAddr = flag.String("debug-addr", "", "serve expvar + pprof on this address (e.g. :6060)")
 		ring      = flag.Int("timeline-ring", 0, "per-job quantum-timeline ring depth behind /api/v1/jobs/{id}/timeline, job history and traces (0 = default 256, negative disables)")
-		lagMax    = flag.Int("healthz-lag-max", 0, "journal-lag ceiling before /healthz degrades (0 = default 1024)")
+		lagMax    = flag.Int("healthz-lag-max", 0, "journal-lag ceiling before /healthz degrades (0 = default 1024; none under -fsync never, where nothing resets the lag)")
 		ageMax    = flag.Int("healthz-snapshot-age-max", 0, "snapshot-age ceiling in quanta before /healthz degrades (0 = 8× -snapshot-every)")
 		follow    = flag.String("follow", "", "run as a hot standby tailing this leader URL (requires -journal); serves reads, redirects writes")
 		group     = flag.String("group", "", "comma-separated URLs of the 3 or more members of a self-healing replication group (requires -journal and -advertise); quorum elections with epoch fencing replace manual promotion, which a groupless pair keeps")
@@ -113,7 +113,6 @@ func main() {
 		probeEv   = flag.Duration("probe-every", 0, "failover supervisor probe interval (0 = 500ms default)")
 		failAfter = flag.Duration("fail-after", 0, "leader-silence window before the group elects a replacement (0 = 2s default)")
 		shards    = flag.Int("cluster", 0, "run N engine shards behind one front door (0 = single engine); incompatible with -follow")
-		clWorkers = flag.Int("cluster-workers", 0, "goroutines stepping shards per cluster round (0 = one per CPU); results are identical at every setting")
 		version   = cli.VersionFlag()
 	)
 	flag.Parse()
@@ -123,10 +122,7 @@ func main() {
 		fatal(err)
 	}
 
-	bus := obs.NewBus()
 	if *debugAddr != "" {
-		// The server attaches engine metrics to its registry (obs.Default
-		// below), so /debug/vars and /metrics read the same numbers.
 		dbg, err := obs.StartDebugServer(*debugAddr, nil)
 		if err != nil {
 			fatal(err)
@@ -143,7 +139,7 @@ func main() {
 			fatal(fmt.Errorf("-cluster and -group are mutually exclusive: group elections run per daemon, not per shard"))
 		}
 		cl, err := cluster.New(cluster.Config{
-			Addr: *addr, Shards: *shards, Workers: *clWorkers,
+			Addr: *addr, Shards: *shards,
 			Metrics: obs.Default,
 			Shard: server.Config{
 				P: *p, L: *l,
@@ -176,7 +172,7 @@ func main() {
 		Clock: server.ClockMode(*clock), Tick: *tick,
 		QueueLimit: *queue, FaultSpec: *faultSpec, Seed: *seed,
 		JournalDir: *journal, SnapshotEvery: *snapEvery, Fsync: *fsync,
-		Bus: bus, Metrics: obs.Default, TimelineRing: *ring,
+		Metrics: obs.Default, TimelineRing: *ring,
 		JournalLagMax: *lagMax, SnapshotAgeMax: *ageMax,
 		FollowURL: *follow, Group: splitGroup(*group), Advertise: *advertise,
 		ProbeEvery: *probeEv, FailAfter: *failAfter,

@@ -241,9 +241,9 @@ func runJobSet(ctx context.Context, machine core.Machine, scheduler core.Schedul
 	plan fault.Plan, profileAt func(int) *job.Profile, n int, spacing int64,
 	perfetto string, showTrace bool, repeat int) {
 
-	// Job specs are built directly (rather than via core.RunJobSetObserved)
-	// so each job's policy can be wrapped in the plan's lossy channel and
-	// given its own seeded restart schedule.
+	// Job specs are built directly (rather than via core.RunJobSetWith) so
+	// each job's policy can be wrapped in the plan's lossy channel and given
+	// its own seeded restart schedule.
 	build := func() []sim.JobSpec {
 		specs := make([]sim.JobSpec, n)
 		for i := range specs {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -37,10 +38,6 @@ type Config struct {
 	Shard server.Config
 	// Router picks the shard for each submission. Default NewHashRing(Shards).
 	Router Router
-	// Workers bounds the goroutines stepping shards within one round
-	// (0 = one per CPU). Purely an execution knob: results, journals and
-	// the merged event stream are identical at every setting.
-	Workers int
 	// Metrics receives the cluster-level abgd_cluster_* families and the
 	// front door's HTTP metrics; a private registry is created when nil.
 	// Shard registries stay private per shard and are rendered at /metrics
@@ -231,6 +228,11 @@ func (c *Cluster) drain() {
 	}
 	for c.anyNeedsSteps() {
 		c.round(false)
+		// Yield between rounds. On one CPU the drain would otherwise step
+		// every round before the front door's SSE writers move any frame
+		// out of their 1024-frame buffers, and a subscriber would lose
+		// every frame past the first 1024.
+		runtime.Gosched()
 	}
 	for k, sh := range c.shards {
 		if err := sh.srv.FinishExternal(); err != nil && c.finalErr == nil {
@@ -266,7 +268,7 @@ func (c *Cluster) round(idleOK bool) {
 			copy(c.lastShares, shares)
 		}
 	}
-	parallel.ForEachN(n, c.cfg.Workers, func(k int) {
+	parallel.ForEach(n, func(k int) {
 		c.shards[k].srv.StepExternal(idleOK)
 	})
 	for _, sh := range c.shards {

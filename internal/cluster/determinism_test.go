@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"abg/internal/server"
@@ -13,8 +14,8 @@ import (
 
 // N-shard replay determinism: the same seed and submission sequence must
 // produce DeepEqual results, identical merged event streams, and identical
-// per-shard journal bytes at every worker count — cluster Workers is an
-// execution knob, not semantics.
+// per-shard journal bytes at every worker count — the number of goroutines
+// stepping shards (GOMAXPROCS) is an execution detail, not semantics.
 
 type clusterRun struct {
 	jobs     []JobDTO
@@ -26,13 +27,12 @@ type clusterRun struct {
 
 // runShardedCluster drives a fixed deterministic workload through an N-shard
 // cluster and captures everything the determinism contract covers.
-func runShardedCluster(t *testing.T, dir string, shards, workers int) clusterRun {
+func runShardedCluster(t *testing.T, dir string, shards int) clusterRun {
 	t.Helper()
 	c, err := New(Config{
-		Addr:    "127.0.0.1:0",
-		Shards:  shards,
-		Workers: workers,
-		Shard:   shardConfig(dir, ""),
+		Addr:   "127.0.0.1:0",
+		Shards: shards,
+		Shard:  shardConfig(dir, ""),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -96,10 +96,14 @@ func runShardedCluster(t *testing.T, dir string, shards, workers int) clusterRun
 
 func TestShardedDeterminismAcrossWorkerCounts(t *testing.T) {
 	const shards = 3
-	// Serial shard stepping vs eight cluster workers: every observable
-	// output must be identical.
-	a := runShardedCluster(t, t.TempDir(), shards, 1)
-	b := runShardedCluster(t, t.TempDir(), shards, 8)
+	// Serial shard stepping (under GOMAXPROCS 1 each round steps every
+	// shard inline) vs the default of one goroutine per GOMAXPROCS: every
+	// observable output must be identical.
+	a := func() clusterRun {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return runShardedCluster(t, t.TempDir(), shards)
+	}()
+	b := runShardedCluster(t, t.TempDir(), shards)
 
 	if a.state.SSEDropped != 0 || b.state.SSEDropped != 0 {
 		t.Fatalf("dropped SSE events (%d, %d) — streams not comparable", a.state.SSEDropped, b.state.SSEDropped)
@@ -168,7 +172,7 @@ func TestShardedDeterminismAcrossWorkerCounts(t *testing.T) {
 // TestShardedStateAggregation sanity-checks the merged /state and vector
 // event ids on a multi-shard run.
 func TestShardedStateAggregation(t *testing.T) {
-	run := runShardedCluster(t, t.TempDir(), 3, 0)
+	run := runShardedCluster(t, t.TempDir(), 3)
 	if run.state.Cluster.Shards != 3 {
 		t.Errorf("cluster.shards = %d, want 3", run.state.Cluster.Shards)
 	}

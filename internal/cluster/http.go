@@ -216,7 +216,6 @@ type InfoDTO struct {
 	Shards     int    `json:"shards"`
 	Policy     string `json:"policy"`
 	Router     string `json:"router"`
-	Workers    int    `json:"workers,omitempty"`
 	EventID    string `json:"eventId"`
 	Rebalances int64  `json:"rebalances"`
 }
@@ -238,7 +237,6 @@ func (c *Cluster) state() StateDTO {
 			Shards:     len(c.shards),
 			Policy:     alloc.DynamicEquiPartition{}.Name(),
 			Router:     c.router.Name(),
-			Workers:    c.cfg.Workers,
 			EventID:    c.hub.ID(),
 			Rebalances: c.rebalances.Load(),
 		},

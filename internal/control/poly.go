@@ -57,15 +57,6 @@ func (p Poly) Eval(z float64) float64 {
 	return v
 }
 
-// EvalC evaluates p at a complex point.
-func (p Poly) EvalC(z complex128) complex128 {
-	v := complex(0, 0)
-	for i := len(p) - 1; i >= 0; i-- {
-		v = v*z + complex(p[i], 0)
-	}
-	return v
-}
-
 // Add returns p + q.
 func (p Poly) Add(q Poly) Poly {
 	n := len(p)

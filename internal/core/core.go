@@ -21,7 +21,6 @@ import (
 	"abg/internal/feedback"
 	"abg/internal/job"
 	"abg/internal/metrics"
-	"abg/internal/obs"
 	"abg/internal/sched"
 	"abg/internal/sim"
 )
@@ -152,45 +151,6 @@ func RunJobSetWith(m Machine, s Scheduler, subs []Submission, allocator alloc.Mu
 		}
 	}
 	return sim.RunMulti(specs, sim.MultiConfig{P: m.P, L: m.L, Allocator: allocator})
-}
-
-// RunJobObserved is RunJob with a live instrumentation bus attached: every
-// quantum's request, allotment, measured statistics and deprivation
-// transitions are emitted on bus as the run executes (see abg/internal/obs).
-func RunJobObserved(m Machine, s Scheduler, p *job.Profile, bus *obs.Bus) (sim.SingleResult, error) {
-	if err := m.Validate(); err != nil {
-		return sim.SingleResult{}, err
-	}
-	return sim.RunSingle(job.NewRun(p), s.NewPolicy(), s.ofSched,
-		alloc.NewUnconstrained(m.P),
-		sim.SingleConfig{L: m.L, KeepTrace: true, Obs: bus})
-}
-
-// RunJobSetObserved is RunJobSetWith with a live instrumentation bus and
-// per-job traces retained, so the run can both be watched in flight and
-// exported as a Perfetto timeline afterwards (obs.Timeline).
-func RunJobSetObserved(m Machine, s Scheduler, subs []Submission,
-	allocator alloc.Multi, bus *obs.Bus) (sim.MultiResult, error) {
-
-	if err := m.Validate(); err != nil {
-		return sim.MultiResult{}, err
-	}
-	specs := make([]sim.JobSpec, len(subs))
-	for i, sub := range subs {
-		if sub.Profile == nil {
-			return sim.MultiResult{}, fmt.Errorf("core: submission %d has no profile", i)
-		}
-		specs[i] = sim.JobSpec{
-			Name:    sub.Name,
-			Release: sub.Release,
-			Inst:    job.NewRun(sub.Profile),
-			Policy:  s.NewPolicy(),
-			Sched:   s.ofSched,
-		}
-	}
-	return sim.RunMulti(specs, sim.MultiConfig{
-		P: m.P, L: m.L, Allocator: allocator, KeepTrace: true, Obs: bus,
-	})
 }
 
 // Report is the post-hoc analysis of a single-job run: the algorithmic

@@ -186,11 +186,6 @@ func (g *Graph) Sources() []NodeID {
 	return srcs
 }
 
-// Succs returns a copy of v's successors.
-func (g *Graph) Succs(v NodeID) []NodeID {
-	return append([]NodeID(nil), g.succs[v]...)
-}
-
 // Preds returns a copy of v's predecessors.
 func (g *Graph) Preds(v NodeID) []NodeID {
 	return append([]NodeID(nil), g.preds[v]...)

@@ -263,14 +263,3 @@ func (r *Recorder) Events() []Event {
 	copy(out, r.events)
 	return out
 }
-
-// Kinds returns the recorded event kinds in order (test convenience).
-func (r *Recorder) Kinds() []Kind {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Kind, len(r.events))
-	for i, e := range r.events {
-		out[i] = e.Kind
-	}
-	return out
-}

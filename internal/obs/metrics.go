@@ -197,15 +197,6 @@ func (h *Histogram) Buckets() ([]float64, []int64) {
 	return bounds, counts
 }
 
-// LinearBuckets returns n upper bounds start, start+width, ….
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns n upper bounds start, start·factor, ….
 func ExponentialBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)

@@ -55,7 +55,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewRegistry().Histogram("x", LinearBuckets(1, 1, 8))
+	h := NewRegistry().Histogram("x", []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -76,9 +76,6 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	if got := LinearBuckets(0, 10, 3); got[0] != 0 || got[1] != 10 || got[2] != 20 {
-		t.Fatalf("linear buckets: %v", got)
-	}
 	if got := ExponentialBuckets(1, 2, 4); got[3] != 8 {
 		t.Fatalf("exponential buckets: %v", got)
 	}
@@ -117,7 +114,7 @@ func TestSnapshotAndWriteSnapshot(t *testing.T) {
 
 func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", LinearBuckets(10, 10, 10)) // 10, 20, …, 100
+	h := r.Histogram("lat", []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	// Empty histogram: every quantile is a defined 0, never NaN/∞ — these
 	// values flow straight into /state JSON on a fresh daemon.
 	for _, q := range []float64{0, 0.5, 0.95, 1, -3, 2, math.NaN()} {
@@ -164,7 +161,7 @@ func TestHistogramQuantileDefined(t *testing.T) {
 		sample []float64
 		want   func(q float64) float64
 	}{
-		{"empty", LinearBuckets(1, 1, 4), nil, func(float64) float64 { return 0 }},
+		{"empty", []float64{1, 2, 3, 4}, nil, func(float64) float64 { return 0 }},
 		{"empty-no-buckets", nil, nil, func(float64) float64 { return 0 }},
 		{"single-mid-bucket", []float64{10, 20}, []float64{13}, func(float64) float64 { return 13 }},
 		{"single-at-bound", []float64{10, 20}, []float64{10}, func(float64) float64 { return 10 }},

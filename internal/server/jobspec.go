@@ -11,13 +11,16 @@ import (
 
 // Submission limits: a single request may carry at most MaxCount jobs, and
 // generator parameters are bounded so a request cannot ask the daemon to
-// materialise a pathological DAG.
+// materialise a pathological DAG. Names are bounded because every job of a
+// request keeps its name for good: in the engine's outcome table, in
+// snapshots and in its SSE frames.
 const (
-	MaxCount  = 1024
-	maxWidth  = 1 << 12
-	maxQuanta = 1 << 10
-	maxCL     = 1000
-	maxKeyLen = 128
+	MaxCount   = 1024
+	maxWidth   = 1 << 12
+	maxQuanta  = 1 << 10
+	maxCL      = 1000
+	maxKeyLen  = 128
+	maxNameLen = 128
 )
 
 // JobRequest is the JSON body of POST /api/v1/jobs: a workload-generator
@@ -89,6 +92,9 @@ func (r *JobRequest) Normalize() error {
 	}
 	if len(r.Key) > maxKeyLen {
 		return fmt.Errorf("idempotency key longer than %d bytes", maxKeyLen)
+	}
+	if len(r.Name) > maxNameLen {
+		return fmt.Errorf("name longer than %d bytes", maxNameLen)
 	}
 	return nil
 }

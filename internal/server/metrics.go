@@ -14,7 +14,7 @@ import (
 
 // Server-layer metric families, exposed at GET /metrics in the Prometheus
 // text format (internal/obs/promexport) alongside the engine's sim_*
-// families fed by obs.AttachMetrics:
+// families fed by an obs.MetricsSubscriber on the daemon's bus:
 //
 //	abgd_http_requests_total{route,method,code}  counter
 //	abgd_http_request_seconds{route}             histogram (wall latency)

@@ -126,7 +126,7 @@ func TestMetricsExposition(t *testing.T) {
 
 	samples, types := scrape(t, base)
 
-	// Engine families, via obs.AttachMetrics on the same registry.
+	// Engine families, fed by the bus's MetricsSubscriber into the same registry.
 	if samples["sim_jobs_completed_total"] != 3 {
 		t.Fatalf("sim_jobs_completed_total = %v, want 3", samples["sim_jobs_completed_total"])
 	}
@@ -396,7 +396,7 @@ func TestHealthVerdicts(t *testing.T) {
 	t.Run("degraded_journal_lag", func(t *testing.T) {
 		_, base := startServer(t, Config{
 			P: 8, L: 50, Clock: ClockWall, Tick: time.Hour, QueueLimit: 16,
-			JournalDir: t.TempDir(), Fsync: "never", JournalLagMax: 2,
+			JournalDir: t.TempDir(), Fsync: "snapshot", JournalLagMax: 2,
 		})
 		// Each submission appends one unsynced record; the hour tick means no
 		// admit/snapshot interferes.
@@ -414,6 +414,31 @@ func TestHealthVerdicts(t *testing.T) {
 		}
 		if len(h.Reasons) == 0 || !strings.Contains(h.Reasons[0], "journal lag") {
 			t.Fatalf("reasons = %v", h.Reasons)
+		}
+	})
+
+	t.Run("never_has_no_lag_ceiling", func(t *testing.T) {
+		// Under -fsync=never nothing resets the lag before exit, so it
+		// passes the default ceiling of 1024 without degrading the daemon.
+		s, base := startServer(t, Config{
+			P: 8, L: 50, Clock: ClockWall, Tick: time.Hour,
+			JournalDir: t.TempDir(), Fsync: "never",
+		})
+		req := JobRequest{Kind: "serial", Quanta: 1}
+		if err := req.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1025; i++ {
+			if _, code, err := s.SubmitLocal(req, ""); code != http.StatusAccepted {
+				t.Fatalf("submit %d: status %d: %v", i, code, err)
+			}
+		}
+		var h HealthDTO
+		if code := getJSON(t, base+"/healthz", &h); code != http.StatusOK {
+			t.Fatalf("healthz = %d, want 200: %+v", code, h)
+		}
+		if h.Status != "ok" || h.JournalLag <= 1024 || h.LagMax != 0 || len(h.Reasons) != 0 {
+			t.Fatalf("health = %+v", h)
 		}
 	})
 

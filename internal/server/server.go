@@ -102,15 +102,18 @@ type Config struct {
 	// nil. The server always attaches its own subscribers (SSE, metrics).
 	Bus *obs.Bus
 	// Metrics receives the daemon's metric families — HTTP, admission, SSE,
-	// journal, snapshot, and recovery, plus the engine's sim_* families via
-	// obs.AttachMetrics — and is rendered at GET /metrics in the Prometheus
-	// text format. cmd/abgd passes obs.Default so /debug/vars shows the same
-	// numbers; a private registry is created when nil.
+	// journal, snapshot, and recovery, plus the engine's sim_* families fed
+	// by an obs.MetricsSubscriber on Bus — and is rendered at GET /metrics
+	// in the Prometheus text format. cmd/abgd passes obs.Default so
+	// /debug/vars shows the same numbers; a private registry is created
+	// when nil.
 	Metrics *obs.Registry
 	// JournalLagMax is the /healthz ceiling on the journal's durability debt
 	// (records appended since the last fsync, persist.Journal.Lag). Above
-	// it the daemon reports degraded. Default 1024; irrelevant under
-	// -fsync=always, where the lag is always zero.
+	// it the daemon reports degraded. Default 1024. It applies under
+	// -fsync=always and snapshot, where an fsync resets the lag (under
+	// always it grows only while fsyncs fail); under never nothing resets
+	// it before exit, so a ceiling would only count the records written.
 	JournalLagMax int
 	// SnapshotAgeMax is the /healthz ceiling on executed quanta since the
 	// last snapshot. Above it the daemon reports degraded (recovery replay
@@ -379,10 +382,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics = newServerMetrics(cfg.Metrics)
 	s.bus.Subscribe(s.hub)
-	// Engine-level sim_* families land in the same registry; AttachMetrics
-	// dedupes, so an external site attaching the same (bus, registry) pair
-	// cannot double-count.
-	obs.AttachMetrics(s.bus, s.metrics.reg)
+	// Engine-level sim_* families land in the same registry.
+	s.bus.Subscribe(obs.NewMetricsSubscriber(s.metrics.reg))
 	if cfg.FaultSpec != "" {
 		s.checker = fault.NewChecker(cfg.P, false)
 		s.bus.Subscribe(s.checker)
@@ -984,7 +985,8 @@ type HealthDTO struct {
 	ReplConnected *bool `json:"replConnected,omitempty"`
 	ReplLagBytes  int64 `json:"replLagBytes,omitempty"`
 	// JournalLag is the journal's current durability debt — records appended
-	// since the last fsync — and LagMax its ceiling. Absent without -journal.
+	// since the last fsync — and LagMax its ceiling. Absent without -journal;
+	// LagMax is also absent under -fsync=never, which has no ceiling.
 	JournalLag int `json:"journalLag,omitempty"`
 	LagMax     int `json:"lagMax,omitempty"`
 	// SnapshotAge is executed quanta since the last engine snapshot, AgeMax
@@ -1039,11 +1041,13 @@ func (s *Server) health() (HealthDTO, int) {
 	}
 	if j != nil {
 		dto.JournalLag = j.Lag()
-		dto.LagMax = s.cfg.JournalLagMax
+		if persist.SyncPolicy(s.cfg.Fsync) != persist.SyncNever {
+			dto.LagMax = s.cfg.JournalLagMax
+		}
 		dto.SnapshotAge = age
 		dto.AgeMax = s.cfg.SnapshotAgeMax
 		if dto.Status == "ok" {
-			if dto.JournalLag > dto.LagMax {
+			if dto.LagMax > 0 && dto.JournalLag > dto.LagMax {
 				dto.Status = "degraded"
 				dto.Reasons = append(dto.Reasons, fmt.Sprintf(
 					"journal lag %d records exceeds %d (unsynced durability debt)",

@@ -160,6 +160,13 @@ func TestSubmitValidation(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("oversized width: status %d, want 400", code)
 	}
+	code, _, bad = postJobs(t, base, JobRequest{Kind: "serial", Name: strings.Repeat("n", maxNameLen+1)})
+	if code != http.StatusBadRequest || !strings.Contains(bad.Error, "name longer than") {
+		t.Fatalf("oversized name: status %d, err %q", code, bad.Error)
+	}
+	if code, _, _ = postJobs(t, base, JobRequest{Kind: "serial", Name: strings.Repeat("n", maxNameLen)}); code != http.StatusAccepted {
+		t.Fatalf("name at the limit: status %d, want 202", code)
+	}
 }
 
 func TestBackpressure429(t *testing.T) {

@@ -126,24 +126,6 @@ func (r SingleResult) Requests() []float64 {
 	return out
 }
 
-// Allotments returns the allotment trace a(q) (needs the trace).
-func (r SingleResult) Allotments() []int {
-	out := make([]int, len(r.Quanta))
-	for i, q := range r.Quanta {
-		out[i] = q.Allotment
-	}
-	return out
-}
-
-// Parallelisms returns the measured A(q) trace (needs the trace).
-func (r SingleResult) Parallelisms() []float64 {
-	out := make([]float64, len(r.Quanta))
-	for i, q := range r.Quanta {
-		out[i] = q.AvgParallelism()
-	}
-	return out
-}
-
 // RoundRequest converts the continuous controller output into the integer
 // processor request presented to the OS allocator: ⌈d⌉, at least 1.
 func RoundRequest(d float64) int {

@@ -43,9 +43,6 @@ func (t *Table) AddRowf(values ...interface{}) {
 	t.AddRow(cells...)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the aligned table to w.
 func (t *Table) Render(w io.Writer) error {
 	cols := len(t.header)

@@ -37,8 +37,8 @@ func TestAddRowf(t *testing.T) {
 	if !strings.Contains(out, "2.5") {
 		t.Fatalf("float32 formatting: %s", out)
 	}
-	if tb.NumRows() != 1 {
-		t.Fatal("row count")
+	if lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n"); len(lines) != 3 {
+		t.Fatalf("want header, rule and one row:\n%s", out)
 	}
 }
 

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/csv"
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -49,9 +52,27 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&sb, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseCSV(strings.NewReader(sb.String()))
+	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows[0], csvHeader) {
+		t.Fatalf("header = %v", rows[0])
+	}
+	got := make([]Record, len(rows)-1)
+	for i, row := range rows[1:] {
+		r := &got[i]
+		fields := []any{&r.Quantum, &r.Request, &r.Allotment, &r.Steps, &r.Work, &r.CPL,
+			&r.Parallelism, &r.Waste, &r.Full, &r.Deprived, &r.Completed,
+			&r.WorkEff, &r.CPLEff, &r.LevelsTouched}
+		if len(row) != len(fields) {
+			t.Fatalf("row %d has %d columns, want %d", i+1, len(row), len(fields))
+		}
+		for j, cell := range row {
+			if _, err := fmt.Sscan(cell, fields[j]); err != nil {
+				t.Fatalf("row %d column %s = %q: %v", i+1, csvHeader[j], cell, err)
+			}
+		}
 	}
 	recordsAlmostEqual(t, got, want)
 	// The boolean columns must actually carry through, not default to false.
@@ -69,8 +90,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&sb, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseJSON(strings.NewReader(sb.String()))
-	if err != nil {
+	var got []Record
+	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
 		t.Fatal(err)
 	}
 	// JSON floats round-trip exactly.
@@ -79,31 +100,5 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if !got[1].Deprived || !got[2].Completed {
 		t.Fatalf("boolean fields mangled: %+v", got)
-	}
-}
-
-func TestParseCSVRejectsMalformedInput(t *testing.T) {
-	cases := map[string]string{
-		"empty input":     "",
-		"wrong width":     "quantum,request\n1,2\n",
-		"renamed column":  strings.Replace(csvLine(), "deprived", "starved", 1),
-		"non-numeric row": csvLine() + "x,2,3,4,5,6,7,8,true,false,false,1,1,2\n",
-		"bad boolean":     csvLine() + "1,2,3,4,5,6,7,8,yes?,false,false,1,1,2\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// csvLine returns the canonical header line.
-func csvLine() string {
-	return strings.Join(csvHeader, ",") + "\n"
-}
-
-func TestParseJSONRejectsGarbage(t *testing.T) {
-	if _, err := ParseJSON(strings.NewReader("{not json")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

@@ -43,9 +43,8 @@ type Run struct {
 	orphans  [][]dag.NodeID // deques abandoned by a shrinking allotment
 	done     int64
 
-	steals      int64 // steal attempts
-	failedSteal int64 // attempts that found an empty victim
-	mugs        int64 // orphan-deque adoptions
+	steals int64 // steal attempts
+	mugs   int64 // orphan-deque adoptions
 }
 
 // NewRun returns a work-stealing instance of g with the given RNG seed.
@@ -85,9 +84,6 @@ func (r *Run) LevelWidth(level int) int { return r.g.LevelWidth(level) }
 
 // StealAttempts returns the number of steal attempts so far.
 func (r *Run) StealAttempts() int64 { return r.steals }
-
-// FailedSteals returns the number of steal attempts that found nothing.
-func (r *Run) FailedSteals() int64 { return r.failedSteal }
 
 // Mugs returns the number of orphan-deque adoptions.
 func (r *Run) Mugs() int64 { return r.mugs }
@@ -181,7 +177,6 @@ func (r *Run) Step(p int, _ job.Order, buf []job.LevelCount) (int, []job.LevelCo
 			}
 			vd := r.deques[victim]
 			if len(vd) == 0 {
-				r.failedSteal++
 				continue
 			}
 			// Steal from the top (front); the task is now private to the

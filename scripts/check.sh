@@ -118,12 +118,16 @@ echo "== cluster load smoke (2-shard front end, routed + drained clean)"
 # Drives the sharded front door closed-loop; abgload exits nonzero unless
 # every job completes and the drain is clean. The JSON summary must carry
 # the cluster-only fields (per-shard admits, routing imbalance).
-clusterjson="$(go run ./cmd/abgload -cluster 2 -jobs 200 -clients 16 -kind batch -shrink 8 -P 64 -L 200 -json)"
-grep -q '"shardAdmits"' <<<"$clusterjson" || {
-    echo "cluster load summary lacks shardAdmits:" >&2
-    printf '%s\n' "$clusterjson" >&2
-    exit 1
-}
+# The second run, under GOMAXPROCS=1, steps the shards serially: each round
+# steps them one after another on the goroutine that runs the rounds.
+for procs in "" 1; do
+    clusterjson="$(GOMAXPROCS=$procs go run ./cmd/abgload -cluster 2 -jobs 200 -clients 16 -kind batch -shrink 8 -P 64 -L 200 -json)"
+    grep -q '"shardAdmits"' <<<"$clusterjson" || {
+        echo "cluster load summary (GOMAXPROCS=${procs:-default}) lacks shardAdmits:" >&2
+        printf '%s\n' "$clusterjson" >&2
+        exit 1
+    }
+done
 
 echo "== kill-recover smoke (SIGKILL abgd mid-run, recover from journal, compare to reference)"
 # Builds the real binaries, crashes the daemon at random quanta, and asserts
