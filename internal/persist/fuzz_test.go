@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -14,13 +16,11 @@ import (
 // record it does return must re-encode to exactly the bytes it came from
 // (no silent misparse).
 func FuzzScanBytes(f *testing.F) {
-	// Seed: a valid three-record journal.
-	valid := encodeJournal([][2]any{
-		{KindHeader, []byte(`{"p":16,"l":100}`)},
-		{KindSubmit, []byte(`{"base":0,"count":4}`)},
-		{KindAdmit, []byte(`{"boundary":7,"ids":[0,1,2,3]}`)},
-	})
+	// Seeds: journals as the daemon writes them, in format 2 and in format
+	// 1 (see internal/server/testdata/README.md), cut and corrupted.
+	valid := readServerJournal(f, "journal-v2-promoted.wal")
 	f.Add(valid)
+	f.Add(readServerJournal(f, "journal-v1-promoted.wal"))
 	f.Add(valid[:len(valid)-3])           // torn tail
 	f.Add(valid[:9])                      // mid-first-record
 	f.Add([]byte{})                       // empty
@@ -32,11 +32,11 @@ func FuzzScanBytes(f *testing.F) {
 	// inside its length/CRC header, exactly at the header/payload seam, and
 	// one byte short of complete — the shapes a follower sees when it tails
 	// the journal while the leader is mid-write.
-	first := 8 + 5 + len(`{"p":16,"l":100}`)
+	first := frameLen(valid)
 	f.Add(valid[:first+3])  // inside second record's header
 	f.Add(valid[:first+8])  // header complete, zero payload bytes
 	f.Add(valid[:first+12]) // partial payload
-	second := first + 8 + 5 + len(`{"base":0,"count":4}`)
+	second := first + frameLen(valid[first:])
 	f.Add(valid[:second-1]) // one byte short of a whole record
 	f.Add(valid[:second+8]) // third record: header only
 
@@ -65,6 +65,9 @@ func FuzzScanBytes(f *testing.F) {
 			t.Fatalf("clean prefix does not round-trip:\n got %x\nwant %x",
 				rebuilt, data[:res.CleanLen])
 		}
+		if res.Records != nil && len(res.Records) == 0 {
+			t.Fatal("an image with no whole record scans to empty, not nil, Records")
+		}
 	})
 }
 
@@ -77,11 +80,7 @@ func FuzzScanBytes(f *testing.F) {
 // into a sticky error (stricter than ScanBytes), but never into a wrong or
 // extra record.
 func FuzzStreamScanner(f *testing.F) {
-	valid := encodeJournal([][2]any{
-		{KindHeader, []byte(`{"p":16,"l":100}`)},
-		{KindSubmit, []byte(`{"base":0,"count":4}`)},
-		{KindAdmit, []byte(`{"boundary":7,"ids":[0,1,2,3]}`)},
-	})
+	valid := readServerJournal(f, "journal-v2-promoted.wal")
 	f.Add(valid, uint8(1))
 	f.Add(valid, uint8(3))
 	f.Add(valid, uint8(255))
@@ -145,6 +144,16 @@ func FuzzStreamScanner(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readServerJournal reads a journal the daemon wrote from the server
+// package's test data.
+func readServerJournal(f *testing.F, name string) []byte {
+	raw, err := os.ReadFile(filepath.Join("..", "server", "testdata", name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return raw
 }
 
 // encodeJournal builds a journal image from (kind, body) pairs, all framed

@@ -70,20 +70,29 @@ const recordOverhead = 8 + 1 + 4
 // never fails: a torn or corrupt tail terminates the scan and is reported
 // in TruncatedBytes. Record bodies alias data.
 func ScanBytes(data []byte) ScanResult {
+	// Count the frames first, from their length prefixes alone, so the
+	// records land in one allocation. The count is an upper bound: the
+	// scan below also stops at the first checksum mismatch.
+	frames := 0
+	for off := 0; ; frames++ {
+		n := frameLen(data[off:])
+		if n == 0 {
+			break
+		}
+		off += n
+	}
 	var res ScanResult
-	off := int64(0)
+	if frames > 0 {
+		res.Records = make([]Record, 0, frames)
+	}
+	off := 0
 	for {
-		rest := data[off:]
-		if len(rest) < 8 {
+		n := frameLen(data[off:])
+		if n == 0 {
 			break
 		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n < 5 || n > maxRecordLen || uint64(len(rest)-8) < uint64(n) {
-			break
-		}
-		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
+		payload := data[off+8 : off+n]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
 			break
 		}
 		res.Records = append(res.Records, Record{
@@ -91,11 +100,29 @@ func ScanBytes(data []byte) ScanResult {
 			Epoch: binary.LittleEndian.Uint32(payload[1:5]),
 			Body:  payload[5:],
 		})
-		off += 8 + int64(n)
+		off += n
 	}
-	res.CleanLen = off
-	res.TruncatedBytes = int64(len(data)) - off
+	if len(res.Records) == 0 {
+		res.Records = nil
+	}
+	res.CleanLen = int64(off)
+	res.TruncatedBytes = int64(len(data) - off)
 	return res
+}
+
+// frameLen returns the length of the whole frame (length and CRC header
+// plus payload) at the start of rest, or 0 when rest does not start with a
+// frame whose length is plausible and whose bytes are all present. The
+// checksum is not verified.
+func frameLen(rest []byte) int {
+	if len(rest) < 8 {
+		return 0
+	}
+	n := binary.LittleEndian.Uint32(rest[0:4])
+	if n < 5 || n > maxRecordLen || uint64(len(rest)-8) < uint64(n) {
+		return 0
+	}
+	return 8 + int(n)
 }
 
 // ScanFile reads and decodes the journal file at path. A missing file is an

@@ -7,12 +7,13 @@
 // replay determinism — so the journal only has to record the externally
 // sourced nondeterminism of a run:
 //
-//   - the configuration the daemon booted with (machine, scheduler, armed
-//     fault plan, seed) — the header record;
+//   - the journal format version and the configuration the daemon booted
+//     with (machine, scheduler, armed fault plan, seed) — the header record;
 //   - every accepted job submission, with its generator spec and client
 //     idempotency key, written before the submission is acknowledged;
 //   - every admission decision: which job ids became schedulable at which
 //     quantum boundary;
+//   - every executed quantum boundary, and leadership changes;
 //   - drain commands;
 //   - periodic engine snapshots, so recovery is snapshot + replay-tail
 //     rather than re-execution from boundary zero.
@@ -28,6 +29,10 @@
 //	[4 bytes little-endian payload length]
 //	[4 bytes CRC32-Castagnoli of the payload]
 //	[payload: 1 kind byte + 4 bytes little-endian leader epoch + body]
+//
+// Every body is a sequence of fields written by Enc (format 1's submit
+// record carried JSON in one of them). Dec accepts only the shortest
+// encoding of a varint, so every field it decodes has one encoding.
 //
 // The epoch is the replication-group leadership term under which the record
 // was written. Within one journal epochs never decrease; they step up only
@@ -49,13 +54,18 @@ import (
 )
 
 // Record kinds. The byte values are part of the on-disk format; append new
-// kinds, never renumber.
+// kinds, never renumber. The header record carries the journal format
+// version (see internal/server/journal.go): format 1 wrote submissions as
+// KindSubmitV1, format 2 writes them as KindSubmit, and every other kind is
+// the same in both.
 const (
-	// KindHeader is the first record of every journal: the daemon
-	// configuration the log was written under.
+	// KindHeader is the first record of every journal: the journal format
+	// version and the daemon configuration the log was written under.
 	KindHeader byte = 1
-	// KindSubmit is one accepted submission (ids reserved, client acked).
-	KindSubmit byte = 2
+	// KindSubmitV1 is one accepted submission as journal format 1 wrote it,
+	// its request JSON-encoded. Nothing writes it any more; recovery and
+	// followers still read it.
+	KindSubmitV1 byte = 2
 	// KindAdmit records that a set of job ids became schedulable at a
 	// quantum boundary.
 	KindAdmit byte = 3
@@ -80,15 +90,18 @@ const (
 	// bump is itself durable and ships to every downstream replica. The body
 	// carries the new epoch again plus the new leader's advertised URL.
 	KindEpoch byte = 7
+	// KindSubmit is one accepted submission (ids reserved, client acked),
+	// its request in the binary field layout Enc writes.
+	KindSubmit byte = 8
 )
 
 // KindName returns a record kind's lowercase name (metric labels, logs);
-// unknown kinds render as "unknown".
+// both submit kinds render as "submit", and unknown kinds as "unknown".
 func KindName(k byte) string {
 	switch k {
 	case KindHeader:
 		return "header"
-	case KindSubmit:
+	case KindSubmit, KindSubmitV1:
 		return "submit"
 	case KindAdmit:
 		return "admit"
@@ -166,7 +179,9 @@ func (e *Enc) String(s string) {
 // Dec decodes a payload written by Enc. Decoding never panics: the first
 // malformed field puts the decoder in an error state and every later read
 // returns zero values, so callers may decode a whole struct and check Err
-// once at the end.
+// once at the end. A varint longer than its value needs is malformed: Enc
+// never writes one, so every field Dec decodes re-encodes to the bytes it
+// was read from.
 type Dec struct {
 	buf []byte
 	err error
@@ -198,6 +213,10 @@ func (d *Dec) Uvarint() uint64 {
 		d.fail("truncated uvarint")
 		return 0
 	}
+	if n > 1 && d.buf[n-1] == 0 {
+		d.fail("non-minimal uvarint")
+		return 0
+	}
 	d.buf = d.buf[n:]
 	return v
 }
@@ -210,6 +229,10 @@ func (d *Dec) Varint() int64 {
 	v, n := binary.Varint(d.buf)
 	if n <= 0 {
 		d.fail("truncated varint")
+		return 0
+	}
+	if n > 1 && d.buf[n-1] == 0 {
+		d.fail("non-minimal varint")
 		return 0
 	}
 	d.buf = d.buf[n:]

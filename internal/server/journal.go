@@ -11,12 +11,14 @@ import (
 // nondeterminism, so that snapshot + replay reconstructs the exact engine a
 // crashed daemon was running:
 //
-//	header    the configuration fingerprint the journal was written under —
-//	          replaying under a different machine or scheduler would diverge
-//	          silently, so recovery refuses a mismatched journal
-//	submit    one acked POST /api/v1/jobs: the normalized request (which
-//	          pins the generated profiles), the ids promised to the client,
-//	          and the idempotency key; written BEFORE the ack goes out
+//	header    the journal format version and the configuration
+//	          fingerprint the journal was written under — replaying under a
+//	          different machine or scheduler would diverge silently, so
+//	          recovery refuses a mismatched journal
+//	submit    one acked POST /api/v1/jobs: the ids promised to the client,
+//	          the idempotency key and the normalized request (which pins the
+//	          generated profiles), in binary fields; written BEFORE the ack
+//	          goes out
 //	admit     the quantum boundary at which a batch of queued jobs entered
 //	          the engine — the one scheduling decision the clock makes
 //	drain     admission closed (operator intent survives a crash)
@@ -32,7 +34,9 @@ import (
 //	          replica reject a resurrected stale leader's records
 //
 // Everything else the daemon does is a deterministic function of these
-// records, so nothing else is journaled.
+// records, so nothing else is journaled. Every body is written with
+// persist.Enc; only format 1's submit record (persist.KindSubmitV1), which
+// nothing writes any more, holds JSON.
 
 // headerRecord fingerprints the configuration a journal belongs to.
 type headerRecord struct {
@@ -45,7 +49,17 @@ type headerRecord struct {
 	seed      uint64
 }
 
-const journalFormatVersion byte = 1
+// journalFormatVersion is the format this build writes; it reads formats
+// journalFormatMin to journalFormatVersion. Format 2 writes submissions as
+// persist.KindSubmit in binary fields, where format 1 wrote
+// persist.KindSubmitV1 with the request as JSON; every other record is the
+// same in both. A format-1 journal this build continues keeps its header
+// and gains format-2 submits, which a format-1 build refuses: followers
+// upgrade before their leader.
+const (
+	journalFormatMin     = 1
+	journalFormatVersion = 2
+)
 
 func (s *Server) headerRecord() headerRecord {
 	return headerRecord{
@@ -57,7 +71,7 @@ func (s *Server) headerRecord() headerRecord {
 
 func encodeHeader(h headerRecord) []byte {
 	e := persist.Enc{}
-	e.Uvarint(uint64(journalFormatVersion))
+	e.Uvarint(journalFormatVersion)
 	e.Int(h.p)
 	e.Int(h.l)
 	e.String(h.scheduler)
@@ -71,9 +85,9 @@ func encodeHeader(h headerRecord) []byte {
 
 func decodeHeader(body []byte) (headerRecord, error) {
 	d := persist.NewDec(body)
-	if v := d.Uvarint(); d.Err() == nil && v != uint64(journalFormatVersion) {
-		return headerRecord{}, fmt.Errorf("journal format version %d, this build reads %d",
-			v, journalFormatVersion)
+	if v := d.Uvarint(); d.Err() == nil && (v < journalFormatMin || v > journalFormatVersion) {
+		return headerRecord{}, fmt.Errorf("journal format version %d, this build reads %d to %d",
+			v, journalFormatMin, journalFormatVersion)
 	}
 	h := headerRecord{
 		p: d.Int(), l: d.Int(), scheduler: d.String(),
@@ -88,29 +102,70 @@ func decodeHeader(body []byte) (headerRecord, error) {
 
 // submitRecord is one acknowledged submission: the ids handed to the client
 // and the normalized request that deterministically regenerates the jobs.
+// Its count is the request's Count and its key the request's Key; both are
+// written once.
 type submitRecord struct {
 	firstID int
-	count   int
-	key     string
 	req     JobRequest
 }
 
-func encodeSubmit(rec submitRecord) ([]byte, error) {
-	body, err := json.Marshal(rec.req)
-	if err != nil {
-		return nil, fmt.Errorf("journal submit record: %w", err)
-	}
-	e := persist.Enc{}
+// encodeSubmit writes a submit record in format 2's field layout: first id,
+// count and key, then the request's name, kind, width, quanta, CL, shrink
+// and seed.
+func encodeSubmit(rec submitRecord) []byte {
+	r := &rec.req
+	// 40 B holds the integer fields and length prefixes of any request.
+	e := persist.NewEnc(make([]byte, 0, 40+len(r.Key)+len(r.Name)+len(r.Kind)))
 	e.Int(rec.firstID)
-	e.Int(rec.count)
-	e.String(rec.key)
-	e.BytesField(body)
-	return e.Bytes(), nil
+	e.Int(r.Count)
+	e.String(r.Key)
+	e.String(r.Name)
+	e.String(r.Kind)
+	e.Int(r.Width)
+	e.Int(r.Quanta)
+	e.Int(r.CL)
+	e.Int(r.Shrink)
+	e.Uvarint(r.Seed)
+	return e.Bytes()
 }
 
-func decodeSubmit(body []byte) (submitRecord, error) {
+// decodeSubmit reads a submit record of either format: persist.KindSubmit
+// in format 2's layout, persist.KindSubmitV1 as format 1 wrote it.
+func decodeSubmit(kind byte, body []byte) (submitRecord, error) {
+	if kind == persist.KindSubmitV1 {
+		return decodeSubmitV1(body)
+	}
 	d := persist.NewDec(body)
-	rec := submitRecord{firstID: d.Int(), count: d.Int(), key: d.String()}
+	rec := submitRecord{firstID: d.Int()}
+	r := &rec.req
+	r.Count = d.Int()
+	r.Key = d.String()
+	r.Name = d.String()
+	r.Kind = d.String()
+	r.Width = d.Int()
+	r.Quanta = d.Int()
+	r.CL = d.Int()
+	r.Shrink = d.Int()
+	r.Seed = d.Uvarint()
+	if err := d.Err(); err != nil {
+		return submitRecord{}, fmt.Errorf("journal submit record: %w", err)
+	}
+	if d.Len() != 0 {
+		return submitRecord{}, fmt.Errorf("journal submit record: %d trailing bytes", d.Len())
+	}
+	if rec.firstID < 0 || r.Count < 1 {
+		return submitRecord{}, fmt.Errorf("journal submit record: implausible ids %d+%d", rec.firstID, r.Count)
+	}
+	return rec, nil
+}
+
+// decodeSubmitV1 reads format 1's submit record: first id, count and key,
+// then the request as JSON, which repeats the count and the key.
+func decodeSubmitV1(body []byte) (submitRecord, error) {
+	d := persist.NewDec(body)
+	rec := submitRecord{firstID: d.Int()}
+	count := d.Int()
+	d.BytesField() // the key, which the JSON repeats
 	raw := d.BytesField()
 	if err := d.Err(); err != nil {
 		return submitRecord{}, fmt.Errorf("journal submit record: %w", err)
@@ -118,9 +173,9 @@ func decodeSubmit(body []byte) (submitRecord, error) {
 	if err := json.Unmarshal(raw, &rec.req); err != nil {
 		return submitRecord{}, fmt.Errorf("journal submit record: %w", err)
 	}
-	if rec.firstID < 0 || rec.count < 1 || rec.count != rec.req.Count {
+	if rec.firstID < 0 || count < 1 || count != rec.req.Count {
 		return submitRecord{}, fmt.Errorf("journal submit record: implausible ids %d+%d (req count %d)",
-			rec.firstID, rec.count, rec.req.Count)
+			rec.firstID, count, rec.req.Count)
 	}
 	return rec, nil
 }

@@ -93,7 +93,10 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 }
 
-// recordRecovery publishes the boot-time recovery outcome as gauges.
+// recordRecovery publishes the boot-time recovery outcome as gauges, one
+// per RecoveryDTO count: abgd_recovery_resumed_jobs is ResumedJobs, every
+// admitted job finished ones included, and abgd_recovery_requeued_jobs is
+// RequeuedJobs.
 func (m *serverMetrics) recordRecovery(rec RecoveryDTO) {
 	set := func(name string, v int) { m.reg.Gauge(name).Set(int64(v)) }
 	recovered := 0
@@ -247,7 +250,9 @@ func newJournalMetrics(reg *obs.Registry) *journalMetrics {
 		fsyncs:   reg.Counter("abgd_journal_fsyncs_total"),
 		fsyncSec: reg.Histogram("abgd_journal_fsync_seconds", journalBuckets),
 	}
-	for _, kind := range []byte{persist.KindHeader, persist.KindSubmit,
+	// A follower of a format-1 leader appends KindSubmitV1 records; they
+	// share the submit series with KindSubmit.
+	for _, kind := range []byte{persist.KindHeader, persist.KindSubmit, persist.KindSubmitV1,
 		persist.KindAdmit, persist.KindDrain, persist.KindSnapshot, persist.KindStep,
 		persist.KindEpoch} {
 		jm.appends[kind] = reg.Counter(

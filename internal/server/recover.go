@@ -43,8 +43,11 @@ type RecoveryDTO struct {
 	// snapshot; ReplayedBoundaries the engine steps re-executed from them.
 	ReplayedRecords    int `json:"replayedRecords"`
 	ReplayedBoundaries int `json:"replayedBoundaries"`
-	// ResumedJobs is the number of jobs live in the restored engine;
-	// RequeuedJobs the acked submissions put back on the admission queue.
+	// ResumedJobs is the number of jobs the engine holds once the journal
+	// is replayed: every admitted job, finished or not (a drained journal
+	// resumes all of its jobs and none of them runs again). RequeuedJobs is
+	// the acked jobs put back on the admission queue; the two add up to
+	// every job the journal acked.
 	ResumedJobs  int `json:"resumedJobs"`
 	RequeuedJobs int `json:"requeuedJobs"`
 	// Snapshots and LastSnapshotQuantum track snapshot writes since boot.
@@ -138,8 +141,8 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 		switch rec.Kind {
 		case persist.KindHeader:
 			return nil, fmt.Errorf("record %d: duplicate header", i+1)
-		case persist.KindSubmit:
-			sub, err := decodeSubmit(rec.Body)
+		case persist.KindSubmit, persist.KindSubmitV1:
+			sub, err := decodeSubmit(rec.Kind, rec.Body)
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", i+1, err)
 			}
@@ -147,7 +150,7 @@ func parseJournal(records []persist.Record) (*journalLog, error) {
 				return nil, fmt.Errorf("record %d: submit ids start at %d, expected %d",
 					i+1, sub.firstID, nextID)
 			}
-			nextID = sub.firstID + sub.count
+			nextID = sub.firstID + sub.req.Count
 			lg.submits = append(lg.submits, sub)
 		case persist.KindAdmit:
 			adm, err := decodeAdmit(rec.Body)
@@ -239,10 +242,7 @@ func (s *Server) recoverRecords(records []persist.Record) error {
 	var full []byte
 	var done []bool
 	if lg.snap != nil {
-		if full, err = sim.FoldSnapshots(lg.chain); err != nil {
-			return err
-		}
-		if done, err = sim.SnapshotDone(full); err != nil {
+		if full, done, err = sim.FoldSnapshots(lg.chain); err != nil {
 			return err
 		}
 	}
@@ -250,6 +250,13 @@ func (s *Server) recoverRecords(records []persist.Record) error {
 	if len(done) != n {
 		return fmt.Errorf("snapshot holds %d jobs, the journal admitted %d before it", len(done), n)
 	}
+	keyed := 0
+	for _, sub := range lg.submits {
+		if sub.req.Key != "" {
+			keyed++
+		}
+	}
+	s.keys = make(map[string][]int, keyed)
 	specs := make([]sim.JobSpec, n)
 	for _, sub := range lg.submits {
 		for i, id := range s.promiseLocked(sub.req) {
@@ -362,7 +369,7 @@ func ReferenceResult(dir string) ([]JobStatusDTO, error) {
 		return nil, err
 	}
 	for _, sub := range lg.submits {
-		for i := 0; i < sub.count && sub.firstID+i < len(lg.admitted); i++ {
+		for i := 0; i < sub.req.Count && sub.firstID+i < len(lg.admitted); i++ {
 			id := sub.firstID + i
 			p := pendingJob{id: id, name: sub.req.jobName(i, id), profile: sub.req.BuildProfile(i, h.l)}
 			got, err := eng.Submit(jobSpec(p, int64(lg.admitted[id])*int64(h.l), plan, scheduler, nil))

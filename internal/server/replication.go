@@ -138,8 +138,8 @@ func (s *Server) applyLocked(rec persist.Record) error {
 	switch rec.Kind {
 	case persist.KindHeader:
 		err = s.applyHeaderLocked(rec.Body)
-	case persist.KindSubmit:
-		err = s.applySubmitLocked(rec.Body)
+	case persist.KindSubmit, persist.KindSubmitV1:
+		err = s.applySubmitLocked(rec.Kind, rec.Body)
 	case persist.KindAdmit:
 		err = s.applyAdmitLocked(rec.Body)
 	case persist.KindStep:
@@ -191,8 +191,8 @@ func (s *Server) applyHeaderLocked(body []byte) error {
 	return nil
 }
 
-func (s *Server) applySubmitLocked(body []byte) error {
-	sub, err := decodeSubmit(body)
+func (s *Server) applySubmitLocked(kind byte, body []byte) error {
+	sub, err := decodeSubmit(kind, body)
 	if err != nil {
 		return err
 	}

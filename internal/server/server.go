@@ -718,11 +718,8 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 	// an acked job.
 	var off int64
 	if s.journal != nil {
-		body, err := encodeSubmit(submitRecord{firstID: s.nextID, count: req.Count, key: req.Key, req: req})
-		if err == nil {
-			err = s.appendJournal(persist.KindSubmit, body)
-		}
-		if err != nil {
+		rec := submitRecord{firstID: s.nextID, req: req}
+		if err := s.appendJournal(persist.KindSubmit, encodeSubmit(rec)); err != nil {
 			s.mu.Unlock()
 			return SubmitResponse{}, http.StatusServiceUnavailable,
 				fmt.Errorf("journal write failed: %w", err)

@@ -162,7 +162,7 @@ func TestRecoveryFoldsFullThenDeltaChain(t *testing.T) {
 				t.Fatal(err)
 			}
 			chain = append(chain, snap.engine)
-			folded, err := sim.FoldSnapshots(chain)
+			folded, _, err := sim.FoldSnapshots(chain)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestRecoveryFoldsFullThenDeltaChain(t *testing.T) {
 				if snapshotVersion(v1[k]) != 1 {
 					t.Fatalf("seq-v1.chain blob %d is version %d", k, snapshotVersion(v1[k]))
 				}
-				if f, err := sim.FoldSnapshots(v1[k : k+1]); err != nil || !bytes.Equal(f, folded) {
+				if f, _, err := sim.FoldSnapshots(v1[k : k+1]); err != nil || !bytes.Equal(f, folded) {
 					t.Fatalf("snapshot record %d: the version-1 blob folds to %d bytes (%v), the run's chain to %d",
 						k, len(f), err, len(folded))
 				}
@@ -311,11 +311,7 @@ func TestRecoveryFromPreV3Journal(t *testing.T) {
 					t.Fatalf("fixture snapshot record %d is version %d", i, v)
 				}
 			}
-			full, err := sim.FoldSnapshots(lg.chain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			done, err := sim.SnapshotDone(full)
+			_, done, err := sim.FoldSnapshots(lg.chain)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +322,7 @@ func TestRecoveryFromPreV3Journal(t *testing.T) {
 				}
 			}
 			for _, sub := range lg.submits {
-				submitted += sub.count
+				submitted += sub.req.Count
 			}
 			if ndone == 0 || ndone == len(done) || submitted == len(lg.admitted) {
 				t.Fatalf("fixture cut: %d of %d snapshotted jobs done, %d of %d submitted admitted; want some done, some not, some queued",

@@ -134,7 +134,10 @@ func (e *Engine) marshal(from int) ([]byte, error) {
 
 // FoldSnapshots folds an ordered chain of snapshot blobs into the full
 // snapshot bytes MarshalBinary returned when the last blob was written, in
-// one pass over the chain. It is the one reader of versions 1 and 2, and
+// one pass over the chain, and reports by job id which jobs the folded
+// snapshot records as done: RestoreEngine needs rebuilt specs only for the
+// others, so a recovering service can skip building the rest. It is the
+// one reader of versions 1 and 2, and
 // folds any chain mixing them with version 3: a full blob (version 1, or
 // version 3 from 0) resets the chain, and every other blob replaces the
 // entries of jobs [from, n). An entry read from a version 1 or 2 blob is
@@ -143,9 +146,9 @@ func (e *Engine) marshal(from int) ([]byte, error) {
 // the jobs folded so far, a job count that shrinks, a job dropped below
 // from whose last entry is not done, and a malformed or trailing byte
 // stream.
-func FoldSnapshots(chain [][]byte) ([]byte, error) {
+func FoldSnapshots(chain [][]byte) ([]byte, []bool, error) {
 	if len(chain) == 0 {
-		return nil, fmt.Errorf("sim: empty snapshot chain")
+		return nil, nil, fmt.Errorf("sim: empty snapshot chain")
 	}
 	var (
 		header  []byte   // the last blob's header fields, job count included
@@ -155,7 +158,7 @@ func FoldSnapshots(chain [][]byte) ([]byte, error) {
 	)
 	for b, blob := range chain {
 		if len(blob) < len(snapMagic)+1 || !bytes.Equal(blob[:len(snapMagic)], snapMagic) {
-			return nil, fmt.Errorf("sim: chain blob %d is not an engine snapshot (%d bytes)", b, len(blob))
+			return nil, nil, fmt.Errorf("sim: chain blob %d is not an engine snapshot (%d bytes)", b, len(blob))
 		}
 		v := blob[len(snapMagic)]
 		body := blob[len(snapMagic)+1:]
@@ -175,26 +178,26 @@ func FoldSnapshots(chain [][]byte) ([]byte, error) {
 		case snapV2Delta, snapVersion:
 			f = d.Int()
 		default:
-			return nil, fmt.Errorf("sim: chain blob %d: snapshot version %d, this build reads %d to %d",
+			return nil, nil, fmt.Errorf("sim: chain blob %d: snapshot version %d, this build reads %d to %d",
 				b, v, snapV1Full, snapVersion)
 		}
 		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("sim: chain blob %d header: %w", b, err)
+			return nil, nil, fmt.Errorf("sim: chain blob %d header: %w", b, err)
 		}
 		if v == snapV1Full || (v == snapVersion && f == 0) {
 			entries, done, from = entries[:0], done[:0], 0
 		}
 		switch {
 		case f < from:
-			return nil, fmt.Errorf("sim: chain blob %d: from %d moves back from %d", b, f, from)
+			return nil, nil, fmt.Errorf("sim: chain blob %d: from %d moves back from %d", b, f, from)
 		case f > len(entries):
-			return nil, fmt.Errorf("sim: chain blob %d: from %d skips past the %d jobs folded so far", b, f, len(entries))
+			return nil, nil, fmt.Errorf("sim: chain blob %d: from %d skips past the %d jobs folded so far", b, f, len(entries))
 		case n < len(entries):
-			return nil, fmt.Errorf("sim: chain blob %d: job count shrinks from %d to %d", b, len(entries), n)
+			return nil, nil, fmt.Errorf("sim: chain blob %d: job count shrinks from %d to %d", b, len(entries), n)
 		}
 		for i := from; i < f; i++ {
 			if !done[i] {
-				return nil, fmt.Errorf("sim: chain blob %d: drops job %d below from %d before it is done", b, i, f)
+				return nil, nil, fmt.Errorf("sim: chain blob %d: drops job %d below from %d before it is done", b, i, f)
 			}
 		}
 		entries, done = entries[:f], done[:f]
@@ -202,7 +205,7 @@ func FoldSnapshots(chain [][]byte) ([]byte, error) {
 			start := len(body) - d.Len()
 			j, s, inst, pol := decodeJobEntry(d, v)
 			if err := d.Err(); err != nil {
-				return nil, fmt.Errorf("sim: chain blob %d job %d: %w", b, i, err)
+				return nil, nil, fmt.Errorf("sim: chain blob %d job %d: %w", b, i, err)
 			}
 			en := body[start : len(body)-d.Len()]
 			if v != snapVersion && s.done {
@@ -215,7 +218,7 @@ func FoldSnapshots(chain [][]byte) ([]byte, error) {
 			done = append(done, s.done)
 		}
 		if d.Len() != 0 {
-			return nil, fmt.Errorf("sim: chain blob %d has %d trailing bytes", b, d.Len())
+			return nil, nil, fmt.Errorf("sim: chain blob %d has %d trailing bytes", b, d.Len())
 		}
 		header, from = hdr, f
 	}
@@ -229,7 +232,7 @@ func FoldSnapshots(chain [][]byte) ([]byte, error) {
 	for _, en := range entries {
 		out = append(out, en...)
 	}
-	return out, nil
+	return out, done, nil
 }
 
 // snapHeader is a version-3 snapshot's header.
@@ -269,28 +272,6 @@ func readSnapshot(data []byte) (snapHeader, *persist.Dec, error) {
 		return h, nil, fmt.Errorf("sim: snapshot is a delta from job %d; fold its chain first", h.from)
 	}
 	return h, d, nil
-}
-
-// SnapshotDone reports, by job id, which jobs a full snapshot records as
-// done. RestoreEngine needs rebuilt specs only for the others, so a
-// recovering service can skip building the rest.
-func SnapshotDone(data []byte) ([]bool, error) {
-	h, d, err := readSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	done := make([]bool, 0, min(h.n, d.Len()))
-	for i := 0; i < h.n; i++ {
-		_, s, _, _ := decodeJobEntry(d, snapVersion)
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("sim: snapshot job %d: %w", i, err)
-		}
-		done = append(done, s.done)
-	}
-	if d.Len() != 0 {
-		return nil, fmt.Errorf("sim: snapshot has %d trailing bytes", d.Len())
-	}
-	return done, nil
 }
 
 // RestoreEngine rebuilds an engine from a full snapshot (MarshalBinary's

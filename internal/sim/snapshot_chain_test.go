@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,7 +97,7 @@ func checkChainPoint(t *testing.T, eng *Engine, chain *[][]byte, from *int, tall
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded, err := FoldSnapshots(*chain)
+	folded, _, err := FoldSnapshots(*chain)
 	if err != nil {
 		t.Fatalf("fold of %d blobs: %v", len(*chain), err)
 	}
@@ -346,7 +347,7 @@ func TestFoldSnapshotsRejects(t *testing.T) {
 		{"truncated entry", [][]byte{b.d0a, b.d0b[:len(b.d0b)-3]}, "job 2"},
 		{"truncated entry, v2", [][]byte{old.d0a, old.d0b[:len(old.d0b)-3]}, "job 2"},
 	} {
-		if _, err := FoldSnapshots(tc.chain); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := FoldSnapshots(tc.chain); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
@@ -370,7 +371,7 @@ func TestFoldSnapshotsRejects(t *testing.T) {
 		{"v3 delta after a v1 full snapshot", [][]byte{old.full, b.d1}},
 		{"v2 delta after a v3 full snapshot", [][]byte{b.full, old.d1}},
 	} {
-		got, err := FoldSnapshots(tc.chain)
+		got, _, err := FoldSnapshots(tc.chain)
 		if err != nil || !bytes.Equal(got, b.full) {
 			t.Errorf("%s: fold = %d bytes, %v; want the full snapshot", tc.name, len(got), err)
 		}
@@ -397,6 +398,44 @@ func decodeChain(data []byte) [][]byte {
 		chain = append(chain, b)
 	}
 	return chain
+}
+
+// TestFoldSnapshotsReportsDone: with a delta after every step of the chain
+// schedule, the done flags the fold returns are the engine's own, job by
+// job. A flag wrongly false would only cost a recovery a rebuilt spec, so
+// no recovery test would notice it.
+func TestFoldSnapshotsReportsDone(t *testing.T) {
+	eng, err := NewEngine(snapCfg(fault.Plan{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain [][]byte
+	from, mixed := 0, 0
+	chainSteps(t, eng, fault.Plan{}, 0, func(steps int) {
+		delta, err := eng.MarshalDelta(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, delta)
+		_, done, err := FoldSnapshots(chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]bool, eng.NumJobs())
+		for i := range want {
+			want[i] = eng.states.at(i).done
+		}
+		if !reflect.DeepEqual(done, want) {
+			t.Fatalf("step %d: fold reports done %v, the engine %v", steps, done, want)
+		}
+		if slices.Contains(want, true) && slices.Contains(want, false) {
+			mixed++
+		}
+		from = eng.FirstUnfinished(from)
+	})
+	if mixed == 0 {
+		t.Fatal("no step had both done and unfinished jobs")
+	}
 }
 
 // FuzzFoldSnapshots feeds the fold arbitrary chains. The seed corpus is
@@ -461,14 +500,14 @@ func FuzzFoldSnapshots(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := FoldSnapshots(decodeChain(data))
+		out, _, err := FoldSnapshots(decodeChain(data))
 		if full, seed := want[string(data)]; seed && (err != nil || !bytes.Equal(out, full)) {
 			t.Fatalf("seed chain folds to %d bytes, %v; want MarshalBinary's %d bytes", len(out), err, len(full))
 		}
 		if err != nil {
 			return
 		}
-		again, err := FoldSnapshots([][]byte{out})
+		again, _, err := FoldSnapshots([][]byte{out})
 		if err != nil || !bytes.Equal(again, out) {
 			t.Fatalf("accepted fold does not fold to itself: %v", err)
 		}

@@ -59,6 +59,9 @@ fi
 echo "== journal decoder fuzz (5s)"
 go test -run '^$' -fuzz FuzzScanBytes -fuzztime 5s ./internal/persist/
 
+echo "== submit record codec fuzz (5s, both formats)"
+go test -run '^$' -fuzz FuzzSubmitRecord -fuzztime 5s ./internal/server/
+
 echo "== snapshot chain fold fuzz (5s)"
 go test -run '^$' -fuzz FuzzFoldSnapshots -fuzztime 5s ./internal/sim/
 
