@@ -32,37 +32,3 @@ func (o ObservedSingle) Grant(q int, request int) int {
 
 // Name implements Single.
 func (o ObservedSingle) Name() string { return o.Inner.Name() }
-
-// ObservedMulti wraps a Multi allocator and emits one EvAllocDecision per
-// allocation round with the summed requests and grants.
-type ObservedMulti struct {
-	Inner Multi
-	Bus   *obs.Bus
-}
-
-// ObserveMulti wraps inner so every allocation round is published on bus.
-// A nil bus returns inner unchanged.
-func ObserveMulti(inner Multi, bus *obs.Bus) Multi {
-	if bus == nil {
-		return inner
-	}
-	return ObservedMulti{Inner: inner, Bus: bus}
-}
-
-// Allot implements Multi.
-func (o ObservedMulti) Allot(requests []int, p int) []int {
-	out := o.Inner.Allot(requests, p)
-	if o.Bus.Active() {
-		totalReq, totalAllot := 0, 0
-		for i := range requests {
-			totalReq += requests[i]
-			totalAllot += out[i]
-		}
-		o.Bus.Emit(obs.Event{Kind: obs.EvAllocDecision, Job: -1,
-			Name: o.Inner.Name(), P: p, IntRequest: totalReq, Allotment: totalAllot})
-	}
-	return out
-}
-
-// Name implements Multi.
-func (o ObservedMulti) Name() string { return o.Inner.Name() }

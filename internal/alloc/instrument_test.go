@@ -11,9 +11,6 @@ func TestObserveSingleNilBusPassthrough(t *testing.T) {
 	if got := ObserveSingle(inner, nil); got != Single(inner) {
 		t.Fatal("nil bus should return the inner allocator unwrapped")
 	}
-	if got := ObserveMulti(DynamicEquiPartition{}, nil); got != Multi(DynamicEquiPartition{}) {
-		t.Fatal("nil bus should return the inner multi allocator unwrapped")
-	}
 }
 
 func TestObservedSingleEmits(t *testing.T) {
@@ -35,27 +32,6 @@ func TestObservedSingleEmits(t *testing.T) {
 	e := events[0]
 	if e.Kind != obs.EvAllocDecision || e.Quantum != 3 || e.Job != -1 ||
 		e.Name != "unconstrained(P=8)" || e.IntRequest != 5 || e.Allotment != 5 {
-		t.Fatalf("decision event %+v", e)
-	}
-}
-
-func TestObservedMultiEmitsSums(t *testing.T) {
-	bus := obs.NewBus()
-	rec := &obs.Recorder{}
-	defer bus.Subscribe(rec)()
-
-	a := ObserveMulti(DynamicEquiPartition{}, bus)
-	out := a.Allot([]int{3, 5}, 4)
-	if len(out) != 2 || out[0]+out[1] > 4 {
-		t.Fatalf("allotments %v exceed machine", out)
-	}
-	events := rec.Events()
-	if len(events) != 1 {
-		t.Fatalf("events = %d, want 1", len(events))
-	}
-	e := events[0]
-	if e.Kind != obs.EvAllocDecision || e.Name != "dynamic-equi-partitioning" ||
-		e.P != 4 || e.IntRequest != 8 || e.Allotment != out[0]+out[1] {
 		t.Fatalf("decision event %+v", e)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -218,24 +218,17 @@ func (c *Cluster) Addr() string {
 	return c.ln.Addr().String()
 }
 
-// drain runs the daemon's drain sequence on every shard — DrainEngine,
-// rounds until no shard needs steps, FinishExternal — then closes the
-// merged stream and releases Wait. Runs on the driver goroutine.
+// drain runs the daemon's drain sequence (server.DrainShards) over the
+// shards, paced by the merged stream's readers, then closes that stream
+// and releases Wait. Runs on the driver goroutine.
 func (c *Cluster) drain() {
 	c.Drain() // a wedged shard ends the clock's loop without one
-	for _, sh := range c.shards {
-		sh.srv.DrainEngine()
-	}
-	for c.anyNeedsSteps() {
-		c.round(false)
-		// Yield between rounds. On one CPU the drain would otherwise step
-		// every round before the front door's SSE writers move any frame
-		// out of their 1024-frame buffers, and a subscriber would lose
-		// every frame past the first 1024.
-		runtime.Gosched()
-	}
+	srvs := make([]*server.Server, len(c.shards))
 	for k, sh := range c.shards {
-		if err := sh.srv.FinishExternal(); err != nil && c.finalErr == nil {
+		srvs[k] = sh.srv
+	}
+	for k, err := range server.DrainShards(srvs, c.hub, func() { c.round(false) }) {
+		if err != nil && c.finalErr == nil {
 			c.finalErr = fmt.Errorf("shard %d: %w", k, err)
 		}
 	}
@@ -262,7 +255,7 @@ func (c *Cluster) round(idleOK bool) {
 			sh.desire, sh.share = desires[k], shares[k]
 			sh.mu.Unlock()
 		}
-		if !equalInts(shares, c.lastShares) {
+		if !slices.Equal(shares, c.lastShares) {
 			c.rebalances.Add(1)
 			c.metrics.rebalances.Inc()
 			copy(c.lastShares, shares)
@@ -274,18 +267,6 @@ func (c *Cluster) round(idleOK bool) {
 	for _, sh := range c.shards {
 		sh.tap.flush(c.hub)
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // anyNeedsSteps reports whether any shard still has steppable work.
@@ -327,14 +308,7 @@ func (c *Cluster) Drain() {
 // Wait blocks until the cluster has fully drained, then shuts the front
 // door down and reports the first shard failure, if any.
 func (c *Cluster) Wait() error {
-	<-c.drained
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if c.hsrv != nil {
-		if err := c.hsrv.Shutdown(shutdownCtx); err != nil {
-			c.hsrv.Close()
-		}
-	}
+	server.AwaitDrained(c.drained, c.hsrv)
 	return c.finalErr
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -233,5 +235,76 @@ func TestDrainDoesNotWaitForSilentConnection(t *testing.T) {
 				t.Fatalf("Wait took %v after the drain with one silent connection open, want under 1s", d)
 			}
 		})
+	}
+}
+
+// startHourly starts a 2-shard front door whose wall clock ticks hourly, so
+// every job acked before the drain is still queued when it begins.
+func startHourly(t *testing.T) (*Cluster, string) {
+	t.Helper()
+	c, err := New(Config{Addr: "127.0.0.1:0", Shards: 2, Shard: server.Config{
+		P: 16, L: 50, Clock: server.ClockWall, Tick: time.Hour,
+	}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() {
+		cancel()
+		releaseConns()
+		if err := c.Wait(); err != nil {
+			t.Errorf("Wait: %v", err)
+		}
+	})
+	if err := c.Start(ctx); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	return c, "http://" + c.Addr()
+}
+
+// TestKeyedRetryDuringDrain: the front door routes a keyed retry to the
+// shard holding its promise, whose admission gate answers it with the
+// original global ids while the cluster drains; a new submission gets 503.
+func TestKeyedRetryDuringDrain(t *testing.T) {
+	c, base := startHourly(t)
+	req := server.JobRequest{Kind: "serial", Quanta: 2, Count: 3, Key: "acked"}
+	var first, retry SubmitResponse
+	if code := postJSON(t, base+"/api/v1/jobs", req, &first); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	c.Drain()
+	if code := postJSON(t, base+"/api/v1/jobs", req, &retry); code != http.StatusOK ||
+		retry.State != "duplicate" || !reflect.DeepEqual(retry.IDs, first.IDs) || retry.Shard != first.Shard {
+		t.Fatalf("retry while draining: %d %+v, want 200 duplicate of %+v", code, retry, first)
+	}
+	for _, key := range []string{"", "new"} {
+		var bad server.ErrorDTO
+		fresh := server.JobRequest{Kind: "serial", Key: key}
+		if code := postJSON(t, base+"/api/v1/jobs", fresh, &bad); code != http.StatusServiceUnavailable ||
+			!strings.Contains(bad.Error, "draining") {
+			t.Fatalf("submission with key %q while draining: %d %q, want 503 draining", key, code, bad.Error)
+		}
+	}
+}
+
+// TestDrainKeepsPaceWithReader: on one CPU, a reader of the merged stream
+// that keeps reading gets every frame of a drain four times the size of its
+// queue.
+func TestDrainKeepsPaceWithReader(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c, base := startHourly(t)
+	frames := collectSSE(t, base)
+	for i := 0; i < 25; i++ {
+		req := server.JobRequest{Kind: "fullPar", Width: 12, Quanta: 4}
+		if code := postJSON(t, base+"/api/v1/jobs", req, nil); code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+	}
+	c.Drain()
+	<-c.drained
+	got := len(<-frames)
+	if st := c.state(); st.SSEDropped != 0 || uint64(got) != st.LastEventID || got < 3000 {
+		t.Fatalf("reader got %d of %d frames, %d dropped; want all of them, at least 3000",
+			got, st.LastEventID, st.SSEDropped)
 	}
 }

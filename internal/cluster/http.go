@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -64,33 +63,11 @@ type SubmitResponse struct {
 }
 
 func (c *Cluster) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		server.WriteJSON(w, http.StatusServiceUnavailable, server.ErrorDTO{Error: "draining: admission closed"})
-		return
-	}
-	var req server.JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorDTO{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if err := req.Normalize(); err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorDTO{Error: err.Error()})
-		return
-	}
-	resp, status, err := c.submit(req, r.Header.Get(server.TraceHeader))
-	if err != nil {
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		server.WriteJSON(w, status, server.ErrorDTO{Error: err.Error()})
-		return
-	}
-	server.WriteJSON(w, status, resp)
+	server.ServeSubmit(w, r, c.submit)
 }
 
 // submit routes one normalized request and runs the owning shard's admission
-// path, remapping the acked ids to global.
+// gate (server.SubmitLocal), remapping the acked ids to global.
 func (c *Cluster) submit(req server.JobRequest, traceID string) (SubmitResponse, int, error) {
 	k := c.route(req)
 	resp, status, err := c.shards[k].srv.SubmitLocal(req, traceID)
@@ -329,17 +306,7 @@ func (c *Cluster) handleShards(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Cluster) handleDrain(w http.ResponseWriter, r *http.Request) {
-	c.Drain()
-	wait := r.URL.Query().Get("wait")
-	done := false
-	if wait == "1" || wait == "true" {
-		select {
-		case <-c.drained:
-			done = true
-		case <-r.Context().Done():
-		}
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]bool{"draining": true, "done": done})
+	server.ServeDrain(w, r, c.Drain, c.drained)
 }
 
 // RecoveryDTO lists every shard's boot-time recovery report.

@@ -31,7 +31,8 @@ import (
 // did not set JobRequest.Key, Submit generates one, so a retry after an
 // ambiguous failure (request sent, ack lost, daemon crashed) can never
 // double-admit — the recovered daemon answers the retry with the original
-// ids and State "duplicate".
+// ids and State "duplicate". A draining daemon answers a keyed retry of an
+// acked submission the same way; only new work gets 503 once it drains.
 //
 // With Group set, the client is failover-transparent: writes go to the
 // discovered leader (the reachable, unfenced member with the highest epoch)

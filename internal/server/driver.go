@@ -65,45 +65,31 @@ func (c Clock) Run(ctx context.Context) {
 // performs), serialised with the HTTP handlers by s.mu.
 //
 // Once draining — admission closed — it runs the drain sequence a cluster
-// runs per shard: DrainEngine admits every queued job and closes engine
-// admission, the engine fast-forwards to completion regardless of clock
-// mode, and FinishExternal syncs and closes the journal, then closes the
-// drained channel, releasing Server.Wait and any /api/v1/drain?wait=1
-// callers.
+// runs over its shards (DrainShards) with this daemon as the one shard: the
+// engine fast-forwards to completion regardless of clock mode, and
+// FinishExternal closes the drained channel, releasing Server.Wait and any
+// /api/v1/drain?wait=1 callers.
 func (s *Server) drive(ctx context.Context) {
-	defer s.closeStopped()
 	Clock{
 		Mode: s.cfg.Clock, Tick: s.cfg.Tick, Wake: s.wake,
 		Stop:    func() bool { return s.killed.Load() || s.draining.Load() },
-		HasWork: s.NeedsSteps, Step: s.stepOnce, Drain: s.Drain,
+		HasWork: s.NeedsSteps, Step: s.StepExternal, Drain: s.Drain,
 	}.Run(ctx)
 	if s.killed.Load() {
 		// Crash simulation (tests only): stop dead, no drain, no final
 		// journal flush — exactly what SIGKILL leaves behind.
+		close(s.stopped)
 		return
 	}
-	s.DrainEngine()
-	for s.NeedsSteps() {
-		s.stepOnce(false)
-	}
-	// Count before FinishExternal releases Wait: after that the caller may
-	// read the engine, so this goroutine must not touch it again.
-	jobs := s.snapshotJobs()
-	_ = s.FinishExternal() // Wait reports the verdict
-	s.log.Info("drain complete", "jobs", jobs)
+	DrainShards([]*Server{s}, s.hub, func() { s.StepExternal(false) }) // Wait reports the verdict
 }
 
-// snapshotJobs returns the number of jobs the engine has completed.
-func (s *Server) snapshotJobs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.NumJobs() - s.eng.Remaining()
-}
-
-// stepOnce admits everything queued at the current boundary and advances the
-// engine one quantum. idleOK selects whether an empty system still consumes
-// a boundary (wall clock: yes, time passes; virtual clock: no).
-func (s *Server) stepOnce(idleOK bool) {
+// StepExternal admits everything queued at the current boundary and advances
+// the engine one quantum: one tick of the quantum clock, whether the
+// daemon's own driver or a cluster's round turns it. idleOK selects whether
+// an empty system still consumes a boundary (wall clock: yes, time passes;
+// virtual clock: no).
+func (s *Server) StepExternal(idleOK bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fatal != nil {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 
 	"abg/internal/obs"
 	"abg/internal/sim"
@@ -20,16 +22,13 @@ import (
 //
 // Everything else a shard owns — journaling, snapshots, recovery, the SSE
 // hub with its exact event ids, idempotency dedup, per-shard metrics —
-// works unchanged, because StepExternal is the same stepOnce the internal
-// clock drives. Concurrent StepExternal calls on *different* shards are safe
+// works unchanged, because StepExternal is the step the daemon's own clock
+// drives. Concurrent StepExternal calls on *different* shards are safe
 // (each shard's mutable state is guarded by its own mutex and its own bus);
 // a single shard must only ever be stepped by one goroutine at a time.
-
-// StepExternal admits everything queued at the current boundary and advances
-// the engine one quantum, exactly as one tick of the internal quantum clock
-// would. idleOK selects whether an empty shard still consumes a boundary
-// (wall clock: yes; virtual clock: no).
-func (s *Server) StepExternal(idleOK bool) { s.stepOnce(idleOK) }
+//
+// Both fronts stop the same way: DrainShards runs the drain sequence over
+// a daemon (a front door of one shard, itself) or a cluster's shards.
 
 // NeedsSteps reports whether the shard still has work the driver must step:
 // unfinished jobs or queued admissions, and no fatal error (a wedged shard
@@ -63,12 +62,34 @@ func (s *Server) SetShare(share int) {
 	s.mu.Unlock()
 }
 
+// DrainShards runs the drain sequence over the shards behind one front door
+// (a daemon's own engine, or every shard of a cluster) once admission is
+// closed: DrainEngine on every shard, then rounds until no shard NeedsSteps,
+// then FinishExternal on every shard, whose verdicts it returns in shard
+// order. round steps every shard one quantum. Each round first waits for
+// the readers of hub, the stream the front door serves (see pacer), and
+// then yields, so the drain does not out-run a subscriber that keeps up.
+func DrainShards(shards []*Server, hub *EventHub, round func()) []error {
+	p := &pacer{hub: hub, seq: hub.Seq(), queues: map[chan sseMsg]queueWatch{}}
+	for _, s := range shards {
+		s.DrainEngine()
+	}
+	for slices.ContainsFunc(shards, (*Server).NeedsSteps) {
+		p.wait()
+		round()
+		runtime.Gosched()
+	}
+	verdicts := make([]error, len(shards))
+	for k, s := range shards {
+		verdicts[k] = s.FinishExternal()
+	}
+	return verdicts
+}
+
 // DrainEngine flushes the admission queue and closes engine admission: the
-// first step of the drain sequence, run once admission is closed (Drain).
-// The daemon's own driver and the cluster (once per shard) both run it
-// before the closing fast-forward, so snapshots written during those quanta
-// record the engine as draining — keeping a one-shard cluster's journal
-// byte-identical to a single daemon's.
+// first step of the drain sequence, so snapshots written during the closing
+// fast-forward record the engine as draining — keeping a one-shard
+// cluster's journal byte-identical to a single daemon's.
 func (s *Server) DrainEngine() {
 	s.mu.Lock()
 	if s.fatal == nil {
@@ -80,41 +101,39 @@ func (s *Server) DrainEngine() {
 	s.mu.Unlock()
 }
 
-// FinishExternal completes the drain sequence once the driver has stepped
-// until NeedsSteps is false: sync and close the journal, and release the
-// SSE clients and lifecycle channels. Returns the verdict the way Wait
-// does: the first fatal error, or the invariant checker's, or nil.
+// FinishExternal ends every way a daemon stops — a leader's or a shard's
+// drain once NeedsSteps is false, a follower's drain-out with its leader, a
+// follower's shutdown or wedge: it syncs and closes the journal, releases
+// the SSE clients and the lifecycle channels, and records the verdict Wait
+// returns: the first fatal error, or the invariant checker's, or nil.
 func (s *Server) FinishExternal() error {
 	s.mu.Lock()
-	if s.fatal == nil && s.journal != nil {
-		if err := s.journal.Sync(); err != nil {
-			// A torn final flush must not masquerade as a clean shutdown:
-			// record it as the fatal error so /healthz reports failing and
-			// Wait — hence the process exit code — surfaces it.
+	if s.journal != nil {
+		// A torn final flush must not masquerade as a clean shutdown: record
+		// it as the fatal error so /healthz reports failing and Wait — hence
+		// the process exit code — surfaces it.
+		if err := s.journal.Close(); err != nil && s.fatal == nil {
 			s.failLocked(fmt.Errorf("journal sync at drain: %w", err))
 		}
 	}
-	err := s.fatal
-	if s.journal != nil {
-		_ = s.journal.Close()
-	}
+	s.verdict = s.fatal
+	jobs := s.eng.NumJobs() - s.eng.Remaining()
 	s.mu.Unlock()
+	if s.verdict == nil && s.checker != nil {
+		s.verdict = s.checker.Err()
+	}
+	s.log.Info("drain complete", "jobs", jobs, "role", Role(s.role.Load()).String())
 	s.hub.Close()
-	s.closeDrained()
-	s.closeStopped()
-	if err != nil {
-		return err
-	}
-	if s.checker != nil {
-		return s.checker.Err()
-	}
-	return nil
+	close(s.drained)
+	close(s.stopped)
+	return s.verdict
 }
 
 // Kill simulates SIGKILL for crash-recovery tests: the driver (if one is
-// running) stops dead without draining, and the journal file handle is
-// released without a final sync — exactly the state a killed process leaves
-// on disk, since every append already went straight to the file.
+// running) stops dead without draining, and the journal is closed.
+// Journal.Close syncs first, which a killed process does not, but every
+// append already went straight to the file, so a daemon restarted on the
+// directory reads the bytes a SIGKILL would have left.
 func (s *Server) Kill() {
 	s.killed.Store(true)
 	s.notify()
@@ -132,9 +151,6 @@ func (s *Server) Fatal() error {
 	return s.fatal
 }
 
-// Draining reports whether admission has been closed.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // QueueDepth returns the admission queue's current depth.
 func (s *Server) QueueDepth() int {
 	s.mu.Lock()
@@ -148,12 +164,6 @@ func (s *Server) Load() int {
 	defer s.mu.Unlock()
 	return len(s.queue) + s.eng.Remaining()
 }
-
-// Snapshot returns the shard-wide state snapshot (the /api/v1/state body).
-func (s *Server) Snapshot() StateDTO { return s.snapshot() }
-
-// LookupJob resolves a shard-local job id to its status DTO.
-func (s *Server) LookupJob(id int) (JobStatusDTO, bool) { return s.lookupJob(id) }
 
 // JobStatuses returns every job's status — engine-held jobs in ascending id
 // order, then still-queued ones (the GET /api/v1/jobs body).
@@ -209,9 +219,6 @@ func (s *Server) SSESeq() uint64 { return s.hub.Seq() }
 // those that recovery's replay left in its ring.
 func (s *Server) RelayEvents() { s.hub.dropFrames() }
 
-// Health returns the shard's health verdict and its HTTP status code.
-func (s *Server) Health() (HealthDTO, int) { return s.health() }
-
 // Recovery returns the boot-time recovery report.
 func (s *Server) Recovery() RecoveryDTO {
 	s.mu.Lock()
@@ -226,11 +233,3 @@ func (s *Server) Recovery() RecoveryDTO {
 // refreshes its scrape-sampled gauges — the cluster's /metrics renders every
 // shard's registry under a shard label (promexport.WriteSets).
 func (s *Server) MetricsRegistry() *obs.Registry { return s.metrics.reg }
-
-// SampleMetrics refreshes the scrape-sampled gauges (see MetricsRegistry).
-func (s *Server) SampleMetrics() { s.sampleMetrics() }
-
-// MarshalEvent renders one instrumentation event exactly as the SSE stream
-// does — the cluster's merged stream reuses it so a one-shard cluster's
-// frames are byte-identical to a single daemon's.
-func MarshalEvent(e obs.Event) []byte { return marshalEvent(e) }

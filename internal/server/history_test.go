@@ -69,7 +69,7 @@ func TestHistoryBoundedByCompletedJobs(t *testing.T) {
 		ids := submit(JobRequest{Kind: "serial", Quanta: 1, Count: min(60, total-served)})
 		served += len(ids)
 		for done := false; !done; {
-			s.stepOnce(false)
+			s.StepExternal(false)
 			st, _ := s.LookupJob(ids[len(ids)-1])
 			done = st.State == "done"
 		}

@@ -41,7 +41,7 @@ func submitOK(t testing.TB, s *Server, req JobRequest) {
 // stepN admits the queue and executes up to n quantum boundaries.
 func stepN(s *Server, n int) {
 	for range n {
-		s.stepOnce(false)
+		s.StepExternal(false)
 	}
 }
 
@@ -140,7 +140,8 @@ func readWAL(t testing.TB, name string) []byte {
 //   - a follower that applies its bytes holds a byte-identical journal and
 //     the recovered daemon's statuses and idempotency keys;
 //   - a re-POST of its named two-job request's key answers duplicate with
-//     the original ids (the drained one refuses every POST while it drains);
+//     the original ids (the drained one answers the retry by SubmitLocal,
+//     before it starts, since a started one finishes its drain at once);
 //   - the recovered daemon, continuing the journal in format 2, runs on to
 //     ReferenceResult's statuses.
 func TestRecoveryFromFormat1Journal(t *testing.T) {
@@ -215,8 +216,8 @@ func TestRecoveryFromFormat1Journal(t *testing.T) {
 				if err := req.Normalize(); err != nil {
 					t.Fatal(err)
 				}
-				if _, code, err := r.SubmitLocal(req, ""); code != http.StatusServiceUnavailable {
-					t.Fatalf("submit while draining: %d (%v), want 503", code, err)
+				if ack, code, err := r.SubmitLocal(req, ""); code != http.StatusOK || ack.State != "duplicate" || !reflect.DeepEqual(ack.IDs, want) {
+					t.Fatalf("retry of key x while draining: %d %+v (%v), want 200 duplicate of %v", code, ack, err, want)
 				}
 			}
 			ctx, cancel := context.WithCancel(context.Background())

@@ -38,7 +38,7 @@ import (
 //	abgd_recovery_*                              gauges  (set once at boot)
 //
 // Counters and histograms are updated at event time on their own paths;
-// the sampled gauges are refreshed by sampleMetrics under the scrape so
+// the sampled gauges are refreshed by SampleMetrics under the scrape so
 // one exposition is self-consistent.
 
 // httpBuckets span sub-millisecond state reads to multi-second drains.
@@ -276,9 +276,9 @@ func (jm *journalMetrics) JournalSync(d time.Duration) {
 	jm.fsyncSec.Observe(d.Seconds())
 }
 
-// sampleMetrics refreshes the scrape-sampled gauges and folds the hub's
+// SampleMetrics refreshes the scrape-sampled gauges and folds the hub's
 // atomic tallies into their counters.
-func (s *Server) sampleMetrics() {
+func (s *Server) SampleMetrics() {
 	m := s.metrics
 	s.mu.Lock()
 	m.queueDepth.Set(int64(len(s.queue)))
@@ -307,7 +307,7 @@ func (s *Server) sampleMetrics() {
 
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.sampleMetrics()
+	s.SampleMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = promexport.Write(w, s.metrics.reg)
 }

@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite testdata/observe/*.golden from 
 // TestObserveGoldens pins what a daemon serves about a job's life: each
 // trace as JSON and as Perfetto export (GET /api/v1/traces/{id}), and each
 // job's status with its lifecycle history (GET /api/v1/jobs/{id}). The
-// quantum clock is turned by the test (New without Start, stepOnce), so
+// quantum clock is turned by the test (New without Start, StepExternal), so
 // every byte is deterministic. Three runs: a clean one (a queued read,
 // stalled quanta, an untraced and a duplicate submission), a faulted one
 // whose jobs restart, and one whose job outlives its 256-sample timeline
@@ -120,7 +120,7 @@ func (g *observeRun) submit(trace string, req JobRequest) {
 // steps turns the clock n times, or until the daemon has no work when n < 0.
 func (g *observeRun) steps(n int) {
 	for ; n != 0 && g.s.NeedsSteps(); n-- {
-		g.s.stepOnce(false)
+		g.s.StepExternal(false)
 	}
 	if err := g.s.Fatal(); err != nil {
 		g.t.Fatal(err)

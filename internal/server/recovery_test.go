@@ -86,7 +86,7 @@ func waitQuanta(t *testing.T, s *Server, q, submitted int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := s.snapshot()
+		st := s.Snapshot()
 		if st.QuantaElapsed >= q || (submitted > 0 && st.Completed >= submitted) {
 			return
 		}
@@ -159,7 +159,7 @@ func TestRecoveryMatchesReference(t *testing.T) {
 			for i := 4; i < 8; i++ {
 				submitKeyed(t, base2, i)
 			}
-			waitQuanta(t, s2, s2.snapshot().QuantaElapsed+3, 8)
+			waitQuanta(t, s2, s2.Snapshot().QuantaElapsed+3, 8)
 			crash(t, s2)
 
 			s3, base3 := startCrashable(t, cfg)
@@ -357,7 +357,7 @@ func TestRecoveryAdmitAfterIdleGap(t *testing.T) {
 	s, base := startCrashable(t, cfg)
 	submitKeyed(t, base, 0)
 	idleFrom := waitCompleted(t, base, 1).Boundary
-	for s.snapshot().Boundary < idleFrom+5 {
+	for s.Snapshot().Boundary < idleFrom+5 {
 		time.Sleep(time.Millisecond)
 	}
 	submitKeyed(t, base, 1)

@@ -13,7 +13,7 @@ import (
 // TestCompletedJobsReleaseProfiles: a daemon keeps no completed job's
 // profile reachable. 1000 batch jobs go one at a time through a journaled
 // virtual-clock daemon whose quantum clock the test turns itself (New
-// without Start; stepOnce is the driver's step), so each job's profile can
+// without Start; StepExternal is the driver's step), so each job's profile can
 // be given a finalizer while the job waits in the admission queue. Every
 // finalizer must run after garbage collection, with the daemon still up
 // and reporting every job done.
@@ -44,7 +44,7 @@ func TestCompletedJobsReleaseProfiles(t *testing.T) {
 		runtime.SetFinalizer(s.queue[0].profile, func(*job.Profile) { freed.Add(1) })
 		s.mu.Unlock()
 		for s.NeedsSteps() {
-			s.stepOnce(false)
+			s.StepExternal(false)
 		}
 		if st, ok := s.LookupJob(id); !ok || st.State != "done" {
 			t.Fatalf("job %d is %q after the daemon ran out of work", id, st.State)
@@ -60,7 +60,7 @@ func TestCompletedJobsReleaseProfiles(t *testing.T) {
 	if err := s.Fatal(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.snapshot(); st.Completed != jobs {
+	if st := s.Snapshot(); st.Completed != jobs {
 		t.Fatalf("daemon reports %d of %d jobs completed", st.Completed, jobs)
 	}
 }

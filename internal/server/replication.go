@@ -292,9 +292,11 @@ func (s *Server) applySnapshotLocked(body []byte) error {
 }
 
 // follow is the follower's driver goroutine: tail the leader until the
-// tailer stops. Three exits: promotion (this goroutine becomes the quantum
-// clock, via drive), shutdown (ctx cancelled / tailer stopped), or a fatal
-// replication error (the daemon wedges and reports it through Wait).
+// tailer stops. Four exits: promotion (this goroutine becomes the quantum
+// clock, via drive), the leader's drain (the journal is complete), shutdown
+// (ctx cancelled), or a fatal replication error. The last three end in
+// FinishExternal, as a leader's drain does, so Wait reports a failed final
+// journal sync or the wedge.
 func (s *Server) follow(ctx context.Context) {
 	err := s.tailer.Run(ctx)
 	if err != nil {
@@ -304,7 +306,7 @@ func (s *Server) follow(ctx context.Context) {
 	}
 	if s.killed.Load() {
 		// Crash simulation (tests only): stop dead, like SIGKILL would.
-		s.closeStopped()
+		close(s.stopped)
 		return
 	}
 	if err == nil && ctx.Err() == nil && !s.isFollower() {
@@ -323,15 +325,7 @@ func (s *Server) follow(ctx context.Context) {
 		s.drive(ctx)
 		return
 	}
-	s.mu.Lock()
-	fatal := s.fatal
-	s.mu.Unlock()
-	if s.draining.Load() && fatal == nil {
-		s.log.Info("follower drained with leader", "jobs", s.snapshotJobs())
-	}
-	s.hub.Close()
-	s.closeDrained()
-	s.closeStopped()
+	_ = s.FinishExternal() // Wait reports the verdict
 }
 
 func (s *Server) boundaryNow() int {
@@ -339,11 +333,6 @@ func (s *Server) boundaryNow() int {
 	defer s.mu.Unlock()
 	return s.eng.Boundary()
 }
-
-// closeDrained and closeStopped make the lifecycle channels safe to close
-// from both the leader drive path and the follower shutdown path.
-func (s *Server) closeDrained() { s.drainedOnce.Do(func() { close(s.drained) }) }
-func (s *Server) closeStopped() { s.stoppedOnce.Do(func() { close(s.stopped) }) }
 
 // Promote switches a follower to leader under the next epoch: the tailer
 // stops, and the follow goroutine seals the new term (KindEpoch record) and

@@ -274,7 +274,7 @@ func TestFollowerPromotionMatchesReference(t *testing.T) {
 			for i := 4; i < 8; i++ {
 				submitKeyed(t, fBase, i)
 			}
-			waitQuanta(t, s2, s2.snapshot().QuantaElapsed+3, 8)
+			waitQuanta(t, s2, s2.Snapshot().QuantaElapsed+3, 8)
 			s2.Drain()
 			if err := s2.Wait(); err != nil {
 				t.Fatalf("promoted drain: %v", err)
@@ -647,7 +647,7 @@ func TestRetargetFollower(t *testing.T) {
 	for i := 4; i < 6; i++ {
 		submitKeyed(t, aBase, i)
 	}
-	waitQuanta(t, s2, s2.snapshot().QuantaElapsed+3, 6)
+	waitQuanta(t, s2, s2.Snapshot().QuantaElapsed+3, 6)
 	waitReplBytes(t, bBase, s2.journal.Size())
 
 	// Drain the new leader; B drains out with it. Comparisons happen only
@@ -713,5 +713,39 @@ func TestDrainSyncFailureSurfaces(t *testing.T) {
 	err := s.Wait()
 	if err == nil || !strings.Contains(err.Error(), "journal sync at drain") {
 		t.Fatalf("Wait = %v, want drain-sync failure", err)
+	}
+}
+
+// TestFollowerDrainSyncFailureSurfaces is the follower's twin of
+// TestDrainSyncFailureSurfaces: a follower that drains out with its leader
+// ends the same way a leader does, so a failed final journal sync marks it
+// failing and surfaces through its Wait.
+func TestFollowerDrainSyncFailureSurfaces(t *testing.T) {
+	cfg := replCfg(t.TempDir(), "")
+	cfg.Fsync = "never" // the drain-time sync is then the only fsync
+	s1, leaderBase := startCrashable(t, cfg)
+	s2, fBase, _ := startFollower(t, cfg, leaderBase)
+
+	submitKeyed(t, leaderBase, 0)
+	waitCompleted(t, leaderBase, 1)
+	s2.journal.FailSyncForTest(errors.New("disk full"))
+	s1.Drain()
+	if err := s1.Wait(); err != nil {
+		t.Fatalf("leader Wait: %v", err)
+	}
+	select {
+	case <-s2.drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower did not drain out after the leader's drain")
+	}
+
+	var h HealthDTO
+	code := getJSON(t, fBase+"/healthz", &h)
+	if code != http.StatusServiceUnavailable || h.Status != "failing" ||
+		!strings.Contains(strings.Join(h.Reasons, "; "), "journal sync at drain") {
+		t.Fatalf("follower healthz after failed drain sync = %d %+v, want failing on the drain sync", code, h)
+	}
+	if err := s2.Wait(); err == nil || !strings.Contains(err.Error(), "journal sync at drain") {
+		t.Fatalf("follower Wait = %v, want drain-sync failure", err)
 	}
 }

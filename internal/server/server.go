@@ -330,14 +330,13 @@ type Server struct {
 	pendingEpoch  uint32
 	super         *failover.Supervisor
 
-	draining    atomic.Bool
-	killed      atomic.Bool // test hook: crash the driver without draining
-	wake        chan struct{}
-	drained     chan struct{}
-	drainedOnce sync.Once
-	stopped     chan struct{}
-	stoppedOnce sync.Once
-	started     time.Time
+	draining atomic.Bool
+	killed   atomic.Bool // test hook: crash the driver without draining
+	wake     chan struct{}
+	drained  chan struct{} // closed by FinishExternal
+	verdict  error         // set by FinishExternal before drained closes
+	stopped  chan struct{} // closed once the driver stops, killed or not
+	started  time.Time
 
 	ln   net.Listener
 	hsrv *http.Server
@@ -500,11 +499,12 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Drain initiates a graceful drain: admission stops (submissions get 503),
-// accepted jobs run to completion at fast-forward speed, then the listener
-// shuts down. Idempotent; Wait blocks until the drain completes. The
-// command is journaled, so a daemon restarted on this journal finishes the
-// drain instead of reopening admission.
+// Drain initiates a graceful drain: admission stops (a new submission gets
+// 503; a keyed retry of an acked one still gets its ids), accepted jobs run
+// to completion at fast-forward speed, then the listener shuts down.
+// Idempotent; Wait blocks until the drain completes. The command is
+// journaled, so a daemon restarted on this journal finishes the drain
+// instead of reopening admission.
 //
 // The drain record is appended and the flag flipped in one s.mu critical
 // section, which SubmitLocal re-checks under the same lock: every submit
@@ -557,28 +557,24 @@ func NewHTTPServer(handler http.Handler) *http.Server {
 	return hs
 }
 
-// Wait blocks until the server has fully drained, then shuts the HTTP
-// listener down and reports any fatal engine error or invariant violation.
-func (s *Server) Wait() error {
-	<-s.drained
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+// AwaitDrained blocks until drained closes, then shuts hs down: the end of
+// Wait for a daemon and a cluster front door alike. Requests in flight get
+// 5 s to finish before their connections are closed.
+func AwaitDrained(drained <-chan struct{}, hs *http.Server) {
+	<-drained
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.hsrv.Shutdown(shutdownCtx); err != nil {
-		s.hsrv.Close()
+	if err := hs.Shutdown(ctx); err != nil {
+		hs.Close()
 	}
-	s.mu.Lock()
-	err := s.fatal
-	if s.journal != nil {
-		_ = s.journal.Close()
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if s.checker != nil {
-		return s.checker.Err()
-	}
-	return nil
+}
+
+// Wait blocks until the server has fully drained, then shuts the HTTP
+// listener down and returns the verdict FinishExternal recorded: the first
+// fatal engine error, or an invariant violation.
+func (s *Server) Wait() error {
+	AwaitDrained(s.drained, s.hsrv)
+	return s.verdict
 }
 
 // notify wakes the driver loop (non-blocking).
@@ -631,17 +627,11 @@ type SubmitResponse struct {
 	Offset int64 `json:"offset,omitempty"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.rejectWrite(w, r) {
-		return
-	}
-	if s.draining.Load() {
-		WriteJSON(w, http.StatusServiceUnavailable, ErrorDTO{"draining: admission closed"})
-		return
-	}
-	if s.redirectToLeader(w, r) {
-		return
-	}
+// ServeSubmit answers POST /api/v1/jobs for the daemon and the cluster front
+// door alike: it decodes the request (1 MiB at most), normalizes it, and
+// answers with what submit returns — the ack under its status, or the error
+// under its own, with Retry-After on a 429.
+func ServeSubmit[Ack any](w http.ResponseWriter, r *http.Request, submit func(req JobRequest, traceID string) (Ack, int, error)) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
@@ -652,7 +642,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, ErrorDTO{err.Error()})
 		return
 	}
-	resp, status, err := s.SubmitLocal(req, r.Header.Get(TraceHeader))
+	ack, status, err := submit(req, r.Header.Get(TraceHeader))
 	if err != nil {
 		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
@@ -660,18 +650,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, status, ErrorDTO{err.Error()})
 		return
 	}
-	if resp.Offset > 0 {
-		w.Header().Set(OffsetHeader, strconv.FormatInt(resp.Offset, 10))
+	WriteJSON(w, status, ack)
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	if s.rejectWrite(w, r) || s.redirectToLeader(w, r) {
+		return
 	}
-	WriteJSON(w, status, resp)
+	ServeSubmit(w, r, func(req JobRequest, traceID string) (SubmitResponse, int, error) {
+		ack, status, err := s.SubmitLocal(req, traceID)
+		if ack.Offset > 0 {
+			w.Header().Set(OffsetHeader, strconv.FormatInt(ack.Offset, 10))
+		}
+		return ack, status, err
+	})
 }
 
 // SubmitLocal runs the admission path for an already-normalized request:
-// idempotency-key dedup, queue-limit backpressure, journal-before-ack, id
-// assignment, trace registration. It is the shared core behind POST
-// /api/v1/jobs and the cluster front end's per-shard routing. The returned
-// status is the HTTP status the caller should answer with (202 queued, 200
-// duplicate); a non-nil error carries a 4xx/5xx status instead.
+// idempotency-key dedup, the draining gate, queue-limit backpressure,
+// journal-before-ack, id assignment, trace registration. It is the one
+// admission gate, behind POST /api/v1/jobs and the cluster front end's
+// per-shard routing alike. The returned status is the HTTP status the
+// caller should answer with (202 queued, 200 duplicate); a non-nil error
+// carries a 4xx/5xx status instead.
 func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, int, error) {
 	if req.Seed == 0 {
 		req.Seed = s.cfg.Seed
@@ -681,13 +682,6 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 	profiles := req.profiles(s.cfg.L)
 
 	s.mu.Lock()
-	// Checked under s.mu, where Drain journals its record and flips the
-	// flag: an ack can never follow the drain record.
-	if s.draining.Load() {
-		s.mu.Unlock()
-		return SubmitResponse{}, http.StatusServiceUnavailable,
-			fmt.Errorf("draining: admission closed")
-	}
 	if req.Key != "" {
 		if ids, ok := s.keys[req.Key]; ok {
 			// Seen before — possibly acked into a journal whose ack the
@@ -705,6 +699,14 @@ func (s *Server) SubmitLocal(req JobRequest, traceID string) (SubmitResponse, in
 				IDs: ids, State: "duplicate", Queued: depth, TraceID: traceID, Offset: off,
 			}, http.StatusOK, nil
 		}
+	}
+	// Checked under s.mu, where Drain journals its record and flips the
+	// flag: an ack can never follow the drain record. A retry answered
+	// above admits nothing, so it is answered during a drain too.
+	if s.draining.Load() {
+		s.mu.Unlock()
+		return SubmitResponse{}, http.StatusServiceUnavailable,
+			fmt.Errorf("draining: admission closed")
 	}
 	if len(s.queue)+req.Count > s.cfg.QueueLimit {
 		depth := len(s.queue)
@@ -807,15 +809,15 @@ func (p pendingJob) status() JobStatusDTO {
 		Work: p.profile.Work(), CriticalPath: p.profile.CriticalPathLen()}
 }
 
-// lookupJob resolves a job id to its status: engine-owned, still queued, or
+// LookupJob resolves a job id to its status: engine-owned, still queued, or
 // unknown.
-func (s *Server) lookupJob(id int) (JobStatusDTO, bool) {
+func (s *Server) LookupJob(id int) (JobStatusDTO, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lookupJobLocked(id)
 }
 
-// lookupJobLocked is lookupJob for a caller that holds s.mu.
+// lookupJobLocked is LookupJob for a caller that holds s.mu.
 func (s *Server) lookupJobLocked(id int) (JobStatusDTO, bool) {
 	if st, ok := s.eng.JobStatus(id); ok {
 		return statusDTO(st), true
@@ -836,7 +838,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dto, ok := s.lookupJob(id)
+	dto, ok := s.LookupJob(id)
 	if !ok {
 		WriteJSON(w, http.StatusNotFound, ErrorDTO{fmt.Sprintf("unknown job %d", id)})
 		return
@@ -887,8 +889,8 @@ type StateDTO struct {
 	UptimeSec        float64 `json:"uptimeSec"`
 }
 
-// snapshot assembles the scheduler-wide state.
-func (s *Server) snapshot() StateDTO {
+// Snapshot assembles the scheduler-wide state (the /api/v1/state body).
+func (s *Server) Snapshot() StateDTO {
 	s.mu.Lock()
 	tally := s.eng.Tally()
 	st := StateDTO{
@@ -935,24 +937,29 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	if s.waitMinOffset(w, r) {
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.snapshot())
+	WriteJSON(w, http.StatusOK, s.Snapshot())
 }
 
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if s.redirectToLeader(w, r) {
-		return
-	}
-	s.Drain()
-	wait := r.URL.Query().Get("wait")
+// ServeDrain answers POST /api/v1/drain for the daemon and the cluster front
+// door alike: it starts the drain and, with ?wait=1, answers once drained
+// closes (or the client gives up).
+func ServeDrain(w http.ResponseWriter, r *http.Request, drain func(), drained <-chan struct{}) {
+	drain()
 	done := false
-	if wait == "1" || wait == "true" {
+	if wait := r.URL.Query().Get("wait"); wait == "1" || wait == "true" {
 		select {
-		case <-s.drained:
+		case <-drained:
 			done = true
 		case <-r.Context().Done():
 		}
 	}
 	WriteJSON(w, http.StatusOK, map[string]bool{"draining": true, "done": done})
+}
+
+func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
+	if !s.redirectToLeader(w, r) {
+		ServeDrain(w, r, s.Drain, s.drained)
+	}
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
@@ -996,8 +1003,8 @@ type HealthDTO struct {
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-// health assembles the health verdict and its HTTP status.
-func (s *Server) health() (HealthDTO, int) {
+// Health assembles the health verdict and its HTTP status.
+func (s *Server) Health() (HealthDTO, int) {
 	s.mu.Lock()
 	fatal := s.fatal
 	j := s.journal
@@ -1066,6 +1073,6 @@ func (s *Server) health() (HealthDTO, int) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	dto, code := s.health()
+	dto, code := s.Health()
 	WriteJSON(w, code, dto)
 }

@@ -34,7 +34,7 @@ func serveSequential(t *testing.T, s *Server, first, n int) {
 			t.Fatalf("submit %d: ids %v", id, ack.IDs)
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for s.snapshot().Completed <= id {
+		for s.Snapshot().Completed <= id {
 			if time.Now().After(deadline) {
 				t.Fatalf("job %d did not complete", id)
 			}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"abg/internal/obs"
 )
@@ -39,8 +40,10 @@ type eventDTO struct {
 // at its widest takes about 440 bytes, so only a long name spills.
 const eventBufLen = 512
 
-// marshalEvent renders one instrumentation event as JSON (see appendEvent).
-func marshalEvent(e obs.Event) []byte {
+// MarshalEvent renders one instrumentation event as JSON (see appendEvent),
+// exactly as the SSE stream does: the cluster's merged stream renders with
+// it, so a one-shard cluster's frames are byte-identical to a daemon's.
+func MarshalEvent(e obs.Event) []byte {
 	var buf [eventBufLen]byte
 	return bytes.Clone(appendEvent(buf[:0], e))
 }
@@ -413,6 +416,73 @@ func (h *EventHub) Close() {
 		close(ch)
 	}
 	h.n.Store(0)
+}
+
+// Drain pacing. A drain runs its rounds back to back, faster than an SSE
+// writer moves frames out, and on one CPU the writers run only when the
+// drain goroutine blocks, so a subscriber's 1024-frame queue would overflow.
+// Before each round DrainShards waits until every subscriber still reading
+// has room for as many frames as the largest round so far published. One
+// whose queue has not shrunk during paceStall of waiting is not waited for
+// (its overflow is dropped and counted, as outside a drain), and one drain
+// waits paceMax at most in all.
+const (
+	paceTick  = time.Millisecond
+	paceStall = 500 * time.Millisecond
+	paceMax   = 5 * time.Second
+)
+
+// pacer holds one drain's rounds back for the subscribers of a hub.
+type pacer struct {
+	hub    *EventHub
+	seq    uint64        // the hub's position at the previous wait
+	need   int           // frames published by the largest round so far
+	spent  time.Duration // waited so far, at most paceMax
+	queues map[chan sseMsg]queueWatch
+}
+
+// queueWatch is what a pacer knows of one subscriber's queue.
+type queueWatch struct {
+	depth int           // its length at the last poll
+	stuck time.Duration // waited on it since it last shrank
+}
+
+// wait blocks until every subscriber still reading has room for the next
+// round's frames, or the drain's waiting time is spent.
+func (p *pacer) wait() {
+	seq := p.hub.Seq()
+	p.need = max(p.need, int(seq-p.seq))
+	p.seq = seq
+	var slept time.Duration
+	for p.spent < paceMax && p.hub.holdsBack(p, slept) {
+		t := time.Now()
+		time.Sleep(paceTick)
+		slept = time.Since(t)
+		p.spent += slept
+	}
+}
+
+// holdsBack reports whether a subscriber still reading lacks room for
+// p.need frames, after charging the time slept since the previous poll to
+// every queue that did not shrink meanwhile.
+func (h *EventHub) holdsBack(p *pacer, slept time.Duration) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	held := false
+	for ch := range h.clients {
+		q, n := p.queues[ch], len(ch)
+		if n < q.depth {
+			q.stuck = 0
+		} else {
+			q.stuck += slept
+		}
+		q.depth = n
+		p.queues[ch] = q
+		if cap(ch)-n < min(p.need, cap(ch)) && q.stuck < paceStall {
+			held = true
+		}
+	}
+	return held
 }
 
 // Handler serves GET /api/v1/events: every published event as one `id:` +

@@ -192,7 +192,7 @@ func FuzzEventJSON(f *testing.F) {
 		if err != nil {
 			want = []byte(`{"kind":"marshal_error"}`)
 		}
-		if got := marshalEvent(e); !bytes.Equal(got, want) {
+		if got := MarshalEvent(e); !bytes.Equal(got, want) {
 			t.Fatalf("event %+v:\ngot  %s\nwant %s", e, got, want)
 		}
 	})

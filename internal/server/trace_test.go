@@ -30,9 +30,9 @@ func TestTracingAllocatesNothingPerQuantum(t *testing.T) {
 			t.Fatal(err)
 		}
 		for range 300 {
-			s.stepOnce(false)
+			s.StepExternal(false)
 		}
-		allocs := testing.AllocsPerRun(200, func() { s.stepOnce(false) })
+		allocs := testing.AllocsPerRun(200, func() { s.StepExternal(false) })
 		if !s.NeedsSteps() {
 			t.Fatal("the job finished while measured")
 		}
@@ -148,7 +148,7 @@ func TestTraceWithoutTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s.NeedsSteps() {
-		s.stepOnce(false)
+		s.StepExternal(false)
 	}
 	tr, ok := s.TraceByID("no-ring")
 	if !ok || tr.Done != 2 {

@@ -46,6 +46,15 @@ echo "== concurrent manual promotes serialize (x200)"
 # lose, in a few runs per hundred.
 go test -run '^TestConcurrentPromoteSerializes$' -count=200 ./internal/server/
 
+echo "== drains keep pace with event-stream readers on one CPU (x20)"
+# On one CPU the SSE writers run only when the drain goroutine lets them.
+# The drain sequence waits (bounded) for subscribers that keep reading, so
+# a plain daemon and a 2-shard front door deliver every frame of a drain
+# four times a subscriber's queue, and a reader that stopped reading holds
+# the drain for less than the bound.
+GOMAXPROCS=1 go test -run '^(TestDrainKeepsPaceWithReader|TestDrainDoesNotWaitForStalledReader)$' \
+    -count=20 ./internal/server/ ./internal/cluster/
+
 echo "== bench schema smoke (abgbench -quick, validates BENCH format)"
 # The /metrics-scrape-vs-SSE-vs-stepping race test itself runs in the -race
 # block above (TestMetricsConcurrentWithStreamAndStepping, internal/server).
